@@ -25,7 +25,7 @@ from .verifier import FAIL, LEMMA_IDS, scan, verify_group
 from . import fileio
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: int | None) -> int | None:
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -156,8 +156,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cap = args.cap if args.cap is not None else _env_int("AGROUPS_CAP", 0)
-        if cap:
+        cap = args.cap if args.cap is not None else _env_int("AGROUPS_CAP", None)
+        if cap is not None:
             set_max_order_cap(cap)
         if args.command == "info":
             return cmd_info(args)

@@ -37,17 +37,22 @@ from .core import (
 # -- standard families -----------------------------------------------------
 
 
+def _require_within_cap(order: int, what: str) -> None:
+    """Refuse a construction past the desk-scale cap before building its table."""
+    if order > max_order_cap():
+        raise InputError(f"refusing {what} of order {order} beyond cap {max_order_cap()}")
+
+
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise InputError(f"cyclic order must be positive, got {n}")
+    _require_within_cap(n, "cyclic group")
     table = (np.add.outer(np.arange(n), np.arange(n)) % n)
     return GroupTable(table, label=f"cyclic({n})")
 
 
 def direct_product(A: GroupTable, B: GroupTable, label: str | None = None) -> GroupTable:
-    if A.n * B.n > max_order_cap():
-        raise InputError(
-            f"refusing direct product of order {A.n * B.n} beyond cap {max_order_cap()}")
+    _require_within_cap(A.n * B.n, "direct product")
     a, b = np.divmod(np.arange(A.n * B.n), B.n)
     table = A.table[np.ix_(a, a)] * B.n + B.table[np.ix_(b, b)]
     return GroupTable(table, label=label or f"dp({A.label},{B.label})")
@@ -66,21 +71,35 @@ def abelian_group(factors) -> GroupTable:
     return GroupTable(G.table, label=label, trusted=True)
 
 
-def _perm_table(perms: list[tuple[int, ...]], label: str) -> GroupTable:
-    index = {p: i for i, p in enumerate(perms)}
-    deg = len(perms[0])
-    n = len(perms)
+def perm_table(perms, label: str) -> GroupTable:
+    """Cayley table of a list of permutations of 0..d-1 (d >= 1) closed under
+    composition.
+
+    Element i is perms[i], and the product applies the left factor first:
+    (p*q)[k] = q[p[k]].  Each permutation is keyed by its raw bytes, and each
+    row of products is located with one searchsorted against the sorted keys.
+    """
+    P = np.asarray(perms, dtype=np.int32)
+    n, d = P.shape
+    _require_within_cap(n, "permutation group")
+    key = np.dtype((np.void, P.itemsize * d))
+    keys = P.view(key).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
     table = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(q[p[k]] for k in range(deg))]
+    for i in range(n):
+        row = np.ascontiguousarray(P[:, P[i]]).view(key).ravel()  # [j] = perms[i]*perms[j]
+        pos = np.minimum(np.searchsorted(sorted_keys, row), n - 1)
+        if not (sorted_keys[pos] == row).all():
+            raise InputError("permutations are not closed under composition")
+        table[i] = order[pos]
     return GroupTable(table, label=label)
 
 
 def symmetric(n: int) -> GroupTable:
     if not 1 <= n <= 6:
         raise InputError(f"symmetric group degree must be in 1..6, got {n}")
-    return _perm_table(sorted(permutations(range(n))), f"sym({n})")
+    return perm_table(sorted(permutations(range(n))), f"sym({n})")
 
 
 def _parity(p: tuple[int, ...]) -> int:
@@ -92,7 +111,7 @@ def alternating(n: int) -> GroupTable:
     if not 1 <= n <= 6:
         raise InputError(f"alternating group degree must be in 1..6, got {n}")
     perms = sorted(p for p in permutations(range(n)) if _parity(p) == 0)
-    return _perm_table(perms, f"alt({n})")
+    return perm_table(perms, f"alt({n})")
 
 
 def quaternion8() -> GroupTable:
@@ -121,6 +140,7 @@ def frobenius(p: int, q: int) -> GroupTable:
         raise InputError(f"{p} is not prime")
     if q < 2 or (p - 1) % q != 0:
         raise InputError(f"{q} does not divide {p}-1; no faithful action exists")
+    _require_within_cap(p * q, "Frobenius group")
     r = next(r for r in range(2, p) if _mult_order(r, p) == q)
     action = np.empty((p, q), dtype=np.int64)
     rb = 1
@@ -189,9 +209,7 @@ def semidirect_product(spec: ActionSpec, label: str | None = None) -> GroupTable
     """Split extension on pairs (a, b) flattened as a * |acting| + b."""
     spec.validate()
     A, B, act = spec.acted, spec.acting, np.asarray(spec.action)
-    if A.n * B.n > max_order_cap():
-        raise InputError(
-            f"refusing semidirect product of order {A.n * B.n} beyond cap {max_order_cap()}")
+    _require_within_cap(A.n * B.n, "semidirect product")
     binv = B.inverse_table
     twisted = act[:, binv].T                 # [b1, a2] -> a2^(b1^-1)
     left = A.table[:, twisted]               # [a1, b1, a2] -> a1 * a2^(b1^-1)

@@ -79,10 +79,15 @@ def generating_set(table: np.ndarray) -> list[int]:
     return gens
 
 
-def _close_members(table: np.ndarray, members: np.ndarray) -> np.ndarray:
+def _close_members(table: np.ndarray, members: np.ndarray,
+                   cap: int | None = None) -> np.ndarray | None:
+    """Sorted closure of a member set that contains the identity, by squaring
+    the set until it stops growing; None as soon as it grows past ``cap``."""
     members = np.unique(members)
     while True:
         prods = np.unique(table[members[:, None], members])
+        if cap is not None and prods.size > cap:
+            return None
         if prods.size == members.size:
             return prods
         members = prods
@@ -366,10 +371,6 @@ def centralizer(G: GroupTable, elements) -> SubgroupHandle:
     G._check_index(*elements)
     mask = G.commute_matrix[:, elements].all(axis=1)
     return SubgroupHandle(G, np.flatnonzero(mask))
-
-
-def centralizer_mask(G: GroupTable, x: int) -> np.ndarray:
-    return G.commute_matrix[:, x]
 
 
 def center(G: GroupTable) -> SubgroupHandle:
@@ -776,7 +777,8 @@ def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[Sub
     """Every subgroup of G (or of the given subgroup), deterministically ordered.
 
     Abelian scopes use the fast enumerations; anything else walks the lattice.
-    Results are cached on the parent table.
+    The handles are cached on the parent table, so each one works out its
+    normality and abelianness once; callers get a fresh list of them.
     """
     scope = limit if limit is not None else full_subgroup(G)
     cache_key = ("subs", scope.key())
@@ -792,9 +794,9 @@ def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[Sub
         else:
             raw = _generic_subgroups(G, scope if limit is not None else None)
         raw.sort(key=lambda mem: (len(mem), mem.tolist()))
-        cached = raw
+        cached = [SubgroupHandle(G, mem) for mem in raw]
         G._subgroup_cache[cache_key] = cached
-    return [SubgroupHandle(G, mem) for mem in cached]
+    return list(cached)
 
 
 def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:

@@ -70,10 +70,14 @@ def load_cayley(text: str, label: str = "") -> GroupTable:
 
 def load_perm(text: str, label: str = "") -> GroupTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise InputError(f"perm file {label or '(unnamed)'} is empty")
     m = re.fullmatch(r"degree\s+(\d+)", lines[0].strip())
     if not m:
         raise InputError("perm file must start with 'degree d'")
     d = int(m.group(1))
+    if d < 1:
+        raise InputError("perm file degree must be positive")
     gens: list[tuple[int, ...]] = []
     for ln in lines[1:]:
         images = tuple(int(t) for t in ln.split())
@@ -96,14 +100,7 @@ def load_perm(text: str, label: str = "") -> GroupTable:
                         raise InputError(
                             f"permutation group exceeds the desk-scale cap {cap}")
         frontier = nxt
-    perms = sorted(elements)
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(q[p[k]] for k in range(d))]
-    return GroupTable(table, label=label)
+    return cons.perm_table(sorted(elements), label)
 
 
 # -- recipes -------------------------------------------------------------------
@@ -213,6 +210,8 @@ def load_group(source: str, fmt: str | None = None) -> GroupTable:
     path = Path(source)
     if path.exists() and path.is_file():
         text = path.read_text()
+        if not text.strip():
+            raise InputError(f"group file {source} is empty")
         fmt = fmt or sniff_format(text)
         if fmt == "cayley":
             return load_cayley(text, label=path.name)

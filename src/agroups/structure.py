@@ -43,7 +43,7 @@ def sylow_subgroup(G: GroupTable, p: int) -> SubgroupHandle:
     key = ("sylow", p)
     cached = G._subgroup_cache.get(key)
     if cached is not None:
-        return SubgroupHandle(G, cached)
+        return cached
     target = p_part(G.n, p)
     if target == 1:
         return trivial_subgroup(G)
@@ -60,7 +60,7 @@ def sylow_subgroup(G: GroupTable, p: int) -> SubgroupHandle:
                 {"p": p, "current": P.members.tolist()},
             )
         P = subgroup_closure(G, np.append(P.members, cands[0]))
-    G._subgroup_cache[key] = P.members
+    G._subgroup_cache[key] = P
     return P
 
 
@@ -73,7 +73,7 @@ def p_core(G: GroupTable, p: int) -> SubgroupHandle:
     key = ("pcore", p)
     cached = G._subgroup_cache.get(key)
     if cached is not None:
-        return SubgroupHandle(G, cached, is_normal=True)
+        return cached
     P = sylow_subgroup(G, p)
     if P.order == 1:
         return trivial_subgroup(G)
@@ -87,7 +87,7 @@ def p_core(G: GroupTable, p: int) -> SubgroupHandle:
         conj_mask[cj[P.members, g]] = True
         mask &= conj_mask
     core = SubgroupHandle(G, np.flatnonzero(mask), is_normal=True)
-    G._subgroup_cache[key] = core.members
+    G._subgroup_cache[key] = core
     return core
 
 
@@ -150,17 +150,6 @@ def _is_complement(G: GroupTable, F: SubgroupHandle, members: np.ndarray) -> boo
     return int((mask & F.mask).sum()) == 1
 
 
-def _closure_capped(table: np.ndarray, gens: np.ndarray, cap: int) -> np.ndarray | None:
-    members = np.unique(np.append(gens, 0))
-    while True:
-        prods = np.unique(table[np.ix_(members, members)])
-        if prods.size > cap:
-            return None
-        if prods.size == members.size:
-            return prods
-        members = prods
-
-
 def complement_search(G: GroupTable, F: SubgroupHandle, *, seed: int = 0,
                       attempts: int = 10_000) -> SubgroupHandle | None:
     """Find T with T*F = G and trivial intersection, or None.
@@ -179,12 +168,12 @@ def complement_search(G: GroupTable, F: SubgroupHandle, *, seed: int = 0,
         return full_subgroup(G)
     q = quotient_group(G, F)
 
-    def wrap(members: np.ndarray) -> SubgroupHandle:
-        return SubgroupHandle(G, members)
+    def capped(gens: np.ndarray) -> np.ndarray | None:
+        return _close_members(G.table, np.append(gens, 0), target)
 
-    sect = _closure_capped(G.table, q.section, target)
+    sect = capped(q.section)
     if sect is not None and _is_complement(G, F, sect):
-        return wrap(sect)
+        return SubgroupHandle(G, sect)
 
     # elements that could sit inside a complement: order preserved in G/F
     orders = G.element_orders
@@ -197,33 +186,33 @@ def complement_search(G: GroupTable, F: SubgroupHandle, *, seed: int = 0,
         for _ in range(attempts):
             k = int(rng.integers(1, 4))
             gens = rng.choice(cands, size=min(k, cands.size), replace=False)
-            got = _closure_capped(G.table, gens, target)
+            got = capped(gens)
             if got is not None and _is_complement(G, F, got):
-                return wrap(got)
+                return SubgroupHandle(G, got)
 
     # exhaustive over small generating sets, with combinatorial guards
     singles = []
     for x in cands:
-        got = _closure_capped(G.table, np.array([x]), target)
+        got = capped(np.array([x]))
         if got is None:
             continue
         if _is_complement(G, F, got):
-            return wrap(got)
+            return SubgroupHandle(G, got)
         singles.append(x)
     pool = np.array(singles, dtype=np.int64)
     if pool.size and pool.size ** 2 <= 250_000:
         for i, x in enumerate(pool):
             for y in pool[i + 1:]:
-                got = _closure_capped(G.table, np.array([x, y]), target)
+                got = capped(np.array([x, y]))
                 if got is not None and _is_complement(G, F, got):
-                    return wrap(got)
+                    return SubgroupHandle(G, got)
         if pool.size ** 3 <= 500_000:
             for i, x in enumerate(pool):
                 for j, y in enumerate(pool[i + 1:], i + 1):
                     for z in pool[j + 1:]:
-                        got = _closure_capped(G.table, np.array([x, y, z]), target)
+                        got = capped(np.array([x, y, z]))
                         if got is not None and _is_complement(G, F, got):
-                            return wrap(got)
+                            return SubgroupHandle(G, got)
     return None
 
 

@@ -41,8 +41,6 @@ from .structure import (
 )
 from .constructions import natural_semidirect, two_step_collapse_witness
 
-LEMMA_IDS = ("basic", "cl2", "go", "centre", "size", "l4",
-             "bingo", "key", "ca", "cc", "theorem")
 EXPLORE_IDS = ("perfect", "primeiro", "segundo")
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
@@ -89,7 +87,7 @@ def _group_seed(seed: int, label: str) -> int:
 # -- basic divisibility and centralizer facts ----------------------------------
 
 
-def check_basic(G: GroupTable) -> list[VerificationReport]:
+def check_basic(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """Divisibility of orbit sizes under normal subgroups and quotients,
     centralizers of commuting coprime products, and centralizer images
     in quotients (with equality in the coprime case)."""
@@ -197,7 +195,7 @@ def check_cl2_action(spec) -> VerificationReport:
                {"stabilizer_sizes": stab_sizes.tolist()}, checked=1)
 
 
-def check_cl2(G: GroupTable) -> list[VerificationReport]:
+def check_cl2(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """Faithful coprime action of an abelian group on an abelian normal
     subgroup (by conjugation) always has a regular orbit."""
     t0 = time.perf_counter()
@@ -247,7 +245,7 @@ def _coprime_split_ok(G: GroupTable, P: SubgroupHandle, a_list: np.ndarray):
     return int(np.argmax(~ok))
 
 
-def check_go(G: GroupTable) -> list[VerificationReport]:
+def check_go(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """Every abelian normal p-subgroup splits as fixed points times
     commutators under each element of coprime order."""
     t0 = time.perf_counter()
@@ -280,7 +278,7 @@ def replay_go(G: GroupTable, P_members: list[int], a: int) -> bool:
 # -- centralizer product rules in the presence of an abelian normal subgroup ------
 
 
-def check_centre(G: GroupTable) -> list[VerificationReport]:
+def check_centre(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """When the centralizer of g covers the coset centralizer of gH exactly,
     centralizers multiply: C(hg) = C(h) n C(g) for every h in H."""
     t0 = time.perf_counter()
@@ -308,7 +306,7 @@ def check_centre(G: GroupTable) -> list[VerificationReport]:
     return [_report(G, "centre", PASS, note, None, checked, skipped, t0)]
 
 
-def check_size(G: GroupTable) -> list[VerificationReport]:
+def check_size(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """An order-preserving translate hg of a coprime element g by the abelian
     normal p-subgroup H is an H-conjugate of g, with |C(hg)| = |C(g)|."""
     t0 = time.perf_counter()
@@ -349,7 +347,7 @@ def _normal_p_subgroups(G: GroupTable, p: int) -> list[SubgroupHandle]:
     return [H for H in subgroups_of(G, limit=core) if H.is_normal]
 
 
-def check_l4(G: GroupTable) -> list[VerificationReport]:
+def check_l4(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """The centralizer-controlled splitting of p-elements outside a normal
     p-subgroup, whenever the coset centralizer strictly exceeds C(g)."""
     t0 = time.perf_counter()
@@ -449,7 +447,7 @@ def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationRepor
     return out
 
 
-def check_bingo(G: GroupTable) -> list[VerificationReport]:
+def check_bingo(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """N(G) equals the index set of H |x G/H for every normal p-subgroup H
     at a prime with abelian Sylow subgroup; both inclusions reported."""
     t0 = time.perf_counter()
@@ -625,7 +623,7 @@ def cc_predicate(G: GroupTable, F: SubgroupHandle) -> tuple[bool, dict]:
     return True, {}
 
 
-def check_cc(G: GroupTable) -> list[VerificationReport]:
+def check_cc(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """Existence, inside F, of class sizes realizing the full p-part of |G/F|.
 
     Asserted for solvable A-groups; for non-solvable A-groups the predicate
@@ -646,31 +644,10 @@ def check_cc(G: GroupTable) -> list[VerificationReport]:
     return [_report(G, "cc", PASS, "", None, len(prime_factors(G.n)), 0, t0)]
 
 
-# -- the theorem scan ---------------------------------------------------------------
+# -- the headline theorem ---------------------------------------------------------
 
 
-def theorem_scan(groups) -> "ScanResult":
-    """Hypothesis-implies-abelian over any stream of groups, with cell counts."""
-    t0 = time.perf_counter()
-    reports: list[VerificationReport] = []
-    cells: dict[tuple[bool, bool, bool], int] = {}
-    counterexamples: list[str] = []
-    count = 0
-    for G in groups:
-        count += 1
-        (r,) = check_theorem(G)
-        reports.append(r)
-        w = r.witness
-        cell = (w["is_a_group"], w["satisfies"], w["abelian"])
-        cells[cell] = cells.get(cell, 0) + 1
-        if cell == (True, True, False):
-            counterexamples.append(G.label)
-    reports.sort(key=lambda r: (r.group_order, r.group_label, r.lemma_id))
-    return ScanResult(reports, count, cells, sorted(counterexamples),
-                      time.perf_counter() - t0)
-
-
-def check_theorem(G: GroupTable) -> list[VerificationReport]:
+def check_theorem(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """A-group whose index set contains every p-norm and the total norm
     must be abelian."""
     t0 = time.perf_counter()
@@ -753,6 +730,9 @@ def explore_minimal_lemmas(G: GroupTable, *, seed: int = 0) -> list[Verification
 # -- orchestration -------------------------------------------------------------------
 
 
+# Every check in report order, all with the signature (G, *, seed).  The
+# values are the functions themselves, so a caller can rebind an entry by
+# identity.
 _CHECKS = {
     "basic": check_basic,
     "cl2": check_cl2,
@@ -761,17 +741,12 @@ _CHECKS = {
     "size": check_size,
     "l4": check_l4,
     "bingo": check_bingo,
-    "theorem": check_theorem,
+    "key": check_key,
+    "ca": check_ca,
     "cc": check_cc,
+    "theorem": check_theorem,
 }
-
-
-def check_centre_size_l4(G: GroupTable) -> list[VerificationReport]:
-    return [*check_centre(G), *check_size(G), *check_l4(G)]
-
-
-def check_ca_cc(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
-    return [*check_ca(G, seed=seed), *check_cc(G)]
+LEMMA_IDS = tuple(_CHECKS)
 
 
 def verify_group(G: GroupTable, lemmas=("all",), *, seed: int = 0,
@@ -785,14 +760,8 @@ def verify_group(G: GroupTable, lemmas=("all",), *, seed: int = 0,
     gseed = _group_seed(seed, G.label)
     out: list[VerificationReport] = []
     for lemma in LEMMA_IDS:
-        if lemma not in wanted:
-            continue
-        if lemma == "key":
-            out.extend(check_key(G, seed=gseed))
-        elif lemma == "ca":
-            out.extend(check_ca(G, seed=gseed))
-        else:
-            out.extend(_CHECKS[lemma](G))
+        if lemma in wanted:
+            out.extend(_CHECKS[lemma](G, seed=gseed))
     if explore:
         out.extend(explore_minimal_lemmas(G, seed=gseed))
     return out
@@ -826,6 +795,28 @@ def _scan_one(G: GroupTable, lemmas, seed: int, explore: bool):
             w = r.witness
             cell = (w["is_a_group"], w["satisfies"], w["abelian"])
     return reports, cell
+
+
+def _tally(results, started: float) -> ScanResult:
+    """One ScanResult from per-group (reports, theorem cell) pairs: reports
+    sorted by (order, group, lemma), cell counts and counterexample labels."""
+    reports = [r for group_reports, _ in results for r in group_reports]
+    reports.sort(key=lambda r: (r.group_order, r.group_label, r.lemma_id))
+    cells: dict[tuple[bool, bool, bool], int] = {}
+    counterexamples = []
+    for group_reports, cell in results:
+        if cell is not None:
+            cells[cell] = cells.get(cell, 0) + 1
+            if cell == (True, True, False):
+                counterexamples.append(group_reports[0].group_label)
+    return ScanResult(reports, len(results), cells, sorted(counterexamples),
+                      time.perf_counter() - started)
+
+
+def theorem_scan(groups) -> ScanResult:
+    """Hypothesis-implies-abelian over any stream of groups, with cell counts."""
+    t0 = time.perf_counter()
+    return _tally([_scan_one(G, ("theorem",), 0, False) for G in groups], t0)
 
 
 def _scan_worker(args):
@@ -862,14 +853,4 @@ def scan(max_order: int, families=None, lemmas=("all",), *, seed: int = 7,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(_scan_worker, args):
                 results.extend(chunk)
-    reports = [r for group_reports, _ in results for r in group_reports]
-    reports.sort(key=lambda r: (r.group_order, r.group_label, r.lemma_id))
-    cells: dict[tuple[bool, bool, bool], int] = {}
-    counterexamples = []
-    for group_reports, cell in results:
-        if cell is not None:
-            cells[cell] = cells.get(cell, 0) + 1
-            if cell == (True, True, False):
-                counterexamples.append(group_reports[0].group_label)
-    return ScanResult(reports, len(results), cells, sorted(counterexamples),
-                      time.perf_counter() - t0)
+    return _tally(results, t0)

@@ -1,5 +1,7 @@
 """Core table representation, element arithmetic, and elementary algorithms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from conftest import (
     oracle_order,
     oracle_subgroups,
     oracle_is_normal,
+    perm_mul,
     sorted_perm_group,
     table_rows,
 )
@@ -67,6 +70,25 @@ def test_cap_enforced():
         with pytest.raises(core.InputError, match="cap"):
             cons.cyclic(6)
         assert cons.cyclic(5).n == 5
+    finally:
+        core.set_max_order_cap(old)
+
+
+def test_cap_checked_before_allocating():
+    old = core.max_order_cap()
+    core.set_max_order_cap(50)
+    try:
+        for build in (lambda: cons.cyclic(3000), lambda: cons.dihedral(3000),
+                      lambda: cons.abelian_group((3000,)),
+                      lambda: cons.frobenius(3001, 3000)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(core.InputError, match="cap"):
+                    build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
     finally:
         core.set_max_order_cap(old)
 
@@ -381,6 +403,16 @@ def test_normal_subgroups_vs_oracle(small_pool):
         assert got == want
 
 
+def test_subgroups_of_returns_cached_handles(a4):
+    first = core.subgroups_of(a4)
+    second = core.subgroups_of(a4)
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    first.clear()
+    third = core.subgroups_of(a4)
+    assert len(third) == 10
+    assert all(a is b for a, b in zip(second, third, strict=True))
+
+
 def test_elementary_and_generic_paths_agree():
     G = cons.abelian_group((2, 2, 2, 2))
     fast = {H.key() for H in core.subgroups_of(G)}
@@ -395,10 +427,36 @@ def test_perm_group_helper_matches_sym3(s3, s3_perms):
     assert got == table_rows(s3)
 
 
+@pytest.mark.parametrize("build,gens", [
+    (lambda: cons.symmetric(3), [(1, 0, 2), (1, 2, 0)]),
+    (lambda: cons.symmetric(4), [(1, 0, 2, 3), (1, 2, 3, 0)]),
+    (lambda: cons.symmetric(5), [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
+    (lambda: cons.alternating(4), [(1, 2, 0, 3), (0, 2, 3, 1)]),
+    (lambda: cons.alternating(5), [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2), (0, 2, 3, 1, 4)]),
+])
+def test_perm_table_matches_oracle(build, gens):
+    perms, idx = sorted_perm_group(gens)
+    want = [[idx[perm_mul(p, q)] for q in perms] for p in perms]
+    assert table_rows(build()) == want
+    assert table_rows(cons.perm_table(perms, "P")) == want
+
+
+def test_perm_table_rejects_unclosed_set():
+    with pytest.raises(core.InputError, match="not closed"):
+        cons.perm_table([(0, 1, 2), (1, 2, 0)], "C3-minus-one")
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_closure_matches_oracle(small_pool, data):
     G = data.draw(st.sampled_from(small_pool))
     gens = data.draw(st.lists(st.integers(0, G.n - 1), max_size=3))
+    want = oracle_closure(table_rows(G), gens)
     got = core.subgroup_closure(G, gens)
-    assert frozenset(map(int, got.members)) == oracle_closure(table_rows(G), gens)
+    assert frozenset(map(int, got.members)) == want
+    cap = data.draw(st.integers(1, G.n))
+    capped = core._close_members(G.table, np.array([0, *gens]), cap)
+    if len(want) > cap:
+        assert capped is None
+    else:
+        assert frozenset(map(int, capped)) == want

@@ -95,6 +95,18 @@ def test_perm_loader_rejects_non_permutation(tmp_path):
         fileio.load_group(str(path))
 
 
+def test_empty_group_files_are_named(tmp_path, capsys):
+    for name in ("empty.perm", "blank.grp"):
+        path = tmp_path / name
+        path.write_text("" if name == "empty.perm" else "\n  \n")
+        with pytest.raises(core.InputError, match=f"{name} is empty"):
+            fileio.load_group(str(path))
+        assert cli.main(["info", str(path)]) == 2
+        assert f"{name} is empty" in capsys.readouterr().err
+    with pytest.raises(core.InputError, match="empty"):
+        fileio.load_perm("")
+
+
 def test_perm_loader_respects_cap(tmp_path):
     old = core.max_order_cap()
     core.set_max_order_cap(10)
@@ -220,8 +232,14 @@ def test_cli_construct_and_info(tmp_path, capsys):
     assert "order: 14" in capsys.readouterr().out
 
 
-def test_cli_usage_errors(tmp_path, capsys):
+def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", "--lemma", "nosuch", "sym(3)"]) == 2
+    cap = core.max_order_cap()
+    assert cli.main(["--cap", "0", "info", "cyclic(3)"]) == 2
+    monkeypatch.setenv("AGROUPS_CAP", "0")
+    assert cli.main(["info", "cyclic(3)"]) == 2
+    monkeypatch.delenv("AGROUPS_CAP")
+    assert core.max_order_cap() == cap
     assert cli.main(["info", "nosuchfile.grp"]) == 2
     assert cli.main(["construct", "frobenius(7,4)", "-o", str(tmp_path / "x")]) == 2
     with pytest.raises(SystemExit) as exc:

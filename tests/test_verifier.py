@@ -1,9 +1,11 @@
 """Per-check behavior: statuses, gating, witnesses, replay, and the scan."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from agroups import constructions as cons, core, verifier
+from agroups import constructions as cons, core, fileio, verifier
 
 
 def _statuses(reports):
@@ -223,6 +225,24 @@ def test_scan_parallel_matches_serial():
 def test_scan_lemma_selection():
     result = verifier.scan(10, lemmas=("theorem",), seed=7)
     assert {r.lemma_id for r in result.reports} == {"theorem"}
+
+
+def test_scan_report_matches_pinned_digest(tmp_path):
+    """The order-32 report of the seed code, byte for byte."""
+    path = tmp_path / "scan32.jsonl"
+    fileio.write_report_file(verifier.scan(32, lemmas=("all",), seed=7).reports, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "61ed584f2fb5a4a401f998807c4d6343fb85683c9451a30dd3e158c75bf2a3b2")
+
+
+def test_every_lemma_runs_through_the_registry(a4):
+    assert verifier.LEMMA_IDS == tuple(verifier._CHECKS)
+    for lemma in verifier.LEMMA_IDS:
+        check = verifier._CHECKS[lemma]
+        assert check is getattr(verifier, f"check_{lemma}")
+        reports = check(a4, seed=3)
+        assert reports and all(r.status != "FAIL" for r in reports)
+        assert reports[0].lemma_id.startswith(lemma)
 
 
 def test_verify_group_rejects_unknown_lemma(s3):
