@@ -9,6 +9,7 @@ from .core import (
     PreconditionError,
     QuotientMap,
     SubgroupHandle,
+    abelian_subgroups,
     center,
     centralizer,
     commutator_with_element,

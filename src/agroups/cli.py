@@ -16,6 +16,7 @@ from .core import (
     PreconditionError,
     center,
     derived_series,
+    max_order_cap,
     prime_factors,
     set_max_order_cap,
 )
@@ -155,6 +156,7 @@ def cmd_construct(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    previous_cap = max_order_cap()
     try:
         cap = args.cap if args.cap is not None else _env_int("AGROUPS_CAP", None)
         if cap is not None:
@@ -171,6 +173,8 @@ def main(argv=None) -> int:
     except (InputError, PreconditionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_max_order_cap(previous_cap)
     return 2
 
 

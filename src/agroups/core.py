@@ -722,20 +722,46 @@ def _abelian_subgroups(G: GroupTable, P: SubgroupHandle) -> list[np.ndarray]:
     return list(seen.values())
 
 
-def _generic_subgroups(G: GroupTable, limit: SubgroupHandle | None = None) -> list[np.ndarray]:
-    """Subgroup lattice walk: join each subgroup with each cyclic atom.
+def _join_walk(n: int, atoms: list[tuple[int, np.ndarray]], join,
+               admissible=None) -> list[np.ndarray]:
+    """Every join of atoms, found breadth-first from the trivial subgroup.
 
-    Extending by whole cyclic subgroups instead of single elements cuts the
-    number of closures roughly by the average element order, and seeding the
-    closure with the union of two subgroups makes it converge in fewer
-    rounds.
+    An atom is ``(g, members)``, the smallest subgroup of its kind holding g,
+    so a subgroup already contains the atom exactly when it contains g.
+    ``join(mem, atom)`` returns the sorted members of the join of two member
+    lists; ``admissible(mem)``, when given, masks the elements whose atoms
+    may join ``mem``.
     """
-    n = G.n
-    within = limit.mask if limit is not None else np.ones(n, dtype=bool)
-    # prime-power cyclic subgroups suffice as join atoms: a composite cyclic
-    # subgroup is the join of the prime-power cyclics it contains
+    gens = np.array([g for g, _ in atoms], dtype=np.int64)
+    trivial = np.array([0], dtype=np.int64)
+    seen = {trivial.tobytes(): trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt: list[np.ndarray] = []
+        for mem in frontier:
+            mask = np.zeros(n, dtype=bool)
+            mask[mem] = True
+            fresh = ~mask[gens]
+            if admissible is not None:
+                fresh &= admissible(mem)[gens]
+            for i in np.flatnonzero(fresh):
+                new = join(mem, atoms[i][1]).astype(np.int64)
+                key = new.tobytes()
+                if key not in seen:
+                    seen[key] = new
+                    nxt.append(new)
+        frontier = nxt
+    return list(seen.values())
+
+
+def _cyclic_atoms(G: GroupTable, within: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The prime-power cyclic subgroups inside a mask, each with a generator.
+
+    They suffice as join atoms: a composite cyclic subgroup is the join of
+    the prime-power cyclics it contains.
+    """
     orders = G.element_orders
-    atoms: dict[bytes, np.ndarray] = {}
+    atoms: dict[bytes, tuple[int, np.ndarray]] = {}
     for x in np.flatnonzero(within):
         if x == 0 or len(prime_factors(int(orders[x]))) != 1:
             continue
@@ -745,32 +771,33 @@ def _generic_subgroups(G: GroupTable, limit: SubgroupHandle | None = None) -> li
             powers.append(y)
             y = int(G.table[y, x])
         mem = np.unique(np.array(powers, dtype=np.int64))
-        atoms.setdefault(mem.tobytes(), mem)
-    atom_list = list(atoms.values())
-    seen: dict[bytes, np.ndarray] = {}
-    triv_mask = np.zeros(n, dtype=bool)
-    triv_mask[0] = True
-    seen[_mask_key(triv_mask)] = np.array([0], dtype=np.int64)
-    frontier = [np.array([0], dtype=np.int64)]
-    while frontier:
-        nxt: list[np.ndarray] = []
-        for mem in frontier:
-            mask = np.zeros(n, dtype=bool)
-            mask[mem] = True
-            for atom in atom_list:
-                if mask[atom].all():
-                    continue
-                new_mem = _close_members(G.table, np.concatenate([mem, atom]))
-                if limit is not None and not within[new_mem].all():
-                    continue
-                mask2 = np.zeros(n, dtype=bool)
-                mask2[new_mem] = True
-                key = _mask_key(mask2)
-                if key not in seen:
-                    seen[key] = new_mem
-                    nxt.append(new_mem)
-        frontier = nxt
-    return list(seen.values())
+        atoms.setdefault(mem.tobytes(), (int(x), mem))
+    return list(atoms.values())
+
+
+def _generic_subgroups(G: GroupTable, limit: SubgroupHandle | None = None) -> list[np.ndarray]:
+    """The whole subgroup lattice: joins of cyclic atoms, each one closure.
+
+    Seeding the closure with the union of a subgroup and a whole cyclic atom
+    converges in fewer rounds than extending by single elements.  Only
+    ``subgroups_of`` on a nonabelian scope comes here; it is the slow oracle
+    that ``normal_subgroups`` and ``abelian_subgroups`` are tested against.
+    """
+    within = limit.mask if limit is not None else np.ones(G.n, dtype=bool)
+    return _join_walk(G.n, _cyclic_atoms(G, within),
+                      lambda mem, atom: _close_members(G.table, np.concatenate([mem, atom])))
+
+
+def _handles(G: GroupTable, raw: list[np.ndarray], known=(),
+             **flags) -> list[SubgroupHandle]:
+    """Handles in the canonical order of every subgroup query: (order, members).
+
+    A handle in ``known`` with the same members is reused rather than built
+    again, so a subgroup two queries return is held once.
+    """
+    reuse = {H.members.tobytes(): H for H in known}
+    raw.sort(key=lambda mem: (len(mem), mem.tolist()))
+    return [reuse.get(mem.tobytes()) or SubgroupHandle(G, mem, **flags) for mem in raw]
 
 
 def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[SubgroupHandle]:
@@ -784,6 +811,7 @@ def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[Sub
     cache_key = ("subs", scope.key())
     cached = G._subgroup_cache.get(cache_key)
     if cached is None:
+        flags: dict[str, bool] = {}
         if scope.is_abelian:
             orders = G.element_orders[scope.members]
             primes = prime_factors(scope.order)
@@ -791,13 +819,55 @@ def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[Sub
                 raw = _elementary_abelian_subgroups(G, scope, primes[0])
             else:
                 raw = _abelian_subgroups(G, scope)
+            flags["is_abelian"] = True
+            if limit is None:
+                flags["is_normal"] = True   # every subgroup of an abelian group
         else:
             raw = _generic_subgroups(G, scope if limit is not None else None)
-        raw.sort(key=lambda mem: (len(mem), mem.tolist()))
-        cached = [SubgroupHandle(G, mem) for mem in raw]
+        cached = _handles(G, raw, **flags)
         G._subgroup_cache[cache_key] = cached
     return list(cached)
 
 
 def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
-    return [H for H in subgroups_of(G) if H.is_normal]
+    """Every normal subgroup, in the order of ``subgroups_of``.
+
+    Hulpke's class-union construction: the atoms are the normal closures of
+    the conjugacy classes, and since the product of two normal subgroups is
+    a subgroup, each join is one set product with no closure loop.
+    """
+    if G.is_abelian():
+        return subgroups_of(G)
+    cached = G._subgroup_cache.get("normal")
+    if cached is None:
+        T = G.table
+        atoms: dict[bytes, tuple[int, np.ndarray]] = {}
+        for cls in conjugacy_classes(G).classes[1:]:
+            mem = _close_members(T, np.append(cls, 0))
+            atoms.setdefault(mem.tobytes(), (int(cls[0]), mem))
+        raw = _join_walk(G.n, list(atoms.values()),
+                         lambda N, M: np.unique(T[N[:, None], M]))
+        cached = _handles(G, raw, is_normal=True)
+        G._subgroup_cache["normal"] = cached
+    return list(cached)
+
+
+def abelian_subgroups(G: GroupTable) -> list[SubgroupHandle]:
+    """Every abelian subgroup, in the order of ``subgroups_of``.
+
+    Joins of prime-power cyclic atoms, where A is only extended by atoms
+    inside its centralizer: the product of two commuting abelian subgroups
+    is an abelian subgroup, so each join is one set product.
+    """
+    if G.is_abelian():
+        return subgroups_of(G)
+    cached = G._subgroup_cache.get("abelian")
+    if cached is None:
+        T, cm = G.table, G.commute_matrix
+        raw = _join_walk(G.n, _cyclic_atoms(G, np.ones(G.n, dtype=bool)),
+                         lambda A, Z: np.unique(T[A[:, None], Z]),
+                         admissible=lambda A: cm[:, A].all(axis=1))
+        normal = [H for H in normal_subgroups(G) if H.is_abelian]
+        cached = _handles(G, raw, normal, is_abelian=True)
+        G._subgroup_cache["abelian"] = cached
+    return list(cached)

@@ -80,7 +80,10 @@ def load_perm(text: str, label: str = "") -> GroupTable:
         raise InputError("perm file degree must be positive")
     gens: list[tuple[int, ...]] = []
     for ln in lines[1:]:
-        images = tuple(int(t) for t in ln.split())
+        try:
+            images = tuple(int(t) for t in ln.split())
+        except ValueError:
+            raise InputError(f"generator line {ln!r} has a non-integer token") from None
         if sorted(images) != list(range(d)):
             raise InputError(f"generator line {ln!r} is not a permutation of 0..{d - 1}")
         gens.append(images)

@@ -20,6 +20,7 @@ from .core import (
     LemmaViolation,
     PreconditionError,
     SubgroupHandle,
+    abelian_subgroups,
     centralizer_sizes,
     derived_series,
     normal_subgroups,
@@ -200,9 +201,8 @@ def check_cl2(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     subgroup (by conjugation) always has a regular orbit."""
     t0 = time.perf_counter()
     cm = G.commute_matrix
-    subgroups = subgroups_of(G)
-    normals = [V for V in subgroups if V.is_abelian and V.is_normal]
-    abelians = [A for A in subgroups if A.is_abelian]
+    normals = [V for V in normal_subgroups(G) if V.is_abelian]
+    abelians = abelian_subgroups(G)
     a_orders = np.array([A.order for A in abelians])
     checked = skipped = 0
     for V in normals:
@@ -251,8 +251,8 @@ def check_go(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     t0 = time.perf_counter()
     orders = G.element_orders
     checked = 0
-    for P in subgroups_of(G):
-        if P.order == 1 or not P.is_abelian or not P.is_normal:
+    for P in normal_subgroups(G):
+        if P.order == 1 or not P.is_abelian:
             continue
         primes = prime_factors(P.order)
         if len(primes) != 1:
@@ -394,6 +394,22 @@ def bingo_compare(G: GroupTable, H: SubgroupHandle,
     return ([s for s in ng if s not in nc], [s for s in nc if s not in ng])
 
 
+def _bingo_diff(G: GroupTable, H: SubgroupHandle, *, keep: bool = False
+                ) -> tuple[list[int], list[int]]:
+    """``bingo_compare`` against H |x G/H, building the product once per pair.
+
+    ``check_bingo_pair`` keeps its result on G for the ``check_bingo`` that
+    ``verify`` runs next, which takes it back off; a scan keeps nothing.
+    """
+    key = ("bingo", H.key())
+    diff = G._subgroup_cache.pop(key, None)
+    if diff is None:
+        diff = bingo_compare(G, H, natural_semidirect(G, H).group)
+    if keep:
+        G._subgroup_cache[key] = diff
+    return diff
+
+
 def bingo_tuples(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
     """Admissible (prime, normal p-subgroup) pairs, deduplicated across primes."""
     tuples: list[tuple[int, SubgroupHandle]] = []
@@ -429,8 +445,7 @@ def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationRepor
     if gate is not None:
         return [_report(G, lemma, SKIP, gate, None, 0, 1, t0)
                 for lemma in ("bingo1", "bingo2", "bingo")]
-    ns = natural_semidirect(G, H)
-    missing, extra = bingo_compare(G, H, ns.group)
+    missing, extra = _bingo_diff(G, H, keep=True)
     base = {"H": H.members.tolist()}
     out = [
         _report(G, "bingo1", FAIL if missing else PASS,
@@ -458,8 +473,7 @@ def check_bingo(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     missing_fail = extra_fail = None
     checked = 0
     for p, H in tuples:
-        ns = natural_semidirect(G, H)
-        missing, extra = bingo_compare(G, H, ns.group)
+        missing, extra = _bingo_diff(G, H)
         checked += 1
         if missing and missing_fail is None:
             missing_fail = {"p": p, "H": H.members.tolist(), "missing": missing}
@@ -482,9 +496,7 @@ def check_bingo(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
 
 
 def replay_bingo(G: GroupTable, H_members: list[int]) -> bool:
-    H = SubgroupHandle(G, np.array(H_members))
-    ns = natural_semidirect(G, H)
-    missing, extra = bingo_compare(G, H, ns.group)
+    missing, extra = _bingo_diff(G, SubgroupHandle(G, np.array(H_members)))
     return not missing and not extra
 
 

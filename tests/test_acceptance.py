@@ -5,6 +5,7 @@ nothing is sampled and no tolerance is involved (all checks are exact).
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -187,6 +188,8 @@ def test_criterion_7_determinism(tmp_path):
     assert cli.main([*argv, "-o", str(r2)]) == 0
     b1, b2 = r1.read_bytes(), r2.read_bytes()
     assert b1 == b2
+    assert hashlib.sha256(b1).hexdigest() == (
+        "e47d9f26b7dca24514afe52e47f5016d978760fe073ea49e2f1954f47e82ae8d")
     records = [json.loads(l) for l in b1.decode().splitlines()]
     assert all(rec["status"] != "FAIL" for rec in records)
     print(f"criterion 7: PASS - {len(records)} records, byte-identical across runs")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from agroups import core
 from agroups import constructions as cons
+from agroups.fileio import build_recipe
 
 from conftest import (
     oracle_assoc_violation,
@@ -401,6 +402,35 @@ def test_normal_subgroups_vs_oracle(small_pool):
         got = {frozenset(map(int, H.members)) for H in core.normal_subgroups(G)}
         want = {H for H in oracle_subgroups(t) if oracle_is_normal(t, H)}
         assert got == want
+
+
+def assert_queries_match_lattice(G):
+    """The targeted queries equal the filtered lattice, in order, and every
+    handle's flag agrees with a direct normality or commutation test."""
+    subs = core.subgroups_of(G)
+    normals = core.normal_subgroups(G)
+    abelians = core.abelian_subgroups(G)
+    assert [H.key() for H in normals] == [H.key() for H in subs if H.is_normal]
+    assert [H.key() for H in abelians] == [H.key() for H in subs if H.is_abelian]
+    for H in normals:
+        assert H.is_normal and H.normality_witness() is None
+    for H in abelians:
+        assert H.is_abelian and G.commute_matrix[np.ix_(H.members, H.members)].all()
+    shared = {H.key(): H for H in normals}
+    assert all(shared.get(H.key(), H) is H for H in abelians)
+
+
+def test_targeted_queries_match_lattice_on_corpus(small_pool):
+    for G in [*cons.corpus(24), *small_pool]:
+        assert_queries_match_lattice(G)
+
+
+@pytest.mark.parametrize("recipe", [
+    "dp(dp(dp(abelian(2),abelian(2)),abelian(2)),sym(3))",
+    "alt(5)",
+])
+def test_targeted_queries_match_lattice_larger(recipe):
+    assert_queries_match_lattice(build_recipe(recipe))
 
 
 def test_subgroups_of_returns_cached_handles(a4):

@@ -95,6 +95,15 @@ def test_perm_loader_rejects_non_permutation(tmp_path):
         fileio.load_group(str(path))
 
 
+def test_perm_loader_rejects_non_integer_token(tmp_path, capsys):
+    path = tmp_path / "bad.perm"
+    path.write_text("degree 3\n1 a 2\n")
+    with pytest.raises(core.InputError, match="'1 a 2' has a non-integer token"):
+        fileio.load_group(str(path))
+    assert cli.main(["info", str(path)]) == 2
+    assert "'1 a 2'" in capsys.readouterr().err
+
+
 def test_empty_group_files_are_named(tmp_path, capsys):
     for name in ("empty.perm", "blank.grp"):
         path = tmp_path / name
@@ -205,6 +214,19 @@ def test_cli_verify_bingo_alt4(capsys):
     assert any("{0,3,8,11}" in ln for ln in h_lines)
 
 
+def test_cli_verify_builds_each_bingo_product_once(capsys, monkeypatch):
+    from agroups import verifier
+
+    calls = []
+    real = verifier.natural_semidirect
+    monkeypatch.setattr(verifier, "natural_semidirect",
+                        lambda G, H: calls.append(H.key()) or real(G, H))
+    assert cli.main(["verify", "--lemma", "bingo", "abelian(2,2,2)"]) == 0
+    h_lines = [ln for ln in capsys.readouterr().out.splitlines() if " H = " in ln]
+    assert len(h_lines) == 16
+    assert len(calls) == len(set(calls)) == 16
+
+
 def test_cli_verify_failing_exit_code():
     assert cli.main(["verify", "--lemma", "basic", "sym(4)"]) == 0
 
@@ -245,6 +267,12 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["scan"])  # missing --max-order
     assert exc.value.code == 2
+
+
+def test_cli_restores_cap():
+    cap = core.max_order_cap()
+    assert cli.main(["--cap", "10", "info", "cyclic(3)"]) == 0
+    assert core.max_order_cap() == cap
 
 
 def test_cli_env_cap(tmp_path, monkeypatch):
