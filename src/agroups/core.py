@@ -148,7 +148,7 @@ class GroupTable:
 
     __slots__ = (
         "table", "n", "label",
-        "_inv", "_orders", "_commute", "_conj", "_classes", "_gens",
+        "_inv", "_orders", "_commute", "_conj", "_gens",
         "_subgroup_cache",
     )
 
@@ -168,7 +168,6 @@ class GroupTable:
         self._orders = None
         self._commute = None
         self._conj = None
-        self._classes = None
         self._gens = None
         self._subgroup_cache = {}
 
@@ -606,131 +605,60 @@ def commutator_with_element(G: GroupTable, H: SubgroupHandle, g: int) -> Subgrou
 # -- subgroup enumeration -------------------------------------------------------
 
 
-def _mask_key(mask: np.ndarray) -> bytes:
-    return np.packbits(mask).tobytes()
+def _abelian_walk(G: GroupTable, within: np.ndarray) -> list[np.ndarray]:
+    """Every abelian subgroup of G inside the mask ``within``, by prime-index steps.
 
-
-def _elementary_abelian_subgroups(G: GroupTable, P: SubgroupHandle, p: int) -> list[np.ndarray]:
-    """All subgroups of an elementary abelian p-subgroup, via echelon forms.
-
-    Subgroups are F_p-subspaces; reduced row-echelon matrices enumerate each
-    exactly once.  This sidesteps the closure walk, which is hopeless for
-    something like rank 7 over F_2 (29212 subspaces).
+    An abelian A > 1 has a subgroup H of prime index p, and A is the union of
+    the cosets x^k H (k < p) for any x in A outside H.  So H is extended by
+    each x in ``within`` outside H that centralizes H and has x^p in H; that
+    union is already an abelian subgroup, with no closure loop.  x and xh give
+    the same step, so only the smallest element of each coset xH is tried.
     """
-    m = P.members
-    # greedy basis
-    basis: list[int] = []
-    span = np.array([0], dtype=np.int64)
-    span_mask = np.zeros(G.n, dtype=bool)
-    span_mask[0] = True
-    for x in m:
-        if not span_mask[x]:
-            basis.append(int(x))
-            span = _close_members(G.table, np.append(span, x))
-            span_mask[:] = False
-            span_mask[span] = True
-    r = len(basis)
-    # element index for every coordinate vector, built one basis digit at a time
-    codes = np.zeros(p ** r, dtype=np.int64)
-    block = 1
-    for i, b in enumerate(basis):
-        powers = [0]
-        for _ in range(p - 1):
-            powers.append(int(G.table[powers[-1], b]))
-        for d in range(1, p):
-            codes[d * block:(d + 1) * block] = G.table[codes[:block], powers[d]]
-        block *= p
-    weights = p ** np.arange(r)
-
-    def span_codes(rows: list[np.ndarray]) -> np.ndarray:
-        vecs = np.zeros((1, r), dtype=np.int64)
-        for row in rows:
-            vecs = np.concatenate([(vecs + c * row) % p for c in range(p)])
-        return np.unique(vecs @ weights)
-
-    from itertools import combinations, product as iproduct
-
-    out: list[np.ndarray] = []
-    for k in range(r + 1):
-        for pivots in combinations(range(r), k):
-            free_pos = [
-                (i, j)
-                for i, pc in enumerate(pivots)
-                for j in range(pc + 1, r)
-                if j not in pivots
-            ]
-            for fill in iproduct(range(p), repeat=len(free_pos)):
-                mat = np.zeros((k, r), dtype=np.int64)
-                for i, pc in enumerate(pivots):
-                    mat[i, pc] = 1
-                for (i, j), v in zip(free_pos, fill):
-                    mat[i, j] = v
-                rows = [mat[i] for i in range(k)]
-                out.append(np.sort(codes[span_codes(rows)]))
-    return out
-
-
-def _abelian_subgroups(G: GroupTable, P: SubgroupHandle) -> list[np.ndarray]:
-    """All subgroups of an abelian subgroup via prime-index extensions.
-
-    In an abelian group every subgroup is reached by a chain of prime-index
-    steps, so each extension is H together with at most p-1 cosets of a
-    single element; no general closure is needed.
-    """
-    n = G.n
-    T = G.table
-    primes = prime_factors(P.order) or [2]
-    # x -> x^p for each relevant prime
-    pw = {}
+    n, T, cm = G.n, G.table, G.commute_matrix
+    primes = prime_factors(int(within.sum()))
+    pw = {}                                         # x -> x^p
     for p in primes:
         cur = np.zeros(n, dtype=np.int64)
         for _ in range(p):
             cur = T[cur, np.arange(n)]
         pw[p] = cur
-    seen: dict[bytes, np.ndarray] = {}
-    triv_mask = np.zeros(n, dtype=bool)
-    triv_mask[0] = True
-    seen[_mask_key(triv_mask)] = np.array([0], dtype=np.int64)
-    frontier = [np.array([0], dtype=np.int64)]
+    trivial = np.array([0], dtype=np.int64)
+    seen = {trivial.tobytes(): trivial}
+    frontier = [trivial]
     while frontier:
         nxt: list[np.ndarray] = []
         for mem in frontier:
             mask = np.zeros(n, dtype=bool)
             mask[mem] = True
+            free = within & ~mask & cm[mem].all(axis=0)
             for p in primes:
-                cands = np.flatnonzero(P.mask & ~mask & mask[pw[p]])
-                if cands.size == 0:
+                cands = np.flatnonzero(free & mask[pw[p]])
+                if not cands.size:
                     continue
-                # rows of new members: x^k * H for k = 1..p-1
-                powers = cands.copy()
-                blocks = [T[np.ix_(powers, mem)]]
-                for _ in range(p - 2):
+                cands = cands[T[cands[:, None], mem].min(axis=1) == cands]
+                powers = np.zeros_like(cands)
+                blocks = []
+                for _ in range(p):                  # x^k H for k = 0..p-1
+                    blocks.append(T[powers[:, None], mem])
                     powers = T[powers, cands]
-                    blocks.append(T[np.ix_(powers, mem)])
-                rows = np.concatenate(blocks, axis=1)
-                ext = np.zeros((len(cands), n), dtype=bool)
-                ext[np.arange(len(cands))[:, None], rows] = True
-                ext |= mask
-                packed = np.packbits(ext, axis=1)
-                for i in range(len(cands)):
-                    key = packed[i].tobytes()
+                # int64, as ``_handles`` matches member bytes against handles
+                rows = np.sort(np.concatenate(blocks, axis=1), axis=1).astype(np.int64)
+                for row in rows:
+                    key = row.tobytes()
                     if key not in seen:
-                        new_mem = np.flatnonzero(ext[i])
-                        seen[key] = new_mem
-                        nxt.append(new_mem)
+                        seen[key] = row.copy()
+                        nxt.append(seen[key])
         frontier = nxt
     return list(seen.values())
 
 
-def _join_walk(n: int, atoms: list[tuple[int, np.ndarray]], join,
-               admissible=None) -> list[np.ndarray]:
+def _join_walk(n: int, atoms: list[tuple[int, np.ndarray]], join) -> list[np.ndarray]:
     """Every join of atoms, found breadth-first from the trivial subgroup.
 
     An atom is ``(g, members)``, the smallest subgroup of its kind holding g,
     so a subgroup already contains the atom exactly when it contains g.
     ``join(mem, atom)`` returns the sorted members of the join of two member
-    lists; ``admissible(mem)``, when given, masks the elements whose atoms
-    may join ``mem``.
+    lists.
     """
     gens = np.array([g for g, _ in atoms], dtype=np.int64)
     trivial = np.array([0], dtype=np.int64)
@@ -741,10 +669,7 @@ def _join_walk(n: int, atoms: list[tuple[int, np.ndarray]], join,
         for mem in frontier:
             mask = np.zeros(n, dtype=bool)
             mask[mem] = True
-            fresh = ~mask[gens]
-            if admissible is not None:
-                fresh &= admissible(mem)[gens]
-            for i in np.flatnonzero(fresh):
+            for i in np.flatnonzero(~mask[gens]):
                 new = join(mem, atoms[i][1]).astype(np.int64)
                 key = new.tobytes()
                 if key not in seen:
@@ -803,9 +728,10 @@ def _handles(G: GroupTable, raw: list[np.ndarray], known=(),
 def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[SubgroupHandle]:
     """Every subgroup of G (or of the given subgroup), deterministically ordered.
 
-    Abelian scopes use the fast enumerations; anything else walks the lattice.
-    The handles are cached on the parent table, so each one works out its
-    normality and abelianness once; callers get a fresh list of them.
+    An abelian scope takes the prime-index walk of ``_abelian_walk``; a
+    nonabelian one walks the whole lattice by closures.  The handles are
+    cached on the parent table, so each one works out its normality and
+    abelianness once; callers get a fresh list of them.
     """
     scope = limit if limit is not None else full_subgroup(G)
     cache_key = ("subs", scope.key())
@@ -813,12 +739,7 @@ def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[Sub
     if cached is None:
         flags: dict[str, bool] = {}
         if scope.is_abelian:
-            orders = G.element_orders[scope.members]
-            primes = prime_factors(scope.order)
-            if len(primes) == 1 and bool((orders[orders > 1] == primes[0]).all()):
-                raw = _elementary_abelian_subgroups(G, scope, primes[0])
-            else:
-                raw = _abelian_subgroups(G, scope)
+            raw = _abelian_walk(G, scope.mask)
             flags["is_abelian"] = True
             if limit is None:
                 flags["is_normal"] = True   # every subgroup of an abelian group
@@ -855,18 +776,15 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
 def abelian_subgroups(G: GroupTable) -> list[SubgroupHandle]:
     """Every abelian subgroup, in the order of ``subgroups_of``.
 
-    Joins of prime-power cyclic atoms, where A is only extended by atoms
-    inside its centralizer: the product of two commuting abelian subgroups
-    is an abelian subgroup, so each join is one set product.
+    The prime-index walk of ``subgroups_of`` on abelian scopes, here taking
+    its steps from all of G: each subgroup is only extended inside its
+    centralizer, so every step is again abelian.
     """
     if G.is_abelian():
         return subgroups_of(G)
     cached = G._subgroup_cache.get("abelian")
     if cached is None:
-        T, cm = G.table, G.commute_matrix
-        raw = _join_walk(G.n, _cyclic_atoms(G, np.ones(G.n, dtype=bool)),
-                         lambda A, Z: np.unique(T[A[:, None], Z]),
-                         admissible=lambda A: cm[:, A].all(axis=1))
+        raw = _abelian_walk(G, np.ones(G.n, dtype=bool))
         normal = [H for H in normal_subgroups(G) if H.is_abelian]
         cached = _handles(G, raw, normal, is_abelian=True)
         G._subgroup_cache["abelian"] = cached

@@ -394,18 +394,14 @@ def bingo_compare(G: GroupTable, H: SubgroupHandle,
     return ([s for s in ng if s not in nc], [s for s in nc if s not in ng])
 
 
-def _bingo_diff(G: GroupTable, H: SubgroupHandle, *, keep: bool = False
-                ) -> tuple[list[int], list[int]]:
-    """``bingo_compare`` against H |x G/H, building the product once per pair.
-
-    ``check_bingo_pair`` keeps its result on G for the ``check_bingo`` that
-    ``verify`` runs next, which takes it back off; a scan keeps nothing.
-    """
+def _bingo_diff(G: GroupTable, H: SubgroupHandle) -> tuple[list[int], list[int]]:
+    """``bingo_compare`` against H |x G/H, memoized on G so that ``verify``,
+    which runs ``check_bingo_pair`` and then ``check_bingo``, builds each
+    product once."""
     key = ("bingo", H.key())
-    diff = G._subgroup_cache.pop(key, None)
+    diff = G._subgroup_cache.get(key)
     if diff is None:
         diff = bingo_compare(G, H, natural_semidirect(G, H).group)
-    if keep:
         G._subgroup_cache[key] = diff
     return diff
 
@@ -445,7 +441,7 @@ def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationRepor
     if gate is not None:
         return [_report(G, lemma, SKIP, gate, None, 0, 1, t0)
                 for lemma in ("bingo1", "bingo2", "bingo")]
-    missing, extra = _bingo_diff(G, H, keep=True)
+    missing, extra = _bingo_diff(G, H)
     base = {"H": H.members.tolist()}
     out = [
         _report(G, "bingo1", FAIL if missing else PASS,
@@ -496,7 +492,8 @@ def check_bingo(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
 
 
 def replay_bingo(G: GroupTable, H_members: list[int]) -> bool:
-    missing, extra = _bingo_diff(G, SubgroupHandle(G, np.array(H_members)))
+    H = SubgroupHandle(G, np.array(H_members))
+    missing, extra = bingo_compare(G, H, natural_semidirect(G, H).group)
     return not missing and not extra
 
 
@@ -850,18 +847,17 @@ def scan(max_order: int, families=None, lemmas=("all",), *, seed: int = 7,
     Reports come back sorted by (order, group, lemma) so output is identical
     however the work was partitioned.
     """
-    from .constructions import corpus
-
     t0 = time.perf_counter()
-    results = []
-    if jobs <= 1:
-        for G in corpus(max_order, families):
-            results.append(_scan_one(G, lemmas, seed, explore))
+    jobs = max(jobs, 1)
+    families = None if families is None else tuple(families)
+    args = [(max_order, families, tuple(lemmas), seed, explore, w, jobs)
+            for w in range(jobs)]
+    if jobs == 1:
+        results = _scan_worker(args[0])
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(max_order, tuple(families) if families else None,
-                 tuple(lemmas), seed, explore, w, jobs) for w in range(jobs)]
+        results = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(_scan_worker, args):
                 results.extend(chunk)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from agroups import core
 from agroups import constructions as cons
 from agroups.fileio import build_recipe
+from agroups.structure import p_core
 
 from conftest import (
     oracle_assoc_violation,
@@ -445,9 +446,30 @@ def test_subgroups_of_returns_cached_handles(a4):
 
 def test_elementary_and_generic_paths_agree():
     G = cons.abelian_group((2, 2, 2, 2))
-    fast = {H.key() for H in core.subgroups_of(G)}
-    slow = {frozenset(map(int, s)) for s in oracle_subgroups(table_rows(G))}
-    assert len(fast) == len(slow) == 67
+    fast = {frozenset(map(int, H.members)) for H in core.subgroups_of(G)}
+    slow = oracle_subgroups(table_rows(G))
+    assert fast == slow
+    assert len(fast) == 67
+
+
+def assert_walk_matches_lattice(G, limit=None):
+    walk = [H.members.tolist() for H in core.subgroups_of(G, limit=limit)]
+    lattice = sorted((m.tolist() for m in core._generic_subgroups(G, limit)),
+                     key=lambda m: (len(m), m))
+    assert walk == lattice
+
+
+def test_abelian_walk_matches_lattice():
+    """``subgroups_of`` on abelian scopes (the prime-index walk) equals the
+    closure lattice, in order: on abelian groups and on abelian p-cores."""
+    groups = [*cons.corpus(32), cons.abelian_group((2, 2, 2, 2, 3))]
+    for G in groups:
+        if G.is_abelian():
+            assert_walk_matches_lattice(G)
+        for p in core.prime_factors(G.n):
+            P = p_core(G, p)
+            if P.is_abelian:
+                assert_walk_matches_lattice(G, P)
 
 
 def test_perm_group_helper_matches_sym3(s3, s3_perms):
