@@ -126,11 +126,13 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     seed = args.seed if args.seed is not None else _env_int("AGROUPS_SEED", 7)
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     families = None
     if args.families:
         families = tuple(t.strip() for t in args.families.split(",") if t.strip())
     result = scan(args.max_order, families, _lemma_list(args.lemma),
-                  seed=seed, jobs=max(1, args.jobs),
+                  seed=seed, jobs=args.jobs,
                   explore=args.explore_minimal_lemmas)
     fileio.write_report_file(result.reports, args.report)
     print(f"scanned {result.group_count} groups up to order {args.max_order} "

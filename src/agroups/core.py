@@ -6,10 +6,14 @@ Desk-scale orders (a few hundred elements, hard cap 2000) keep the tables
 cache friendly, and every derived computation is a table lookup.
 
 Tables are immutable after construction and safe to share between workers.
+A table crosses to a worker process as its ``(table, label)`` pair alone:
+the copy is rebuilt without re-verifying the axioms, arrives read-only and
+carries none of the original's caches.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,6 +268,9 @@ class GroupTable:
 
     def key(self) -> bytes:
         return self.table.tobytes()
+
+    def __reduce__(self):
+        return functools.partial(GroupTable, trusted=True), (self.table, self.label)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.label!r}, order={self.n})"

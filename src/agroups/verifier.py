@@ -9,8 +9,10 @@ the reported elements alone.
 
 from __future__ import annotations
 
+import functools
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,7 @@ from .structure import (
     p_core,
     sylow_subgroup,
 )
-from .constructions import natural_semidirect, two_step_collapse_witness
+from .constructions import corpus, natural_semidirect, two_step_collapse_witness
 
 EXPLORE_IDS = ("perfect", "primeiro", "segundo")
 
@@ -74,11 +76,10 @@ class VerificationReport:
 
 
 def _report(G: GroupTable, lemma: str, status: str, note: str = "",
-            witness: dict | None = None, checked: int = 0, skipped: int = 0,
-            started: float = 0.0) -> VerificationReport:
-    return VerificationReport(
-        G.label, G.n, lemma, status, note, witness or {}, checked, skipped,
-        millis=(time.perf_counter() - started) * 1000 if started else 0.0)
+            witness: dict | None = None, checked: int = 0,
+            skipped: int = 0) -> VerificationReport:
+    return VerificationReport(G.label, G.n, lemma, status, note, witness or {},
+                              checked, skipped)
 
 
 def _group_seed(seed: int, label: str) -> int:
@@ -88,11 +89,19 @@ def _group_seed(seed: int, label: str) -> int:
 # -- basic divisibility and centralizer facts ----------------------------------
 
 
+def _product_rule_break(G: GroupTable, xs: np.ndarray, y: int) -> int | None:
+    """Index of the first x in xs with C(xy) != C(x) n C(y), or None."""
+    cm = G.commute_matrix
+    good = cm[:, G.table[xs, y]] == (cm[:, xs] & cm[:, y, None])
+    if good.all():
+        return None
+    return int(np.argmax(~good.all(axis=0)))
+
+
 def check_basic(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """Divisibility of orbit sizes under normal subgroups and quotients,
     centralizers of commuting coprime products, and centralizer images
     in quotients (with equality in the coprime case)."""
-    t0 = time.perf_counter()
     n = G.n
     cm = G.commute_matrix
     cg = centralizer_sizes(G)
@@ -112,14 +121,14 @@ def check_basic(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
                             {"K": K.members.tolist(), "x": x,
                              "ind_K": int(ind_k[x]), "ind_Q": int(ind_q[x]),
                              "ind_G": int(ind_g[x])},
-                            checked, 0, t0)]
+                            checked)]
         # image of C_G(x) in G/K sits inside the centralizer of xK ...
         img_ok = ~cm | q.quotient.commute_matrix[np.ix_(q.projection, q.projection)]
         if not img_ok.all():
             u, x = map(int, np.argwhere(~img_ok)[0])
             return [_report(G, "basic", FAIL, "centralizer image escapes",
                             {"K": K.members.tolist(), "x": x, "u": u},
-                            checked, 0, t0)]
+                            checked)]
         # ... with equality when the element order is coprime to |K|
         coprime = np.gcd(orders, K.order) == 1
         img_size = cg // ck
@@ -129,7 +138,7 @@ def check_basic(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
                             {"K": K.members.tolist(), "x": x,
                              "image": int(img_size[x]),
                              "quotient_centralizer": int(qc[q.projection[x]])},
-                            checked, 0, t0)]
+                            checked)]
         checked += 1
     # commuting coprime pairs: C(xy) = C(x) n C(y)
     coprime_pairs = np.gcd.outer(orders, orders) == 1
@@ -137,21 +146,19 @@ def check_basic(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
         ys = np.flatnonzero(cm[x, :] & coprime_pairs[x] & (np.arange(n) > x))
         if ys.size == 0:
             continue
-        xy = G.table[x, ys]
-        good = cm[:, xy] == (cm[:, x][:, None] & cm[:, ys])
-        if not good.all():
-            bad = int(np.argmax(~good.all(axis=0)))
+        # x and y commute, so xy = yx
+        bad = _product_rule_break(G, ys, x)
+        if bad is not None:
             return [_report(G, "basic", FAIL,
                             "centralizer of commuting coprime product",
-                            {"x": x, "y": int(ys[bad])}, checked, 0, t0)]
+                            {"x": x, "y": int(ys[bad])}, checked)]
         checked += ys.size
-    return [_report(G, "basic", PASS, "", None, checked, 0, t0)]
+    return [_report(G, "basic", PASS, "", None, checked)]
 
 
 def replay_basic_pair(G: GroupTable, x: int, y: int) -> bool:
-    cm = G.commute_matrix
-    xy = G.mul(x, y)
-    return bool(np.array_equal(cm[:, xy], cm[:, x] & cm[:, y]))
+    G._check_index(x, y)
+    return _product_rule_break(G, np.array([x]), y) is None
 
 
 # -- regular orbits of coprime faithful abelian actions --------------------------
@@ -168,14 +175,12 @@ def check_cl2_action(spec) -> VerificationReport:
     Gated on the three hypotheses: abelian acting group, faithful action,
     coprime orders.  Any unmet hypothesis yields SKIP with its name.
     """
-    t0 = time.perf_counter()
     label = f"{spec.acting.label} acting on {spec.acted.label}"
     order = spec.acted.n
 
     def rep(status, note="", witness=None, checked=0, skipped=0):
         return VerificationReport(label, order, "cl2", status, note,
-                                  witness or {}, checked, skipped,
-                                  (time.perf_counter() - t0) * 1000)
+                                  witness or {}, checked, skipped)
 
     spec.validate()
     if not spec.acting.is_abelian():
@@ -199,7 +204,6 @@ def check_cl2_action(spec) -> VerificationReport:
 def check_cl2(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """Faithful coprime action of an abelian group on an abelian normal
     subgroup (by conjugation) always has a regular orbit."""
-    t0 = time.perf_counter()
     cm = G.commute_matrix
     normals = [V for V in normal_subgroups(G) if V.is_abelian]
     abelians = abelian_subgroups(G)
@@ -218,9 +222,9 @@ def check_cl2(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
             if not regular_orbit_exists(G, V, A):
                 return [_report(G, "cl2", FAIL, "no regular orbit",
                                 {"V": V.members.tolist(), "A": A.members.tolist()},
-                                checked, skipped, t0)]
+                                checked, skipped)]
     note = "skipped tuples miss faithfulness or coprimality" if skipped else ""
-    return [_report(G, "cl2", PASS, note, None, checked, skipped, t0)]
+    return [_report(G, "cl2", PASS, note, None, checked, skipped)]
 
 
 # -- coprime action splitting -----------------------------------------------------
@@ -248,7 +252,6 @@ def _coprime_split_ok(G: GroupTable, P: SubgroupHandle, a_list: np.ndarray):
 def check_go(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """Every abelian normal p-subgroup splits as fixed points times
     commutators under each element of coprime order."""
-    t0 = time.perf_counter()
     orders = G.element_orders
     checked = 0
     for P in normal_subgroups(G):
@@ -265,9 +268,9 @@ def check_go(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
         if bad is not None:
             a = int(a_list[bad])
             return [_report(G, "go", FAIL, "no splitting",
-                            {"P": P.members.tolist(), "a": a}, checked, 0, t0)]
+                            {"P": P.members.tolist(), "a": a}, checked)]
         checked += a_list.size
-    return [_report(G, "go", PASS, "", None, checked, 0, t0)]
+    return [_report(G, "go", PASS, "", None, checked)]
 
 
 def replay_go(G: GroupTable, P_members: list[int], a: int) -> bool:
@@ -281,7 +284,6 @@ def replay_go(G: GroupTable, P_members: list[int], a: int) -> bool:
 def check_centre(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """When the centralizer of g covers the coset centralizer of gH exactly,
     centralizers multiply: C(hg) = C(h) n C(g) for every h in H."""
-    t0 = time.perf_counter()
     cm = G.commute_matrix
     cg = centralizer_sizes(G)
     checked = skipped = 0
@@ -294,22 +296,20 @@ def check_centre(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
         cond = central & (cg == H.order * qc[q.projection])
         for g in np.flatnonzero(cond):
             checked += 1
-            hg = G.table[H.members, g]
-            good = cm[:, hg] == (cm[:, H.members] & cm[:, g][:, None])
-            if not good.all():
-                h = int(H.members[int(np.argmax(~good.all(axis=0)))])
+            bad = _product_rule_break(G, H.members, g)
+            if bad is not None:
+                h = int(H.members[bad])
                 return [_report(G, "centre", FAIL, "centralizer product rule",
                                 {"H": H.members.tolist(), "g": int(g), "h": h},
-                                checked, skipped, t0)]
+                                checked, skipped)]
         skipped += int(central.sum() - cond.sum())
     note = "skipped g where C(g)/H falls short of the coset centralizer" if skipped else ""
-    return [_report(G, "centre", PASS, note, None, checked, skipped, t0)]
+    return [_report(G, "centre", PASS, note, None, checked, skipped)]
 
 
 def check_size(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """An order-preserving translate hg of a coprime element g by the abelian
     normal p-subgroup H is an H-conjugate of g, with |C(hg)| = |C(g)|."""
-    t0 = time.perf_counter()
     orders = G.element_orders
     cg = centralizer_sizes(G)
     cj = G.conjugation_table
@@ -336,9 +336,9 @@ def check_size(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
                 h = int(H.members[np.flatnonzero(keep)[int(np.argmax(~(hits & sizes_ok)))]])
                 return [_report(G, "size", FAIL, "translate is not an H-conjugate",
                                 {"H": H.members.tolist(), "g": int(g), "h": h},
-                                checked, skipped, t0)]
+                                checked, skipped)]
     note = "skipped h with |hg| != |g|" if skipped else ""
-    return [_report(G, "size", PASS, note, None, checked, skipped, t0)]
+    return [_report(G, "size", PASS, note, None, checked, skipped)]
 
 
 def _normal_p_subgroups(G: GroupTable, p: int) -> list[SubgroupHandle]:
@@ -350,7 +350,6 @@ def _normal_p_subgroups(G: GroupTable, p: int) -> list[SubgroupHandle]:
 def check_l4(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """The centralizer-controlled splitting of p-elements outside a normal
     p-subgroup, whenever the coset centralizer strictly exceeds C(g)."""
-    t0 = time.perf_counter()
     orders = G.element_orders
     cg = centralizer_sizes(G)
     checked = trivial = 0
@@ -376,11 +375,11 @@ def check_l4(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
                     return [_report(G, "l4", FAIL, str(exc),
                                     {"H": H.members.tolist(), "g": int(g),
                                      **exc.witness},
-                                    checked, 0, t0)]
+                                    checked)]
                 assert not split.trivial_case
     note = f"{trivial} tuples with C(g) already full are trivially split"
     return [_report(G, "l4", PASS, note if trivial else "", None,
-                    checked + trivial, 0, t0)]
+                    checked + trivial)]
 
 
 # -- index-set invariance under the coset-action product --------------------------
@@ -423,9 +422,21 @@ def bingo_tuples(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
     return tuples
 
 
+_BINGO_IDS = ("bingo1", "bingo2", "bingo")
+_BINGO_NOTES = ("class size of G missing from the product",
+                "product has a class size G lacks", "index sets differ")
+
+
+def _bingo_reports(G: GroupTable, missing: dict | None, extra: dict | None,
+                   both: dict | None, checked: int) -> list[VerificationReport]:
+    """The bingo1, bingo2 and bingo reports, from the witness of each failed
+    comparison (None where it holds)."""
+    return [_report(G, lemma, FAIL if wit else PASS, note if wit else "", wit, checked)
+            for lemma, note, wit in zip(_BINGO_IDS, _BINGO_NOTES, (missing, extra, both))]
+
+
 def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationReport]:
     """Index-set comparison for one (G, H) pair, gated on its hypotheses."""
-    t0 = time.perf_counter()
     gate = None
     if H.normality_witness() is not None:
         gate = "H is not normal"
@@ -439,33 +450,22 @@ def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationRepor
                                     for p in prime_factors(G.n)) and G.n > 1:
             gate = "no prime with an abelian Sylow subgroup"
     if gate is not None:
-        return [_report(G, lemma, SKIP, gate, None, 0, 1, t0)
-                for lemma in ("bingo1", "bingo2", "bingo")]
+        return [_report(G, lemma, SKIP, gate, None, 0, 1) for lemma in _BINGO_IDS]
     missing, extra = _bingo_diff(G, H)
     base = {"H": H.members.tolist()}
-    out = [
-        _report(G, "bingo1", FAIL if missing else PASS,
-                "class size of G missing from the product" if missing else "",
-                {**base, "missing": missing} if missing else None, 1, 0, t0),
-        _report(G, "bingo2", FAIL if extra else PASS,
-                "product has a class size G lacks" if extra else "",
-                {**base, "extra": extra} if extra else None, 1, 0, t0),
-        _report(G, "bingo", FAIL if (missing or extra) else PASS,
-                "index sets differ" if (missing or extra) else "",
-                {**base, "missing": missing, "extra": extra}
-                if (missing or extra) else None, 1, 0, t0),
-    ]
-    return out
+    return _bingo_reports(
+        G, {**base, "missing": missing} if missing else None,
+        {**base, "extra": extra} if extra else None,
+        {**base, "missing": missing, "extra": extra} if missing or extra else None, 1)
 
 
 def check_bingo(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """N(G) equals the index set of H |x G/H for every normal p-subgroup H
     at a prime with abelian Sylow subgroup; both inclusions reported."""
-    t0 = time.perf_counter()
     tuples = bingo_tuples(G)
     if not tuples:
         note = "no prime with an abelian Sylow subgroup"
-        return [_report(G, lemma, SKIP, note) for lemma in ("bingo1", "bingo2", "bingo")]
+        return [_report(G, lemma, SKIP, note) for lemma in _BINGO_IDS]
     missing_fail = extra_fail = None
     checked = 0
     for p, H in tuples:
@@ -475,20 +475,7 @@ def check_bingo(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
             missing_fail = {"p": p, "H": H.members.tolist(), "missing": missing}
         if extra and extra_fail is None:
             extra_fail = {"p": p, "H": H.members.tolist(), "extra": extra}
-    reports = []
-    reports.append(_report(G, "bingo1",
-                           FAIL if missing_fail else PASS,
-                           "class size of G missing from the product" if missing_fail else "",
-                           missing_fail, checked, 0, t0))
-    reports.append(_report(G, "bingo2",
-                           FAIL if extra_fail else PASS,
-                           "product has a class size G lacks" if extra_fail else "",
-                           extra_fail, checked, 0, t0))
-    both = missing_fail or extra_fail
-    reports.append(_report(G, "bingo", FAIL if both else PASS,
-                           "index sets differ" if both else "",
-                           both, checked, 0, t0))
-    return reports
+    return _bingo_reports(G, missing_fail, extra_fail, missing_fail or extra_fail, checked)
 
 
 def replay_bingo(G: GroupTable, H_members: list[int]) -> bool:
@@ -501,7 +488,6 @@ def check_key(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """Collapsing the Fitting subgroup preserves the index set, the iterated
     per-prime collapse agrees, the two-step pairings certify, and the
     collapse is abelian exactly when G is."""
-    t0 = time.perf_counter()
     if not is_a_group(G):
         return [_report(G, "key", SKIP, "not an A-group: some Sylow subgroup is nonabelian"),
                 _report(G, "key_iff", SKIP, "not an A-group")]
@@ -515,7 +501,7 @@ def check_key(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
         return [_report(G, "key", FAIL, "single collapse changed the index set",
                         {"F": F.members.tolist(),
                          "N_G": list(ng.sizes), "N_collapse": list(n_single.sizes)},
-                        checked, 0, t0),
+                        checked),
                 _report(G, "key_iff", SKIP, "index-set mismatch")]
     primes = sorted(p for p, c in fd.p_cores.items() if c.order > 1)
     cur = G
@@ -526,14 +512,14 @@ def check_key(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
         image = np.unique(embed[core_members])
         if len(image) != len(core_members):
             return [_report(G, "key", FAIL, "iterated embedding collapsed a p-core",
-                            {"p": p}, checked, 0, t0),
+                            {"p": p}, checked),
                     _report(G, "key_iff", SKIP, "iterated embedding failed")]
         try:
             ns = natural_semidirect(cur, SubgroupHandle(cur, image))
         except (PreconditionError, LemmaViolation) as exc:
             return [_report(G, "key", FAIL,
                             f"embedded p-core at prime {p} broke the construction: {exc}",
-                            {"p": p}, checked, 0, t0),
+                            {"p": p}, checked),
                     _report(G, "key_iff", SKIP, "iterated collapse failed")]
         cur = ns.group
         embed = ns.quotient.projection[embed]
@@ -543,7 +529,7 @@ def check_key(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
                             f"iterated collapse at prime {p} changed the index set",
                             {"p": p, "N_G": list(ng.sizes),
                              "N_step": list(index_set(cur).sizes)},
-                            checked, 0, t0),
+                            checked),
                     _report(G, "key_iff", SKIP, "iterated collapse failed")]
         if acc is not None:
             wit = two_step_collapse_witness(G, acc, fd.p_cores[p])
@@ -552,16 +538,16 @@ def check_key(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
                 return [_report(G, "key", FAIL, f"two-step pairing failed: {wit.detail}",
                                 {"H": acc.members.tolist(),
                                  "N": fd.p_cores[p].members.tolist()},
-                                checked, 0, t0),
+                                checked),
                         _report(G, "key_iff", SKIP, "pairing failed")]
         acc_members = (core_members if acc is None
                        else subgroup_closure(G, np.append(acc.members, core_members)).members)
         acc = SubgroupHandle(G, acc_members)
-    key_report = _report(G, "key", PASS, "", None, checked, 0, t0)
+    key_report = _report(G, "key", PASS, "", None, checked)
     iff_ok = G.is_abelian() == single.group.is_abelian()
     iff_report = _report(G, "key_iff", PASS if iff_ok else FAIL,
                          "" if iff_ok else "abelianness changed under the collapse",
-                         None if iff_ok else {"F": F.members.tolist()}, 1, 0, t0)
+                         None if iff_ok else {"F": F.members.tolist()}, 1)
     return [key_report, iff_report]
 
 
@@ -572,7 +558,6 @@ def check_ca(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """Fitting-complement splittings: fixed-point factorization of F under
     complement elements, conjugation into commuting (F, T) pairs, and the
     centralizer product rule with its index consequence."""
-    t0 = time.perf_counter()
     if not is_a_group(G):
         return [_report(G, "ca", SKIP, "not an A-group")]
     fd = fitting_data(G, with_complement=True, seed=seed)
@@ -588,7 +573,7 @@ def check_ca(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     if bad is not None:
         return [_report(G, "ca", FAIL, "no fixed-point splitting of F",
                         {"F": F.members.tolist(), "y": int(T.members[bad])},
-                        checked, 0, t0)]
+                        checked)]
     checked += T.order
     # (ii) every element conjugates into a commuting pair
     for g in range(G.n):
@@ -596,19 +581,18 @@ def check_ca(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
             ca_decompose(G, F, T, g)
         except LemmaViolation as exc:
             return [_report(G, "ca", FAIL, str(exc), {"g": g, **exc.witness},
-                            checked, 0, t0)]
+                            checked)]
         checked += 1
     # (iii) commuting pairs multiply centralizers
     for y in T.members:
         xs = F.members[cm[F.members, y]]
         if xs.size == 0:
             continue
-        xy = G.table[xs, y]
-        good = cm[:, xy] == (cm[:, xs] & cm[:, y][:, None])
-        if not good.all():
-            x = int(xs[int(np.argmax(~good.all(axis=0)))])
+        bad = _product_rule_break(G, xs, y)
+        if bad is not None:
             return [_report(G, "ca", FAIL, "centralizer product rule for (F,T) pair",
-                            {"x": x, "y": int(y)}, checked, 0, t0)]
+                            {"x": int(xs[bad]), "y": int(y)}, checked)]
+        xy = G.table[xs, y]
         inter = (cm[:, xs] & cm[:, y][:, None]).sum(axis=0)
         covers = cg[xs] * cg[y] // inter == G.n
         lhs = G.n // cg[xy]
@@ -616,9 +600,9 @@ def check_ca(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
         if np.any(covers & (lhs != rhs)):
             x = int(xs[int(np.argmax(covers & (lhs != rhs)))])
             return [_report(G, "ca", FAIL, "index does not multiply",
-                            {"x": x, "y": int(y)}, checked, 0, t0)]
+                            {"x": x, "y": int(y)}, checked)]
         checked += int(xs.size)
-    return [_report(G, "ca", PASS, "", None, checked, 0, t0)]
+    return [_report(G, "ca", PASS, "", None, checked)]
 
 
 def cc_predicate(G: GroupTable, F: SubgroupHandle) -> tuple[bool, dict]:
@@ -638,19 +622,18 @@ def check_cc(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     Asserted for solvable A-groups; for non-solvable A-groups the predicate
     is evaluated and recorded but never asserted.
     """
-    t0 = time.perf_counter()
     if not is_a_group(G):
         return [_report(G, "cc", SKIP, "not an A-group")]
     F = fitting_data(G).fitting
     ok, wit = cc_predicate(G, F)
     if not derived_series(G).is_solvable:
         note = f"group not solvable; predicate observed: {'holds' if ok else 'fails'}"
-        return [_report(G, "cc", SKIP, note, None, 0, 1, t0)]
+        return [_report(G, "cc", SKIP, note, None, 0, 1)]
     if not ok:
         return [_report(G, "cc", FAIL, "no member of F realizes the p-part",
                         {"F": F.members.tolist(), **wit},
-                        len(prime_factors(G.n)), 0, t0)]
-    return [_report(G, "cc", PASS, "", None, len(prime_factors(G.n)), 0, t0)]
+                        len(prime_factors(G.n)))]
+    return [_report(G, "cc", PASS, "", None, len(prime_factors(G.n)))]
 
 
 # -- the headline theorem ---------------------------------------------------------
@@ -659,7 +642,6 @@ def check_cc(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
 def check_theorem(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     """A-group whose index set contains every p-norm and the total norm
     must be abelian."""
-    t0 = time.perf_counter()
     hc = hypothesis_check(G)
     abelian = G.is_abelian()
     witness = {"is_a_group": hc.is_a_group,
@@ -670,8 +652,8 @@ def check_theorem(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     if hc.satisfied and not abelian:
         return [_report(G, "theorem", FAIL,
                         "counterexample: hypothesis holds but the group is nonabelian",
-                        witness, 1, 0, t0)]
-    return [_report(G, "theorem", PASS, "", witness, 1, 0, t0)]
+                        witness, 1)]
+    return [_report(G, "theorem", PASS, "", witness, 1)]
 
 
 # -- exploratory predicates (never asserted) -----------------------------------------
@@ -681,7 +663,6 @@ def explore_minimal_lemmas(G: GroupTable, *, seed: int = 0) -> list[Verification
     """Record statistics for the three statements that live inside the
     minimal-counterexample argument; they are observed on centerless
     A-groups with complements, never asserted."""
-    t0 = time.perf_counter()
     out = []
     gate = None
     if not is_a_group(G):
@@ -715,14 +696,14 @@ def explore_minimal_lemmas(G: GroupTable, *, seed: int = 0) -> list[Verification
             holds += 1
     out.append(_report(G, "perfect", SKIP,
                        f"exploratory; evaluated={evaluated} holds={holds}",
-                       None, 0, 1, t0))
+                       None, 0, 1))
 
     inds_f = (G.n // cg[F.members])
     notes = []
     for p in prime_factors(G.n):
         notes.append(f"p={p}:{'yes' if p_part(T.order, p) in set(map(int, inds_f)) else 'no'}")
     out.append(_report(G, "primeiro", SKIP,
-                       "exploratory; witness found " + ",".join(notes), None, 0, 1, t0))
+                       "exploratory; witness found " + ",".join(notes), None, 0, 1))
 
     nrm = norms(index_set(G))
     notes = []
@@ -732,7 +713,7 @@ def explore_minimal_lemmas(G: GroupTable, *, seed: int = 0) -> list[Verification
         product_ok = nrm.per_prime[p] == p_part(T.order, p) * best
         notes.append(f"p={p}:{'yes' if (in_t and product_ok) else 'no'}")
     out.append(_report(G, "segundo", SKIP,
-                       "exploratory; " + ",".join(notes), None, 0, 1, t0))
+                       "exploratory; " + ",".join(notes), None, 0, 1))
     return out
 
 
@@ -767,12 +748,17 @@ def verify_group(G: GroupTable, lemmas=("all",), *, seed: int = 0,
     if unknown:
         raise ValueError(f"unknown lemma ids: {sorted(unknown)}")
     gseed = _group_seed(seed, G.label)
-    out: list[VerificationReport] = []
-    for lemma in LEMMA_IDS:
-        if lemma in wanted:
-            out.extend(_CHECKS[lemma](G, seed=gseed))
+    checks = [_CHECKS[lemma] for lemma in LEMMA_IDS if lemma in wanted]
     if explore:
-        out.extend(explore_minimal_lemmas(G, seed=gseed))
+        checks.append(explore_minimal_lemmas)
+    out: list[VerificationReport] = []
+    for check in checks:
+        started = time.perf_counter()
+        reports = check(G, seed=gseed)
+        millis = (time.perf_counter() - started) * 1000
+        for r in reports:
+            r.millis = millis
+        out.extend(reports)
     return out
 
 
@@ -796,7 +782,7 @@ class ScanResult:
         return out
 
 
-def _scan_one(G: GroupTable, lemmas, seed: int, explore: bool):
+def _scan_one(G: GroupTable, *, lemmas, seed: int, explore: bool):
     reports = verify_group(G, lemmas, seed=seed, explore=explore)
     cell = None
     for r in reports:
@@ -822,43 +808,43 @@ def _tally(results, started: float) -> ScanResult:
                       time.perf_counter() - started)
 
 
+# Groups in flight per worker.  A group is submitted only when fewer than
+# this many per worker are pending, so the parent never holds the whole
+# stream; a deeper queue keeps workers busy past a slow group at the head.
+_IN_FLIGHT_PER_JOB = 32
+
+
+def _scan_groups(groups, lemmas, seed: int, jobs: int, explore: bool) -> ScanResult:
+    """Run ``_scan_one`` on each group of the stream: in this process at one
+    job, otherwise in ``jobs`` worker processes.  Results are collected in
+    stream order, so the result is the same at every job count."""
+    started = time.perf_counter()
+    one = functools.partial(_scan_one, lemmas=tuple(lemmas), seed=seed, explore=explore)
+    if jobs == 1:
+        return _tally([one(G) for G in groups], started)
+    from concurrent.futures import ProcessPoolExecutor
+
+    results, pending = [], deque()
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for G in groups:
+            if len(pending) == _IN_FLIGHT_PER_JOB * jobs:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(one, G))
+        results.extend(future.result() for future in pending)
+    return _tally(results, started)
+
+
 def theorem_scan(groups) -> ScanResult:
     """Hypothesis-implies-abelian over any stream of groups, with cell counts."""
-    t0 = time.perf_counter()
-    return _tally([_scan_one(G, ("theorem",), 0, False) for G in groups], t0)
-
-
-def _scan_worker(args):
-    max_order, families, lemmas, seed, explore, worker, jobs = args
-    from .constructions import corpus
-
-    out = []
-    for i, G in enumerate(corpus(max_order, families)):
-        if i % jobs != worker:
-            continue
-        out.append(_scan_one(G, lemmas, seed, explore))
-    return out
+    return _scan_groups(groups, ("theorem",), 0, 1, False)
 
 
 def scan(max_order: int, families=None, lemmas=("all",), *, seed: int = 7,
          jobs: int = 1, explore: bool = False) -> ScanResult:
     """Run the selected checks over the whole corpus, optionally in parallel.
 
-    Reports come back sorted by (order, group, lemma) so output is identical
+    The corpus is built once, here; workers receive its tables.  Reports
+    come back sorted by (order, group, lemma) so output is identical
     however the work was partitioned.
     """
-    t0 = time.perf_counter()
-    jobs = max(jobs, 1)
-    families = None if families is None else tuple(families)
-    args = [(max_order, families, tuple(lemmas), seed, explore, w, jobs)
-            for w in range(jobs)]
-    if jobs == 1:
-        results = _scan_worker(args[0])
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        results = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_scan_worker, args):
-                results.extend(chunk)
-    return _tally(results, t0)
+    return _scan_groups(corpus(max_order, families), lemmas, seed, jobs, explore)

@@ -1,5 +1,6 @@
 """Core table representation, element arithmetic, and elementary algorithms."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,16 @@ def test_cap_enforced():
         assert cons.cyclic(5).n == 5
     finally:
         core.set_max_order_cap(old)
+
+
+def test_pickle_sends_table_and_label_only():
+    G = cons.symmetric(4)
+    core.normal_subgroups(G)
+    G.commute_matrix
+    sent = pickle.loads(pickle.dumps(G))
+    assert sent.table.tobytes() == G.table.tobytes() and sent.label == G.label
+    assert not sent.table.flags.writeable
+    assert sent._subgroup_cache == {} and sent._commute is None
 
 
 def test_cap_checked_before_allocating():

@@ -263,6 +263,10 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("AGROUPS_CAP")
     assert core.max_order_cap() == cap
     assert cli.main(["info", "nosuchfile.grp"]) == 2
+    for jobs in ("0", "-1"):
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        assert cli.main(["scan", "--max-order", "4", "--jobs", jobs, "-o", str(out)]) == 2
+        assert not out.exists()
     assert cli.main(["construct", "frobenius(7,4)", "-o", str(tmp_path / "x")]) == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["scan"])  # missing --max-order

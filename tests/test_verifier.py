@@ -182,6 +182,9 @@ def test_theorem_scan_surface():
     assert result.counterexamples == []
     assert (True, True, False) not in result.theorem_cells
     assert sum(result.theorem_cells.values()) == result.group_count
+    full = verifier.scan(16, lemmas=("theorem",))
+    assert result.theorem_cells == full.theorem_cells
+    assert result.counterexamples == full.counterexamples
 
 
 # -- the theorem cells ---------------------------------------------------------------------
@@ -214,12 +217,30 @@ def test_scan_reports_sorted_and_serializable():
     rec = result.reports[0].record()
     assert "millis" not in rec and set(rec) == {
         "group", "order", "lemma", "status", "note", "witness", "checked", "skipped"}
+    # verify_group times every check, SKIP reports included
+    assert all(r.millis > 0 for r in result.reports)
 
 
-def test_scan_parallel_matches_serial():
-    serial = verifier.scan(20, lemmas=("bingo", "theorem"), seed=7, jobs=1)
-    parallel = verifier.scan(20, lemmas=("bingo", "theorem"), seed=7, jobs=2)
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_scan_parallel_matches_serial(jobs):
+    # 141 groups, more than the scan keeps in flight at either job count
+    serial = verifier.scan(32, lemmas=("bingo", "theorem"), seed=7, jobs=1)
+    parallel = verifier.scan(32, lemmas=("bingo", "theorem"), seed=7, jobs=jobs)
+    assert serial.group_count > verifier._IN_FLIGHT_PER_JOB * jobs
     assert [r.record() for r in serial.reports] == [r.record() for r in parallel.reports]
+
+
+def test_parallel_scan_builds_the_corpus_once_in_the_caller(monkeypatch):
+    calls = []
+
+    def counting_corpus(*args, **kwargs):
+        calls.append(args)
+        return cons.corpus(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "corpus", counting_corpus, raising=False)
+    result = verifier.scan(12, seed=7, jobs=2)
+    assert len(calls) == 1
+    assert result.group_count == len(list(cons.corpus(12)))
 
 
 def test_scan_lemma_selection():
