@@ -31,6 +31,7 @@ from .core import (
     quotient_group,
     subgroup_closure,
     conjugacy_classes,
+    memoized,
 )
 
 
@@ -390,10 +391,8 @@ def _hom_extension(G: GroupTable, gen_images: dict[int, int],
     return out
 
 
+@memoized
 def _construction_trace(G: GroupTable) -> list[tuple[int, int, int]]:
-    cached = G._subgroup_cache.get("trace")
-    if cached is not None:
-        return cached
     gens = G.generators
     reached = {0}
     trace: list[tuple[int, int, int]] = []
@@ -408,18 +407,15 @@ def _construction_trace(G: GroupTable) -> list[tuple[int, int, int]]:
                     trace.append((e, parent, g))
                     nxt.append(e)
         frontier = nxt
-    G._subgroup_cache["trace"] = trace
     return trace
 
 
 _AUT_CANDIDATE_CAP = 1_000_000
 
 
+@memoized
 def automorphisms(G: GroupTable) -> list[np.ndarray]:
     """All automorphisms as permutation arrays, lexicographically sorted."""
-    cached = G._subgroup_cache.get("auts")
-    if cached is not None:
-        return cached
     gens = G.generators
     orders = G.element_orders
     cands = [np.flatnonzero(orders == orders[g]) for g in gens]
@@ -440,22 +436,13 @@ def automorphisms(G: GroupTable) -> list[np.ndarray]:
         if np.array_equal(mapping[G.table], G.table[np.ix_(mapping, mapping)]):
             out.append(mapping)
     out.sort(key=lambda m: m.tolist())
-    G._subgroup_cache["auts"] = out
     return out
 
 
 def automorphism_table(G: GroupTable) -> tuple[GroupTable, list[np.ndarray]]:
     """The automorphisms as a group table under apply-left-then-right."""
     auts = automorphisms(G)
-    arr = np.stack(auts)
-    index = {a.tobytes(): i for i, a in enumerate(arr)}
-    k = len(auts)
-    table = np.empty((k, k), dtype=np.int64)
-    for i in range(k):
-        composed = arr[:, arr[i]]            # row j = auts[j] after auts[i]
-        for j in range(k):
-            table[i, j] = index[composed[j].tobytes()]
-    return GroupTable(table, label=f"aut({G.label})"), auts
+    return perm_table(auts, f"aut({G.label})"), auts
 
 
 def action_homs(acted: GroupTable, acting: GroupTable) -> list[np.ndarray]:

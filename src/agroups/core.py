@@ -9,6 +9,14 @@ Tables are immutable after construction and safe to share between workers.
 A table crosses to a worker process as its ``(table, label)`` pair alone:
 the copy is rebuilt without re-verifying the axioms, arrives read-only and
 carries none of the original's caches.
+
+Per-element tables (inverses, orders, commuting and conjugation tables, a
+generating set) are cached properties.  Every other derivation worth keeping
+-- subgroup lists, Sylow subgroups, p-cores, quotients, automorphisms --
+goes through one decorator, ``memoized``, into one dict on the table.  Its
+handles point back at the table, so ``release_memo`` empties it once a
+caller is done with the group, and the table is freed without waiting for
+the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -106,8 +114,9 @@ def find_identity(table: np.ndarray) -> int | None:
     return None
 
 
-def verify_group_axioms(table: np.ndarray) -> None:
-    """Raise InputError naming the first violated group axiom, with indices.
+def verify_group_axioms(table: np.ndarray) -> list[int]:
+    """Raise InputError naming the first violated group axiom, with indices;
+    return the generating set the associativity test used.
 
     Associativity is verified exactly with Light's test: it is enough to
     check a * (g * b) == (a * g) * b for g in a generating set, which brings
@@ -134,12 +143,14 @@ def verify_group_axioms(table: np.ndarray) -> None:
     if not np.all(zero_counts == 1):
         a = int(np.argmax(zero_counts != 1))
         raise InputError(f"inverses violated: row {a} has {int(zero_counts[a])} solutions of {a}*y=0")
-    for g in generating_set(table):
+    gens = generating_set(table)
+    for g in gens:
         left = table[:, table[g, :]]   # [a,b] -> a*(g*b)
         right = table[table[:, g], :]  # [a,b] -> (a*g)*b
         if not np.array_equal(left, right):
             a, b = map(int, np.argwhere(left != right)[0])
             raise InputError(f"associativity violated at ({a},{g},{b})")
+    return gens
 
 
 class GroupTable:
@@ -150,12 +161,6 @@ class GroupTable:
     already-verified construction, e.g. relabelled subgroups).
     """
 
-    __slots__ = (
-        "table", "n", "label",
-        "_inv", "_orders", "_commute", "_conj", "_gens",
-        "_subgroup_cache",
-    )
-
     def __init__(self, table, label: str = "", *, trusted: bool = False):
         arr = _as_table(table)
         if len(arr) > _max_order_cap:
@@ -163,17 +168,12 @@ class GroupTable:
                 f"group order {len(arr)} exceeds the desk-scale cap {_max_order_cap}"
             )
         if not trusted:
-            verify_group_axioms(arr)
+            self.generators = verify_group_axioms(arr)
         arr.setflags(write=False)
         self.table = arr
         self.n = len(arr)
         self.label = label or f"G{self.n}"
-        self._inv = None
-        self._orders = None
-        self._commute = None
-        self._conj = None
-        self._gens = None
-        self._subgroup_cache = {}
+        self._memo = {}
 
     # -- element arithmetic ------------------------------------------------
 
@@ -212,56 +212,46 @@ class GroupTable:
 
     # -- cached derived data ------------------------------------------------
 
-    @property
+    @functools.cached_property
     def inverse_table(self) -> np.ndarray:
-        if self._inv is None:
-            inv = np.argmax(self.table == 0, axis=1).astype(_INDEX_DTYPE)
-            inv.setflags(write=False)
-            self._inv = inv
-        return self._inv
+        inv = np.argmax(self.table == 0, axis=1).astype(_INDEX_DTYPE)
+        inv.setflags(write=False)
+        return inv
 
-    @property
+    @functools.cached_property
     def element_orders(self) -> np.ndarray:
-        if self._orders is None:
-            n = self.n
-            orders = np.zeros(n, dtype=np.int64)
-            cur = np.arange(n)
-            k = 1
-            while np.any(orders == 0):
-                orders[(cur == 0) & (orders == 0)] = k
-                cur = self.table[cur, np.arange(n)]
-                k += 1
-            orders.setflags(write=False)
-            self._orders = orders
-        return self._orders
+        n = self.n
+        orders = np.zeros(n, dtype=np.int64)
+        cur = np.arange(n)
+        k = 1
+        while np.any(orders == 0):
+            orders[(cur == 0) & (orders == 0)] = k
+            cur = self.table[cur, np.arange(n)]
+            k += 1
+        orders.setflags(write=False)
+        return orders
 
-    @property
+    @functools.cached_property
     def commute_matrix(self) -> np.ndarray:
         """Boolean matrix: entry [g, x] iff g and x commute."""
-        if self._commute is None:
-            m = self.table == self.table.T
-            m.setflags(write=False)
-            self._commute = m
-        return self._commute
+        m = self.table == self.table.T
+        m.setflags(write=False)
+        return m
 
-    @property
+    @functools.cached_property
     def conjugation_table(self) -> np.ndarray:
         """Entry [x, g] = g^-1 * x * g."""
-        if self._conj is None:
-            n = self.n
-            inv = self.inverse_table
-            cj = np.empty((n, n), dtype=_INDEX_DTYPE)
-            for g in range(n):
-                cj[:, g] = self.table[self.table[inv[g], :], g]
-            cj.setflags(write=False)
-            self._conj = cj
-        return self._conj
+        n = self.n
+        inv = self.inverse_table
+        cj = np.empty((n, n), dtype=_INDEX_DTYPE)
+        for g in range(n):
+            cj[:, g] = self.table[self.table[inv[g], :], g]
+        cj.setflags(write=False)
+        return cj
 
-    @property
+    @functools.cached_property
     def generators(self) -> list[int]:
-        if self._gens is None:
-            self._gens = generating_set(self.table)
-        return self._gens
+        return generating_set(self.table)
 
     def is_abelian(self) -> bool:
         return bool(self.commute_matrix.all())
@@ -353,6 +343,29 @@ class SubgroupHandle:
         return f"SubgroupHandle(order={self.order} of {self.parent.label!r})"
 
 
+# -- the per-table memo -------------------------------------------------------
+
+
+def memoized(fn):
+    """Cache ``fn(G, *args)`` in G's memo, keyed by the function's name and
+    the arguments, with a subgroup argument keyed by its membership mask."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(G: GroupTable, *args):
+        key = (name, *(a.key() if isinstance(a, SubgroupHandle) else a for a in args))
+        if key not in G._memo:
+            G._memo[key] = fn(G, *args)
+        return G._memo[key]
+
+    return wrapper
+
+
+def release_memo(G: GroupTable) -> None:
+    """Drop every memoized derivation of G (they are rebuilt on demand)."""
+    G._memo.clear()
+
+
 def subgroup_closure(G: GroupTable, gens) -> SubgroupHandle:
     """Smallest subgroup containing the generators (breadth-first closure)."""
     gens = list(gens)
@@ -431,7 +444,6 @@ def centralizer_sizes(G: GroupTable) -> np.ndarray:
 class QuotientMap:
     """G -> G/N with a deterministic section (minimal coset representatives)."""
 
-    source: GroupTable
     kernel: SubgroupHandle
     quotient: GroupTable
     projection: np.ndarray   # element of G  -> element of G/N
@@ -443,10 +455,8 @@ class QuotientMap:
         return np.flatnonzero(mask[self.projection])
 
 
+@memoized
 def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
-    cached = G._subgroup_cache.get(("quot", N.key()))
-    if cached is not None:
-        return cached
     witness = N.normality_witness()
     if witness is not None:
         g, h = witness
@@ -465,9 +475,7 @@ def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
         raise LemmaViolation("coset projection failed to be a homomorphism",
                              {"kernel": N.members.tolist()})
     quotient = GroupTable(qtable, label=f"{G.label}/N{N.order}", trusted=True)
-    out = QuotientMap(G, N, quotient, projection.astype(np.int64), reps.astype(np.int64))
-    G._subgroup_cache[("quot", N.key())] = out
-    return out
+    return QuotientMap(N, quotient, projection.astype(np.int64), reps.astype(np.int64))
 
 
 def subgroup_as_table(G: GroupTable, H: SubgroupHandle) -> tuple[GroupTable, np.ndarray]:
@@ -737,24 +745,20 @@ def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[Sub
 
     An abelian scope takes the prime-index walk of ``_abelian_walk``; a
     nonabelian one walks the whole lattice by closures.  The handles are
-    cached on the parent table, so each one works out its normality and
+    memoized on the parent table, so each one works out its normality and
     abelianness once; callers get a fresh list of them.
     """
-    scope = limit if limit is not None else full_subgroup(G)
-    cache_key = ("subs", scope.key())
-    cached = G._subgroup_cache.get(cache_key)
-    if cached is None:
-        flags: dict[str, bool] = {}
-        if scope.is_abelian:
-            raw = _abelian_walk(G, scope.mask)
-            flags["is_abelian"] = True
-            if limit is None:
-                flags["is_normal"] = True   # every subgroup of an abelian group
-        else:
-            raw = _generic_subgroups(G, scope if limit is not None else None)
-        cached = _handles(G, raw, **flags)
-        G._subgroup_cache[cache_key] = cached
-    return list(cached)
+    return list(_subgroup_handles(G, limit if limit is not None else full_subgroup(G)))
+
+
+@memoized
+def _subgroup_handles(G: GroupTable, scope: SubgroupHandle) -> list[SubgroupHandle]:
+    if not scope.is_abelian:
+        return _handles(G, _generic_subgroups(G, scope))
+    flags = {"is_abelian": True}
+    if scope.order == G.n:
+        flags["is_normal"] = True   # every subgroup of an abelian group
+    return _handles(G, _abelian_walk(G, scope.mask), **flags)
 
 
 def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
@@ -766,18 +770,19 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
     """
     if G.is_abelian():
         return subgroups_of(G)
-    cached = G._subgroup_cache.get("normal")
-    if cached is None:
-        T = G.table
-        atoms: dict[bytes, tuple[int, np.ndarray]] = {}
-        for cls in conjugacy_classes(G).classes[1:]:
-            mem = _close_members(T, np.append(cls, 0))
-            atoms.setdefault(mem.tobytes(), (int(cls[0]), mem))
-        raw = _join_walk(G.n, list(atoms.values()),
-                         lambda N, M: np.unique(T[N[:, None], M]))
-        cached = _handles(G, raw, is_normal=True)
-        G._subgroup_cache["normal"] = cached
-    return list(cached)
+    return list(_normal_handles(G))
+
+
+@memoized
+def _normal_handles(G: GroupTable) -> list[SubgroupHandle]:
+    T = G.table
+    atoms: dict[bytes, tuple[int, np.ndarray]] = {}
+    for cls in conjugacy_classes(G).classes[1:]:
+        mem = _close_members(T, np.append(cls, 0))
+        atoms.setdefault(mem.tobytes(), (int(cls[0]), mem))
+    raw = _join_walk(G.n, list(atoms.values()),
+                     lambda N, M: np.unique(T[N[:, None], M]))
+    return _handles(G, raw, is_normal=True)
 
 
 def abelian_subgroups(G: GroupTable) -> list[SubgroupHandle]:
@@ -789,10 +794,11 @@ def abelian_subgroups(G: GroupTable) -> list[SubgroupHandle]:
     """
     if G.is_abelian():
         return subgroups_of(G)
-    cached = G._subgroup_cache.get("abelian")
-    if cached is None:
-        raw = _abelian_walk(G, np.ones(G.n, dtype=bool))
-        normal = [H for H in normal_subgroups(G) if H.is_abelian]
-        cached = _handles(G, raw, normal, is_abelian=True)
-        G._subgroup_cache["abelian"] = cached
-    return list(cached)
+    return list(_abelian_handles(G))
+
+
+@memoized
+def _abelian_handles(G: GroupTable) -> list[SubgroupHandle]:
+    raw = _abelian_walk(G, np.ones(G.n, dtype=bool))
+    normal = [H for H in normal_subgroups(G) if H.is_abelian]
+    return _handles(G, raw, normal, is_abelian=True)

@@ -22,6 +22,7 @@ from .core import (
     commutator_with_element,
     derived_series,
     full_subgroup,
+    memoized,
     normalizer,
     p_part,
     prime_factors,
@@ -31,6 +32,7 @@ from .core import (
 )
 
 
+@memoized
 def sylow_subgroup(G: GroupTable, p: int) -> SubgroupHandle:
     """A Sylow p-subgroup, grown from a minimal p-element through normalizers.
 
@@ -40,10 +42,6 @@ def sylow_subgroup(G: GroupTable, p: int) -> SubgroupHandle:
     p-part of |G| is reached.  Returns the trivial subgroup when p does not
     divide |G| (documented, not an error).
     """
-    key = ("sylow", p)
-    cached = G._subgroup_cache.get(key)
-    if cached is not None:
-        return cached
     target = p_part(G.n, p)
     if target == 1:
         return trivial_subgroup(G)
@@ -60,20 +58,16 @@ def sylow_subgroup(G: GroupTable, p: int) -> SubgroupHandle:
                 {"p": p, "current": P.members.tolist()},
             )
         P = subgroup_closure(G, np.append(P.members, cands[0]))
-    G._subgroup_cache[key] = P
     return P
 
 
+@memoized
 def p_core(G: GroupTable, p: int) -> SubgroupHandle:
     """Largest normal p-subgroup: intersect the conjugates of one Sylow p-subgroup.
 
     Conjugating by one representative per coset of the Sylow normalizer hits
     every conjugate exactly once.
     """
-    key = ("pcore", p)
-    cached = G._subgroup_cache.get(key)
-    if cached is not None:
-        return cached
     P = sylow_subgroup(G, p)
     if P.order == 1:
         return trivial_subgroup(G)
@@ -86,9 +80,7 @@ def p_core(G: GroupTable, p: int) -> SubgroupHandle:
         conj_mask = np.zeros(G.n, dtype=bool)
         conj_mask[cj[P.members, g]] = True
         mask &= conj_mask
-    core = SubgroupHandle(G, np.flatnonzero(mask), is_normal=True)
-    G._subgroup_cache[key] = core
-    return core
+    return SubgroupHandle(G, np.flatnonzero(mask), is_normal=True)
 
 
 def is_a_group(G: GroupTable) -> bool:
@@ -317,14 +309,15 @@ def ca_decompose(G: GroupTable, F: SubgroupHandle, T: SubgroupHandle,
                  g: int) -> FittingSplit:
     """Conjugate g into a commuting (Fitting, complement) product.
 
+    F must be normal: the coset gF is read off the memoized quotient G/F.
     Writes g = w*y with w in F and y the unique member of T in the coset gF,
     splits w = u*v across F = C_F(y) x [F,y], and finds k in F conjugating
     v*y back to y; then g^k = u*y with u and y commuting.
     """
     G._check_index(g)
     inv = G.inverse_table
-    same_coset = np.flatnonzero(
-        T.mask & (G.table[:, F.members].min(axis=1) == G.table[g, F.members].min()))
+    projection = quotient_group(G, F).projection
+    same_coset = np.flatnonzero(T.mask & (projection == projection[g]))
     if same_coset.size != 1:
         raise PreconditionError("T is not a transversal of F",
                                 {"coset_members": same_coset.tolist()})

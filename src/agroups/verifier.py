@@ -25,10 +25,12 @@ from .core import (
     abelian_subgroups,
     centralizer_sizes,
     derived_series,
+    memoized,
     normal_subgroups,
     p_part,
     prime_factors,
     quotient_group,
+    release_memo,
     subgroup_closure,
     subgroups_of,
     trivial_subgroup,
@@ -393,16 +395,12 @@ def bingo_compare(G: GroupTable, H: SubgroupHandle,
     return ([s for s in ng if s not in nc], [s for s in nc if s not in ng])
 
 
+@memoized
 def _bingo_diff(G: GroupTable, H: SubgroupHandle) -> tuple[list[int], list[int]]:
     """``bingo_compare`` against H |x G/H, memoized on G so that ``verify``,
     which runs ``check_bingo_pair`` and then ``check_bingo``, builds each
     product once."""
-    key = ("bingo", H.key())
-    diff = G._subgroup_cache.get(key)
-    if diff is None:
-        diff = bingo_compare(G, H, natural_semidirect(G, H).group)
-        G._subgroup_cache[key] = diff
-    return diff
+    return bingo_compare(G, H, natural_semidirect(G, H).group)
 
 
 def bingo_tuples(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
@@ -752,13 +750,16 @@ def verify_group(G: GroupTable, lemmas=("all",), *, seed: int = 0,
     if explore:
         checks.append(explore_minimal_lemmas)
     out: list[VerificationReport] = []
-    for check in checks:
-        started = time.perf_counter()
-        reports = check(G, seed=gseed)
-        millis = (time.perf_counter() - started) * 1000
-        for r in reports:
-            r.millis = millis
-        out.extend(reports)
+    try:
+        for check in checks:
+            started = time.perf_counter()
+            reports = check(G, seed=gseed)
+            millis = (time.perf_counter() - started) * 1000
+            for r in reports:
+                r.millis = millis
+            out.extend(reports)
+    finally:
+        release_memo(G)
     return out
 
 

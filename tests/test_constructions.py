@@ -261,6 +261,24 @@ def test_automorphisms_are_sorted_and_valid():
         assert np.array_equal(a[G.table], G.table[np.ix_(a, a)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cons.cyclic(1),
+    lambda: cons.cyclic(8),
+    lambda: cons.abelian_group((2, 2, 2)),
+    lambda: cons.quaternion8(),
+    lambda: cons.symmetric(3),
+    lambda: cons.abelian_group((3, 3)),
+])
+def test_automorphism_table_matches_composition_oracle(build):
+    G = build()
+    table, auts = cons.automorphism_table(G)
+    index = {tuple(a.tolist()): i for i, a in enumerate(auts)}
+    want = [[index[tuple(int(b[a[x]]) for x in range(G.n))] for b in auts]
+            for a in auts]                    # apply a first, then b
+    assert table.table.tolist() == want
+    assert table.label == f"aut({G.label})"
+
+
 # -- corpus -----------------------------------------------------------------------------
 
 

@@ -66,6 +66,17 @@ def test_light_assoc_agrees_with_naive_oracle(small_pool):
         core.verify_group_axioms(G.table)  # does not raise
 
 
+def test_axiom_check_keeps_its_generating_set(monkeypatch):
+    t = cons.symmetric(4).table
+    gens = core.verify_group_axioms(t)
+    assert gens == core.generating_set(t)
+    calls = []
+    real = core.generating_set
+    monkeypatch.setattr(core, "generating_set", lambda tb: calls.append(1) or real(tb))
+    assert core.GroupTable(t).generators == gens and len(calls) == 1
+    assert core.GroupTable(t, trusted=True).generators == gens and len(calls) == 2
+
+
 def test_cap_enforced():
     old = core.max_order_cap()
     core.set_max_order_cap(5)
@@ -84,7 +95,7 @@ def test_pickle_sends_table_and_label_only():
     sent = pickle.loads(pickle.dumps(G))
     assert sent.table.tobytes() == G.table.tobytes() and sent.label == G.label
     assert not sent.table.flags.writeable
-    assert sent._subgroup_cache == {} and sent._commute is None
+    assert sent._memo == {} and "commute_matrix" not in vars(sent)
 
 
 def test_cap_checked_before_allocating():

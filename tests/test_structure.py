@@ -239,6 +239,12 @@ def test_ca_decompose_trivial_cases(a4):
     assert split.x == 0 and split.y == g_t
 
 
+def test_ca_decompose_requires_normal_f(s3):
+    H = core.subgroup_closure(s3, [1])   # a transposition: not normal
+    with pytest.raises(core.PreconditionError, match="not normal"):
+        structure.ca_decompose(s3, H, core.full_subgroup(s3), 0)
+
+
 @pytest.mark.parametrize("build", [
     lambda: cons.alternating(4),
     lambda: cons.frobenius(7, 3),

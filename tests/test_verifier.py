@@ -1,6 +1,8 @@
 """Per-check behavior: statuses, gating, witnesses, replay, and the scan."""
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -269,6 +271,21 @@ def test_every_lemma_runs_through_the_registry(a4):
 def test_verify_group_rejects_unknown_lemma(s3):
     with pytest.raises(ValueError, match="unknown lemma"):
         verifier.verify_group(s3, ("nosuch",))
+
+
+def test_verify_group_releases_the_memo():
+    G = cons.symmetric(4)
+    verifier.check_bingo(G)
+    assert G._memo                   # the checks memoize on the table
+    verifier.verify_group(G, ("all",), seed=7)
+    assert G._memo == {}
+    ref = weakref.ref(G)
+    gc.disable()
+    try:
+        del G                        # no reference cycle is left to wait for
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- key check internals ----------------------------------------------------------------
