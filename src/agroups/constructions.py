@@ -439,8 +439,12 @@ def automorphisms(G: GroupTable) -> list[np.ndarray]:
     return out
 
 
+@memoized
 def automorphism_table(G: GroupTable) -> tuple[GroupTable, list[np.ndarray]]:
-    """The automorphisms as a group table under apply-left-then-right."""
+    """The automorphisms as a group table under apply-left-then-right.
+
+    Memoized: the corpus asks for it once per acting group on the same table.
+    """
     auts = automorphisms(G)
     return perm_table(auts, f"aut({G.label})"), auts
 

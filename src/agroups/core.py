@@ -10,10 +10,16 @@ A table crosses to a worker process as its ``(table, label)`` pair alone:
 the copy is rebuilt without re-verifying the axioms, arrives read-only and
 carries none of the original's caches.
 
+Every closure -- subgroup generation, the greedy generating set of the
+axiom check, capped complement candidates -- runs one kernel, ``_close_mask``:
+square the member set and mark the products in a boolean mask filled in
+place, until the set stops growing.
+
 Per-element tables (inverses, orders, commuting and conjugation tables, a
 generating set) are cached properties.  Every other derivation worth keeping
--- subgroup lists, Sylow subgroups, p-cores, quotients, automorphisms --
-goes through one decorator, ``memoized``, into one dict on the table.  Its
+-- subgroup lists, Sylow subgroups, p-cores, quotients, the commutators
+[F, y] of the Fitting splitting, automorphisms and their tables -- goes
+through one decorator, ``memoized``, into one dict on the table.  Its
 handles point back at the table, so ``release_memo`` empties it once a
 caller is done with the group, and the table is freed without waiting for
 the cyclic garbage collector.
@@ -77,32 +83,43 @@ def _as_table(table) -> np.ndarray:
 
 def generating_set(table: np.ndarray) -> list[int]:
     """Greedy generating set: repeatedly add the smallest uncovered element."""
-    n = len(table)
-    closed = np.zeros(n, dtype=bool)
-    closed[0] = True
-    members = np.array([0], dtype=np.int64)
+    mask = np.zeros(len(table), dtype=bool)
+    mask[0] = True
     gens: list[int] = []
-    while members.size < n:
-        x = int(np.argmin(closed))  # first False
+    while not mask.all():
+        x = int(np.argmin(mask))  # first False
         gens.append(x)
-        members = _close_members(table, np.append(members, x))
-        closed[:] = False
-        closed[members] = True
+        mask[x] = True
+        _close_mask(table, mask)
     return gens
+
+
+def _close_mask(table: np.ndarray, mask: np.ndarray,
+                cap: int | None = None) -> np.ndarray | None:
+    """Close the member set of a boolean mask (identity included) in place.
+
+    Each round squares the member set, marking every product in the mask
+    (no sort of the |m|^2 products), until it stops growing; returns the
+    sorted members, or None as soon as they number more than ``cap``.
+    """
+    members = np.flatnonzero(mask)
+    while True:
+        mask[table[members[:, None], members]] = True
+        grown = np.flatnonzero(mask)
+        if cap is not None and grown.size > cap:
+            return None
+        if grown.size == members.size:
+            return grown
+        members = grown
 
 
 def _close_members(table: np.ndarray, members: np.ndarray,
                    cap: int | None = None) -> np.ndarray | None:
-    """Sorted closure of a member set that contains the identity, by squaring
-    the set until it stops growing; None as soon as it grows past ``cap``."""
-    members = np.unique(members)
-    while True:
-        prods = np.unique(table[members[:, None], members])
-        if cap is not None and prods.size > cap:
-            return None
-        if prods.size == members.size:
-            return prods
-        members = prods
+    """Sorted closure of a member set that contains the identity (see
+    ``_close_mask``); None as soon as it grows past ``cap``."""
+    mask = np.zeros(len(table), dtype=bool)
+    mask[members] = True
+    return _close_mask(table, mask, cap)
 
 
 def find_identity(table: np.ndarray) -> int | None:
@@ -585,11 +602,13 @@ def pp_decomposition(G: GroupTable, g: int, p: int) -> tuple[int, int]:
     return u, v
 
 
+@memoized
 def commutator_with_element(G: GroupTable, H: SubgroupHandle, g: int) -> SubgroupHandle:
     """[H, g] for an abelian H normalized by g.
 
     In that situation the raw commutator set {h^-1 * h^g : h in H} is already
-    a subgroup, which is asserted rather than re-closed.
+    a subgroup, which is asserted rather than re-closed.  Memoized: the
+    Fitting splitting asks for [F, y] once per element of each coset of F.
     """
     G._check_index(g)
     if not H.is_abelian:

@@ -9,10 +9,13 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from agroups import cli, constructions as cons, core, fileio, structure
 from agroups.indices import index_set, norms
 from agroups.verifier import scan
+
+pytestmark = pytest.mark.slow
 
 MICRO_LEMMAS = ("basic", "cl2", "go", "centre", "size", "l4", "ca", "cc")
 JOBS = 2

@@ -279,6 +279,16 @@ def test_automorphism_table_matches_composition_oracle(build):
     assert table.label == f"aut({G.label})"
 
 
+def test_corpus_builds_each_automorphism_table_once(monkeypatch):
+    labels = []
+    real = cons.perm_table
+    monkeypatch.setattr(cons, "perm_table",
+                        lambda perms, label: labels.append(label) or real(perms, label))
+    list(cons.corpus(60))
+    aut_labels = [lb for lb in labels if lb.startswith("aut(")]
+    assert len(aut_labels) == len(set(aut_labels)) == 35
+
+
 # -- corpus -----------------------------------------------------------------------------
 
 

@@ -77,6 +77,21 @@ def test_axiom_check_keeps_its_generating_set(monkeypatch):
     assert core.GroupTable(t, trusted=True).generators == gens and len(calls) == 2
 
 
+def _greedy_gens_oracle(t: list[list[int]]) -> list[int]:
+    gens: list[int] = []
+    covered = {0}
+    while len(covered) < len(t):
+        gens.append(min(set(range(len(t))) - covered))
+        covered = oracle_closure(t, gens)
+    return gens
+
+
+def test_generating_set_matches_greedy_oracle(small_pool):
+    # the generator order feeds normality witnesses and the construction trace
+    for G in [*small_pool, *cons.corpus(24)]:
+        assert core.generating_set(G.table) == _greedy_gens_oracle(table_rows(G)), G.label
+
+
 def test_cap_enforced():
     old = core.max_order_cap()
     core.set_max_order_cap(5)

@@ -2,12 +2,14 @@
 
 import gc
 import hashlib
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
 from agroups import constructions as cons, core, fileio, verifier
+from agroups.structure import fitting_data
 
 
 def _statuses(reports):
@@ -123,6 +125,58 @@ def test_regular_orbit_fails_without_faithfulness():
     A = next(H for H in core.subgroups_of(G)
              if H.order == 4 and H.is_abelian)
     assert not verifier.regular_orbit_exists(G, V, A)
+
+
+def _centre_per_g(G):
+    """check_centre with one product-rule test per g, as (status, witness,
+    checked, skipped): the reference for the batched comparison."""
+    cm = G.commute_matrix
+    cg = core.centralizer_sizes(G)
+    checked = skipped = 0
+    for H in core.normal_subgroups(G):
+        if not H.is_abelian:
+            continue
+        q = core.quotient_group(G, H)
+        qc = core.centralizer_sizes(q.quotient)
+        central = cm[:, H.members].all(axis=1)
+        cond = central & (cg == H.order * qc[q.projection])
+        for g in np.flatnonzero(cond):
+            checked += 1
+            bad = verifier._product_rule_break(G, H.members, g)
+            if bad is not None:
+                return ("FAIL", {"H": H.members.tolist(), "g": int(g),
+                                 "h": int(H.members[bad])}, checked, skipped)
+        skipped += int(central.sum() - cond.sum())
+    return ("PASS", None, checked, skipped)
+
+
+def _centre_record(G):
+    (r,) = verifier.check_centre(G)
+    return (r.status, r.witness or None, r.checked, r.skipped)
+
+
+def test_batched_centre_matches_per_g_loop(monkeypatch):
+    groups = list(cons.corpus(32))
+    for G in groups:
+        assert _centre_record(G) == _centre_per_g(G), G.label
+    for block in (1, 2000):                     # one g, then a few, per block
+        monkeypatch.setattr(verifier, "_CENTRE_BLOCK", block)
+        for G in groups[::7]:
+            assert _centre_record(G) == _centre_per_g(G), (block, G.label)
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_batched_centre_fail_matches_per_g_loop(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(verifier, "_CENTRE_BLOCK", block)
+    G = cons.direct_product(cons.symmetric(3), cons.cyclic(2))
+    cm = G.commute_matrix.copy()
+    cm[0, 2] = ~cm[0, 2]                   # a broken table the rule must catch
+    cm.setflags(write=False)
+    G.__dict__["commute_matrix"] = cm
+    got = _centre_record(G)
+    assert got[0] == "FAIL" and got[1]["g"] == 3
+    assert got == _centre_per_g(G)
 
 
 def test_fail_reports_carry_witnesses():
@@ -286,6 +340,23 @@ def test_verify_group_releases_the_memo():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_ca_builds_each_fitting_commutator_once(monkeypatch):
+    G = cons.alternating(4)
+    runs = []
+    real = core._close_members
+
+    def counting(table, members, cap=None):      # one call per body run
+        if sys._getframe(1).f_code.co_name == "commutator_with_element":
+            runs.append(1)
+        return real(table, members, cap)
+
+    monkeypatch.setattr(core, "_close_members", counting)
+    (report,) = verifier.verify_group(G, ("ca",), seed=7)
+    assert report.status == "PASS" and G._memo == {}
+    T = fitting_data(G, with_complement=True, seed=verifier._group_seed(7, G.label)).complement
+    assert 0 < len(runs) <= T.order < G.n
 
 
 # -- key check internals ----------------------------------------------------------------
