@@ -17,13 +17,12 @@ from agroups.verifier import EXPLORE_IDS, explore_minimal_lemmas
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-order", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
     tallies = {lemma: Counter() for lemma in EXPLORE_IDS}
     eligible = 0
     for G in corpus(args.max_order):
-        reports = explore_minimal_lemmas(G, seed=args.seed)
+        reports = explore_minimal_lemmas(G)
         notes = {r.lemma_id: r.hypothesis_note for r in reports}
         if any("exploratory;" in n and (
                 "not an A-group" in n or "center" in n or "complement" in n)

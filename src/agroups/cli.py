@@ -1,8 +1,10 @@
 """Command-line surface: info, verify, scan, construct.
 
 Exit codes: 0 when nothing failed, 1 when at least one check failed,
-2 for usage or input errors.  AGROUPS_SEED and AGROUPS_CAP override the
-corresponding flag defaults.
+2 for usage or input errors.  AGROUPS_CAP overrides the --cap default.
+Every check is deterministic, so ``--seed`` and AGROUPS_SEED are accepted
+for existing command lines and have no effect; a non-integer AGROUPS_SEED
+is still an input error.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ def _env_int(name: str, default: int | None) -> int | None:
         raise InputError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
+_SEED_HELP = "accepted with no effect: every check is deterministic (env AGROUPS_SEED)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agroups",
@@ -50,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run checks on one group")
     p_verify.add_argument("--lemma", default="all",
                           help=f"comma list from {{{'|'.join(LEMMA_IDS)}|all}}")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p_verify.add_argument("--explore-minimal-lemmas", action="store_true")
     p_verify.add_argument("source", help="group file or recipe")
 
@@ -59,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--families", default=None,
                         help="comma list of corpus families")
     p_scan.add_argument("--lemma", default="all")
-    p_scan.add_argument("--seed", type=int, default=None)
+    p_scan.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--explore-minimal-lemmas", action="store_true")
     p_scan.add_argument("-o", "--report", default="scan-report.jsonl",
@@ -102,7 +107,8 @@ def cmd_info(args) -> int:
 
 def cmd_verify(args) -> int:
     G = fileio.load_group(args.source)
-    seed = args.seed if args.seed is not None else _env_int("AGROUPS_SEED", 7)
+    if args.seed is None:
+        _env_int("AGROUPS_SEED", None)   # no effect, but must be an integer
     lemmas = _lemma_list(args.lemma)
     if "bingo" in lemmas or "all" in lemmas:
         from .verifier import bingo_tuples, check_bingo_pair
@@ -111,8 +117,7 @@ def cmd_verify(args) -> int:
             pair = {r.lemma_id: r for r in check_bingo_pair(G, H)}
             print(f"{pair['bingo'].status} bingo      "
                   f"H = {{{','.join(map(str, H.members))}}} (p={p})")
-    reports = verify_group(G, lemmas, seed=seed,
-                           explore=args.explore_minimal_lemmas)
+    reports = verify_group(G, lemmas, explore=args.explore_minimal_lemmas)
     failed = False
     for r in reports:
         note = f"  [{r.hypothesis_note}]" if r.hypothesis_note else ""
@@ -125,15 +130,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    seed = args.seed if args.seed is not None else _env_int("AGROUPS_SEED", 7)
+    if args.seed is None:
+        _env_int("AGROUPS_SEED", None)   # no effect, but must be an integer
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     families = None
     if args.families:
         families = tuple(t.strip() for t in args.families.split(",") if t.strip())
     result = scan(args.max_order, families, _lemma_list(args.lemma),
-                  seed=seed, jobs=args.jobs,
-                  explore=args.explore_minimal_lemmas)
+                  jobs=args.jobs, explore=args.explore_minimal_lemmas)
     fileio.write_report_file(result.reports, args.report)
     print(f"scanned {result.group_count} groups up to order {args.max_order} "
           f"in {result.seconds:.1f}s")

@@ -75,10 +75,20 @@ class LemmaViolation(RuntimeError):
 
 
 def _as_table(table) -> np.ndarray:
-    arr = np.asarray(table, dtype=_INDEX_DTYPE)
+    """The table as a square index array, once every entry is checked to be
+    an integer in [0, n); the cast comes last, so nothing wraps or truncates."""
+    arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"table must be square, got shape {arr.shape}")
-    return arr
+    n = len(arr)
+    if n and not np.issubdtype(arr.dtype, np.integer):
+        raise InputError(f"table entries must be integers, got dtype {arr.dtype}")
+    if n and (arr.min() < 0 or arr.max() >= n):
+        a, b = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
+        raise InputError(
+            f"closure violated at ({a},{b}): entry {int(arr[a, b])} not in [0,{n})"
+        )
+    return arr.astype(_INDEX_DTYPE, copy=False)
 
 
 def generating_set(table: np.ndarray) -> list[int]:
@@ -143,12 +153,6 @@ def verify_group_axioms(table: np.ndarray) -> list[int]:
     n = len(table)
     if n == 0:
         raise InputError("empty table")
-    bad = np.argwhere((table < 0) | (table >= n))
-    if bad.size:
-        a, b = map(int, bad[0])
-        raise InputError(
-            f"closure violated at ({a},{b}): entry {int(table[a, b])} not in [0,{n})"
-        )
     idx = np.arange(n)
     if not np.array_equal(table[0], idx):
         b = int(np.argmax(table[0] != idx))
@@ -295,6 +299,9 @@ class SubgroupHandle:
                  *, is_normal: bool | None = None, is_abelian: bool | None = None):
         self.parent = parent
         members = np.unique(np.asarray(members, dtype=np.int64))
+        if members.size and (members[0] < 0 or members[-1] >= parent.n):
+            bad = int(members[0] if members[0] < 0 else members[-1])
+            raise InputError(f"member {bad} out of range [0,{parent.n})")
         mask = np.zeros(parent.n, dtype=bool)
         mask[members] = True
         mask.setflags(write=False)
@@ -303,7 +310,7 @@ class SubgroupHandle:
         self.mask = mask
         self._is_normal = is_normal
         self._is_abelian = is_abelian
-        if members[0] != 0:
+        if members.size == 0 or members[0] != 0:
             raise PreconditionError("subgroup must contain the identity",
                                     {"members": members.tolist()})
         if parent.n % len(members) != 0:

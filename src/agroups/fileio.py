@@ -234,7 +234,7 @@ def load_group(source: str, fmt: str | None = None) -> GroupTable:
 
 
 def write_report_file(reports: list[VerificationReport], path) -> None:
-    """One canonical JSON object per line; byte-stable for a fixed seed."""
+    """One canonical JSON object per line; byte-stable across runs."""
     lines = [json.dumps(r.record(), sort_keys=True, separators=(",", ":"))
              for r in reports]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))

@@ -1,5 +1,9 @@
 """Structural subgroups: Sylow subgroups, p-cores, Fitting data, complements.
 
+The complement search is exact and deterministic: a depth-first search over
+lifts of the generators of G/F, pruned by a capped closure, so a None from
+it means that no complement exists.
+
 Also home to the two constructive decompositions used by the verification
 harness: splitting a p-element across the centralizer of its coset
 centralizer (l4_decompose) and conjugating an arbitrary element into a
@@ -98,7 +102,6 @@ class FittingData:
     fitting: SubgroupHandle
     p_cores: dict[int, SubgroupHandle]
     second_fitting: SubgroupHandle
-    complement: SubgroupHandle | None = None
 
 
 def fitting_subgroup(G: GroupTable) -> SubgroupHandle:
@@ -116,9 +119,8 @@ def fitting_subgroup(G: GroupTable) -> SubgroupHandle:
     return F
 
 
-def fitting_data(G: GroupTable, *, with_complement: bool = False,
-                 seed: int = 0) -> FittingData:
-    """Fitting subgroup, p-cores, second Fitting subgroup, optional complement."""
+def fitting_data(G: GroupTable) -> FittingData:
+    """Fitting subgroup, p-cores and second Fitting subgroup."""
     cores = {p: p_core(G, p) for p in prime_factors(G.n)}
     F = fitting_subgroup(G)
     if derived_series(G).is_solvable:
@@ -130,26 +132,19 @@ def fitting_data(G: GroupTable, *, with_complement: bool = False,
     q = quotient_group(G, F)
     fq = fitting_subgroup(q.quotient)
     F2 = SubgroupHandle(G, q.preimage(fq.members), is_normal=True)
-    comp = complement_search(G, F, seed=seed) if with_complement else None
-    return FittingData(F, cores, F2, comp)
+    return FittingData(F, cores, F2)
 
 
-def _is_complement(G: GroupTable, F: SubgroupHandle, members: np.ndarray) -> bool:
-    if len(members) * F.order != G.n:
-        return False
-    mask = np.zeros(G.n, dtype=bool)
-    mask[members] = True
-    return int((mask & F.mask).sum()) == 1
+def complement_search(G: GroupTable, F: SubgroupHandle) -> SubgroupHandle | None:
+    """Find T with T*F = G and trivial intersection, or None when none exists.
 
-
-def complement_search(G: GroupTable, F: SubgroupHandle, *, seed: int = 0,
-                      attempts: int = 10_000) -> SubgroupHandle | None:
-    """Find T with T*F = G and trivial intersection, or None.
-
-    Heuristic-first with a deterministic seed: closure of the quotient
-    section, then seeded random generation, then exhaustive search over
-    small generating sets.  Absence is a value; checks that need the
-    complement degrade to SKIP.
+    Exact depth-first search over lifts of the generators of Q = G/F.  A
+    complement maps isomorphically onto Q, so it holds exactly one element
+    of each generator's coset, of that generator's order in Q, and those
+    lifts generate it.  A branch picks one such lift per generator in turn
+    and closes the lifts chosen so far; it dies as soon as the closure
+    grows past |Q| or meets F beyond the identity.  A closure that survives
+    every generator maps onto Q injectively, so it is a complement.
     """
     if F.normality_witness() is not None:
         raise PreconditionError("complement search needs a normal subgroup")
@@ -159,53 +154,24 @@ def complement_search(G: GroupTable, F: SubgroupHandle, *, seed: int = 0,
     if F.order == 1:
         return full_subgroup(G)
     q = quotient_group(G, F)
+    Q = q.quotient
+    keeps_order = G.element_orders == Q.element_orders[q.projection]
+    lifts = [np.flatnonzero(keeps_order & (q.projection == c)) for c in Q.generators]
 
-    def capped(gens: np.ndarray) -> np.ndarray | None:
-        return _close_members(G.table, np.append(gens, 0), target)
+    def extend(members: np.ndarray, depth: int) -> np.ndarray | None:
+        if depth == len(lifts):
+            return members
+        for x in lifts[depth]:
+            got = _close_members(G.table, np.append(members, x), target)
+            if got is None or np.count_nonzero(F.mask[got]) > 1:
+                continue
+            found = extend(got, depth + 1)
+            if found is not None:
+                return found
+        return None
 
-    sect = capped(q.section)
-    if sect is not None and _is_complement(G, F, sect):
-        return SubgroupHandle(G, sect)
-
-    # elements that could sit inside a complement: order preserved in G/F
-    orders = G.element_orders
-    qorders = q.quotient.element_orders
-    cands = np.flatnonzero(orders == qorders[q.projection])
-    cands = cands[cands != 0]
-
-    rng = np.random.default_rng(seed)
-    if cands.size:
-        for _ in range(attempts):
-            k = int(rng.integers(1, 4))
-            gens = rng.choice(cands, size=min(k, cands.size), replace=False)
-            got = capped(gens)
-            if got is not None and _is_complement(G, F, got):
-                return SubgroupHandle(G, got)
-
-    # exhaustive over small generating sets, with combinatorial guards
-    singles = []
-    for x in cands:
-        got = capped(np.array([x]))
-        if got is None:
-            continue
-        if _is_complement(G, F, got):
-            return SubgroupHandle(G, got)
-        singles.append(x)
-    pool = np.array(singles, dtype=np.int64)
-    if pool.size and pool.size ** 2 <= 250_000:
-        for i, x in enumerate(pool):
-            for y in pool[i + 1:]:
-                got = capped(np.array([x, y]))
-                if got is not None and _is_complement(G, F, got):
-                    return SubgroupHandle(G, got)
-        if pool.size ** 3 <= 500_000:
-            for i, x in enumerate(pool):
-                for j, y in enumerate(pool[i + 1:], i + 1):
-                    for z in pool[j + 1:]:
-                        got = capped(np.array([x, y, z]))
-                        if got is not None and _is_complement(G, F, got):
-                            return SubgroupHandle(G, got)
-    return None
+    found = extend(np.zeros(1, dtype=np.int64), 0)
+    return None if found is None else SubgroupHandle(G, found)
 
 
 # -- constructive decompositions ------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import time
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -38,6 +37,7 @@ from .core import (
 from .indices import hypothesis_check, ind_rel, index_set, norms
 from .structure import (
     ca_decompose,
+    complement_search,
     fitting_data,
     is_a_group,
     l4_decompose,
@@ -84,10 +84,6 @@ def _report(G: GroupTable, lemma: str, status: str, note: str = "",
                               checked, skipped)
 
 
-def _group_seed(seed: int, label: str) -> int:
-    return zlib.crc32(f"{seed}:{label}".encode()) & 0x7FFFFFFF
-
-
 # -- basic divisibility and centralizer facts ----------------------------------
 
 
@@ -100,7 +96,7 @@ def _product_rule_break(G: GroupTable, xs: np.ndarray, y: int) -> int | None:
     return int(np.argmax(~good.all(axis=0)))
 
 
-def check_basic(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_basic(G: GroupTable) -> list[VerificationReport]:
     """Divisibility of orbit sizes under normal subgroups and quotients,
     centralizers of commuting coprime products, and centralizer images
     in quotients (with equality in the coprime case)."""
@@ -203,7 +199,7 @@ def check_cl2_action(spec) -> VerificationReport:
                {"stabilizer_sizes": stab_sizes.tolist()}, checked=1)
 
 
-def check_cl2(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_cl2(G: GroupTable) -> list[VerificationReport]:
     """Faithful coprime action of an abelian group on an abelian normal
     subgroup (by conjugation) always has a regular orbit."""
     cm = G.commute_matrix
@@ -251,7 +247,7 @@ def _coprime_split_ok(G: GroupTable, P: SubgroupHandle, a_list: np.ndarray):
     return int(np.argmax(~ok))
 
 
-def check_go(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_go(G: GroupTable) -> list[VerificationReport]:
     """Every abelian normal p-subgroup splits as fixed points times
     commutators under each element of coprime order."""
     orders = G.element_orders
@@ -276,6 +272,7 @@ def check_go(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
 
 
 def replay_go(G: GroupTable, P_members: list[int], a: int) -> bool:
+    G._check_index(a)
     P = SubgroupHandle(G, np.array(P_members))
     return _coprime_split_ok(G, P, np.array([a])) is None
 
@@ -286,7 +283,7 @@ def replay_go(G: GroupTable, P_members: list[int], a: int) -> bool:
 _CENTRE_BLOCK = 1 << 20   # booleans in one n x |H| x k comparison of check_centre
 
 
-def check_centre(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_centre(G: GroupTable) -> list[VerificationReport]:
     """When the centralizer of g covers the coset centralizer of gH exactly,
     centralizers multiply: C(hg) = C(h) n C(g) for every h in H.
 
@@ -323,7 +320,7 @@ def check_centre(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
     return [_report(G, "centre", PASS, note, None, checked, skipped)]
 
 
-def check_size(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_size(G: GroupTable) -> list[VerificationReport]:
     """An order-preserving translate hg of a coprime element g by the abelian
     normal p-subgroup H is an H-conjugate of g, with |C(hg)| = |C(g)|."""
     orders = G.element_orders
@@ -363,7 +360,7 @@ def _normal_p_subgroups(G: GroupTable, p: int) -> list[SubgroupHandle]:
     return [H for H in subgroups_of(G, limit=core) if H.is_normal]
 
 
-def check_l4(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_l4(G: GroupTable) -> list[VerificationReport]:
     """The centralizer-controlled splitting of p-elements outside a normal
     p-subgroup, whenever the coset centralizer strictly exceeds C(g)."""
     orders = G.element_orders
@@ -471,7 +468,7 @@ def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationRepor
         {**base, "missing": missing, "extra": extra} if missing or extra else None, 1)
 
 
-def check_bingo(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_bingo(G: GroupTable) -> list[VerificationReport]:
     """N(G) equals the index set of H |x G/H for every normal p-subgroup H
     at a prime with abelian Sylow subgroup; both inclusions reported."""
     tuples = bingo_tuples(G)
@@ -496,7 +493,7 @@ def replay_bingo(G: GroupTable, H_members: list[int]) -> bool:
     return not missing and not extra
 
 
-def check_key(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_key(G: GroupTable) -> list[VerificationReport]:
     """Collapsing the Fitting subgroup preserves the index set, the iterated
     per-prime collapse agrees, the two-step pairings certify, and the
     collapse is abelian exactly when G is."""
@@ -566,17 +563,17 @@ def check_key(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
 # -- Fitting complements -----------------------------------------------------------
 
 
-def check_ca(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_ca(G: GroupTable) -> list[VerificationReport]:
     """Fitting-complement splittings: fixed-point factorization of F under
     complement elements, conjugation into commuting (F, T) pairs, and the
     centralizer product rule with its index consequence."""
     if not is_a_group(G):
         return [_report(G, "ca", SKIP, "not an A-group")]
-    fd = fitting_data(G, with_complement=True, seed=seed)
-    if fd.complement is None:
+    F = fitting_data(G).fitting
+    T = complement_search(G, F)
+    if T is None:
         return [_report(G, "ca", SKIP,
                         "no Fitting complement found; splitting hypothesis unmet")]
-    F, T = fd.fitting, fd.complement
     cm = G.commute_matrix
     cg = centralizer_sizes(G)
     checked = 0
@@ -628,7 +625,7 @@ def cc_predicate(G: GroupTable, F: SubgroupHandle) -> tuple[bool, dict]:
     return True, {}
 
 
-def check_cc(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_cc(G: GroupTable) -> list[VerificationReport]:
     """Existence, inside F, of class sizes realizing the full p-part of |G/F|.
 
     Asserted for solvable A-groups; for non-solvable A-groups the predicate
@@ -651,7 +648,7 @@ def check_cc(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
 # -- the headline theorem ---------------------------------------------------------
 
 
-def check_theorem(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def check_theorem(G: GroupTable) -> list[VerificationReport]:
     """A-group whose index set contains every p-norm and the total norm
     must be abelian."""
     hc = hypothesis_check(G)
@@ -671,7 +668,7 @@ def check_theorem(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
 # -- exploratory predicates (never asserted) -----------------------------------------
 
 
-def explore_minimal_lemmas(G: GroupTable, *, seed: int = 0) -> list[VerificationReport]:
+def explore_minimal_lemmas(G: GroupTable) -> list[VerificationReport]:
     """Record statistics for the three statements that live inside the
     minimal-counterexample argument; they are observed on centerless
     A-groups with complements, never asserted."""
@@ -683,12 +680,13 @@ def explore_minimal_lemmas(G: GroupTable, *, seed: int = 0) -> list[Verification
         gate = "center is nontrivial"
     fd = None
     if gate is None:
-        fd = fitting_data(G, with_complement=True, seed=seed)
-        if fd.complement is None:
+        fd = fitting_data(G)
+        T = complement_search(G, fd.fitting)
+        if T is None:
             gate = "no complement found"
     if gate is not None:
         return [_report(G, lemma, SKIP, f"exploratory; {gate}") for lemma in EXPLORE_IDS]
-    F, T, F2 = fd.fitting, fd.complement, fd.second_fitting
+    F, F2 = fd.fitting, fd.second_fitting
     cg = centralizer_sizes(G)
     q = quotient_group(G, F)
     qc = centralizer_sizes(q.quotient)
@@ -732,7 +730,7 @@ def explore_minimal_lemmas(G: GroupTable, *, seed: int = 0) -> list[Verification
 # -- orchestration -------------------------------------------------------------------
 
 
-# Every check in report order, all with the signature (G, *, seed).  The
+# Every check in report order, all with the signature (G).  The
 # values are the functions themselves, so a caller can rebind an entry by
 # identity.
 _CHECKS = {
@@ -753,13 +751,16 @@ LEMMA_IDS = tuple(_CHECKS)
 
 def verify_group(G: GroupTable, lemmas=("all",), *, seed: int = 0,
                  explore: bool = False) -> list[VerificationReport]:
+    """Run the selected checks on G in report order, timing each one.
+
+    ``seed`` is accepted and ignored: every check is deterministic.
+    """
     wanted = set(lemmas)
     if "all" in wanted:
         wanted = set(LEMMA_IDS)
     unknown = wanted - set(LEMMA_IDS)
     if unknown:
         raise ValueError(f"unknown lemma ids: {sorted(unknown)}")
-    gseed = _group_seed(seed, G.label)
     checks = [_CHECKS[lemma] for lemma in LEMMA_IDS if lemma in wanted]
     if explore:
         checks.append(explore_minimal_lemmas)
@@ -767,7 +768,7 @@ def verify_group(G: GroupTable, lemmas=("all",), *, seed: int = 0,
     try:
         for check in checks:
             started = time.perf_counter()
-            reports = check(G, seed=gseed)
+            reports = check(G)
             millis = (time.perf_counter() - started) * 1000
             for r in reports:
                 r.millis = millis
@@ -797,8 +798,8 @@ class ScanResult:
         return out
 
 
-def _scan_one(G: GroupTable, *, lemmas, seed: int, explore: bool):
-    reports = verify_group(G, lemmas, seed=seed, explore=explore)
+def _scan_one(G: GroupTable, *, lemmas, explore: bool):
+    reports = verify_group(G, lemmas, explore=explore)
     cell = None
     for r in reports:
         if r.lemma_id == "theorem":
@@ -829,12 +830,12 @@ def _tally(results, started: float) -> ScanResult:
 _IN_FLIGHT_PER_JOB = 32
 
 
-def _scan_groups(groups, lemmas, seed: int, jobs: int, explore: bool) -> ScanResult:
+def _scan_groups(groups, lemmas, jobs: int, explore: bool) -> ScanResult:
     """Run ``_scan_one`` on each group of the stream: in this process at one
     job, otherwise in ``jobs`` worker processes.  Results are collected in
     stream order, so the result is the same at every job count."""
     started = time.perf_counter()
-    one = functools.partial(_scan_one, lemmas=tuple(lemmas), seed=seed, explore=explore)
+    one = functools.partial(_scan_one, lemmas=tuple(lemmas), explore=explore)
     if jobs == 1:
         return _tally([one(G) for G in groups], started)
     from concurrent.futures import ProcessPoolExecutor
@@ -851,7 +852,7 @@ def _scan_groups(groups, lemmas, seed: int, jobs: int, explore: bool) -> ScanRes
 
 def theorem_scan(groups) -> ScanResult:
     """Hypothesis-implies-abelian over any stream of groups, with cell counts."""
-    return _scan_groups(groups, ("theorem",), 0, 1, False)
+    return _scan_groups(groups, ("theorem",), 1, False)
 
 
 def scan(max_order: int, families=None, lemmas=("all",), *, seed: int = 7,
@@ -860,6 +861,7 @@ def scan(max_order: int, families=None, lemmas=("all",), *, seed: int = 7,
 
     The corpus is built once, here; workers receive its tables.  Reports
     come back sorted by (order, group, lemma) so output is identical
-    however the work was partitioned.
+    however the work was partitioned.  ``seed`` is accepted and ignored:
+    every check is deterministic.
     """
-    return _scan_groups(corpus(max_order, families), lemmas, seed, jobs, explore)
+    return _scan_groups(corpus(max_order, families), lemmas, jobs, explore)

@@ -40,6 +40,16 @@ def test_rejects_out_of_range_entry():
         core.GroupTable([[0, 1], [1, 5]])
 
 
+def test_rejects_entries_a_cast_would_change():
+    # an int32 cast would wrap 2**32 + 1 to 1 and truncate 1.7 to 1, turning
+    # both tables into a valid C2
+    wide = np.array([[0, 2**32 + 1], [1, 0]], dtype=np.int64)
+    with pytest.raises(core.InputError, match=r"closure violated at \(0,1\)"):
+        core.GroupTable(wide)
+    with pytest.raises(core.InputError, match="must be integers"):
+        core.GroupTable(np.array([[0.0, 1.7], [1.0, 0.0]]))
+
+
 def test_rejects_broken_identity():
     # row 0 reads 0,1,2 but column 0 does not
     with pytest.raises(core.InputError, match="identity violated"):
@@ -255,6 +265,12 @@ def test_closure_of_double_transpositions_is_v4(a4):
 def test_subgroup_handle_requires_identity(s3):
     with pytest.raises(core.PreconditionError, match="identity"):
         core.SubgroupHandle(s3, np.array([1, 2]))
+
+
+def test_subgroup_handle_rejects_out_of_range_members(s3):
+    for members in ([0, 6], [0, -1]):
+        with pytest.raises(core.InputError, match="out of range"):
+            core.SubgroupHandle(s3, np.array(members))
 
 
 # -- quotients ----------------------------------------------------------------------

@@ -156,6 +156,27 @@ def test_complement_nonexistent_for_c3_by_c4():
     assert structure.complement_search(G, F) is None
 
 
+def test_complement_search_is_exact_against_the_lattice():
+    """None exactly when no subgroup of the full lattice complements N, and
+    otherwise one of those complements, for every normal N."""
+    groups = [*cons.corpus(32),
+              cons.direct_product(cons.abelian_group((2, 2, 2)), cons.symmetric(3))]
+    split = 0
+    for G in groups:
+        lattice = core._generic_subgroups(G)
+        for N in core.normal_subgroups(G):
+            complements = {tuple(S.tolist()) for S in lattice
+                           if S.size * N.order == G.n and N.mask[S].sum() == 1}
+            T = structure.complement_search(G, N)
+            if T is None:
+                assert not complements, (G.label, N.members.tolist())
+            else:
+                assert tuple(T.members.tolist()) in complements, (G.label, N.order)
+                split += 1
+        core.release_memo(G)
+    assert split
+
+
 def test_complement_requires_normal(s3):
     h2 = next(H for H in core.subgroups_of(s3) if H.order == 2)
     with pytest.raises(core.PreconditionError, match="normal"):
@@ -229,8 +250,8 @@ def test_l4_rejects_bad_inputs(a4):
 
 
 def test_ca_decompose_trivial_cases(a4):
-    fd = structure.fitting_data(a4, with_complement=True, seed=5)
-    F, T = fd.fitting, fd.complement
+    F = structure.fitting_data(a4).fitting
+    T = structure.complement_search(a4, F)
     g_f = int(F.members[1])
     split = structure.ca_decompose(a4, F, T, g_f)
     assert (split.k, split.x, split.y) == (0, g_f, 0)
@@ -253,8 +274,8 @@ def test_ca_decompose_requires_normal_f(s3):
 ])
 def test_ca_decompose_postconditions_everywhere(build):
     G = build()
-    fd = structure.fitting_data(G, with_complement=True, seed=11)
-    F, T = fd.fitting, fd.complement
+    F = structure.fitting_data(G).fitting
+    T = structure.complement_search(G, F)
     assert T is not None
     for g in range(G.n):
         split = structure.ca_decompose(G, F, T, g)

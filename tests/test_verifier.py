@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from agroups import constructions as cons, core, fileio, verifier
-from agroups.structure import fitting_data
+from agroups.structure import complement_search, fitting_data, p_core
 
 
 def _statuses(reports):
@@ -96,6 +96,16 @@ def test_replay_go_passes_on_real_tuple(a4):
     v4 = next(H for H in core.normal_subgroups(a4) if H.order == 4)
     g3 = next(x for x in range(12) if a4.order_of(x) == 3)
     assert verifier.replay_go(a4, v4.members.tolist(), g3)
+
+
+def test_replays_reject_out_of_range_elements(a4):
+    P = p_core(a4, 2).members.tolist()
+    with pytest.raises(core.InputError, match="out of range"):
+        verifier.replay_go(a4, P, -1)
+    with pytest.raises(core.InputError, match="out of range"):
+        verifier.replay_go(a4, [0, 12], 1)
+    with pytest.raises(core.InputError, match="out of range"):
+        verifier.replay_bingo(a4, [0, 12])
 
 
 def test_bingo_comparator_detects_untwisted_product(s3):
@@ -312,12 +322,22 @@ def test_scan_report_matches_pinned_digest(tmp_path):
         "61ed584f2fb5a4a401f998807c4d6343fb85683c9451a30dd3e158c75bf2a3b2")
 
 
+def test_scan_report_does_not_depend_on_the_seed(tmp_path):
+    reports = []
+    for seed in (7, 8):
+        path = tmp_path / f"seed{seed}.jsonl"
+        fileio.write_report_file(
+            verifier.scan(32, lemmas=("ca", "key", "cc"), seed=seed).reports, path)
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_every_lemma_runs_through_the_registry(a4):
     assert verifier.LEMMA_IDS == tuple(verifier._CHECKS)
     for lemma in verifier.LEMMA_IDS:
         check = verifier._CHECKS[lemma]
         assert check is getattr(verifier, f"check_{lemma}")
-        reports = check(a4, seed=3)
+        reports = check(a4)
         assert reports and all(r.status != "FAIL" for r in reports)
         assert reports[0].lemma_id.startswith(lemma)
 
@@ -355,7 +375,7 @@ def test_ca_builds_each_fitting_commutator_once(monkeypatch):
     monkeypatch.setattr(core, "_close_members", counting)
     (report,) = verifier.verify_group(G, ("ca",), seed=7)
     assert report.status == "PASS" and G._memo == {}
-    T = fitting_data(G, with_complement=True, seed=verifier._group_seed(7, G.label)).complement
+    T = complement_search(G, fitting_data(G).fitting)
     assert 0 < len(runs) <= T.order < G.n
 
 
@@ -363,7 +383,7 @@ def test_ca_builds_each_fitting_commutator_once(monkeypatch):
 
 
 def test_key_runs_iterated_construction(a4):
-    reports = verifier.check_key(cons.direct_product(a4, cons.cyclic(5)), seed=2)
+    reports = verifier.check_key(cons.direct_product(a4, cons.cyclic(5)))
     st = {r.lemma_id: r for r in reports}
     assert st["key"].status == "PASS"
     # fitting has two primes (2 and 5) so one pairing witness ran
@@ -372,6 +392,6 @@ def test_key_runs_iterated_construction(a4):
 
 
 def test_key_iff_on_abelian():
-    reports = verifier.check_key(cons.abelian_group((4, 3)), seed=2)
+    reports = verifier.check_key(cons.abelian_group((4, 3)))
     st = {r.lemma_id: r.status for r in reports}
     assert st == {"key": "PASS", "key_iff": "PASS"}
