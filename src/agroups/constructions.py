@@ -30,7 +30,7 @@ from .core import (
     prime_factors,
     quotient_group,
     subgroup_closure,
-    conjugacy_classes,
+    centralizer_sizes,
     memoized,
 )
 
@@ -286,6 +286,20 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
     return NaturalSemidirect(group, G, H, q)
 
 
+@memoized
+def collapse(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
+    """``natural_semidirect(G, H)``, memoized on G.
+
+    The key check asks for the same product several times: its single
+    collapse, its iterated steps and the three products of each two-step
+    pairing overlap.  Each one is built and axiom-checked once per
+    verification and freed when G's memo is released.  The per-H products
+    of the bingo check call ``natural_semidirect`` directly, so none of
+    them is retained.
+    """
+    return natural_semidirect(G, H)
+
+
 # -- the two-step collapse isomorphism ---------------------------------------
 
 
@@ -323,7 +337,7 @@ def two_step_collapse_witness(G: GroupTable, H: SubgroupHandle,
     if int((H.mask & N.mask).sum()) != 1:
         raise PreconditionError("H and N must intersect trivially")
 
-    G1 = natural_semidirect(G, H)
+    G1 = collapse(G, H)
     n1_members = embedded_coset_image(G1, N.members)
     N1 = SubgroupHandle(G1.group, n1_members)
     if len(n1_members) != N.order:
@@ -334,9 +348,9 @@ def two_step_collapse_witness(G: GroupTable, H: SubgroupHandle,
     if not N1.is_abelian:
         return IsomorphismWitness(False, "embedded N is not abelian")
 
-    G2 = natural_semidirect(G1.group, N1)
+    G2 = collapse(G1.group, N1)
     HN = subgroup_closure(G, np.append(H.members, N.members))
-    G3 = natural_semidirect(G, HN)
+    G3 = collapse(G, HN)
 
     # factor each m in HN uniquely as h * n
     inv = G.inverse_table
@@ -532,9 +546,14 @@ def _abelian_types(n: int) -> list[tuple[int, ...]]:
 
 
 def _fingerprint(G: GroupTable) -> tuple:
-    sizes = tuple(sorted(conjugacy_classes(G).sizes))
-    orders = tuple(sorted(int(o) for o in G.element_orders))
-    return (G.n, sizes, orders)
+    """(order, sorted class sizes, sorted element orders).
+
+    The class sizes come from the centralizer orders by orbit-stabilizer:
+    a class size s that c elements have stands for c/s classes of size s.
+    """
+    sizes, counts = np.unique(G.n // centralizer_sizes(G), return_counts=True)
+    classes = tuple(np.repeat(sizes, counts // sizes).tolist())
+    return (G.n, classes, tuple(np.sort(G.element_orders).tolist()))
 
 
 def corpus(max_order: int, families=None):

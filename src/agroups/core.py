@@ -19,10 +19,12 @@ Per-element tables (inverses, orders, commuting and conjugation tables, a
 generating set) are cached properties.  Every other derivation worth keeping
 -- subgroup lists, Sylow subgroups, p-cores, quotients, the commutators
 [F, y] of the Fitting splitting, automorphisms and their tables -- goes
-through one decorator, ``memoized``, into one dict on the table.  Its
-handles point back at the table, so ``release_memo`` empties it once a
-caller is done with the group, and the table is freed without waiting for
-the cyclic garbage collector.
+through one decorator, ``memoized``, into one dict on the table; so do the
+coset-action products of the key check, which the collapse and the two-step
+pairings share.  Its handles point back at the table, so ``release_memo``
+empties it, and the memo of every table it held, once a caller is done with
+the group, and the tables are freed without waiting for the cyclic garbage
+collector.
 """
 
 from __future__ import annotations
@@ -109,8 +111,9 @@ def _close_mask(table: np.ndarray, mask: np.ndarray,
     """Close the member set of a boolean mask (identity included) in place.
 
     Each round squares the member set, marking every product in the mask
-    (no sort of the |m|^2 products), until it stops growing; returns the
-    sorted members, or None as soon as they number more than ``cap``.
+    (no sort of the |m|^2 products), until it stops growing or holds the
+    whole group; returns the sorted members, or None as soon as they number
+    more than ``cap``.
     """
     members = np.flatnonzero(mask)
     while True:
@@ -118,7 +121,7 @@ def _close_mask(table: np.ndarray, mask: np.ndarray,
         grown = np.flatnonzero(mask)
         if cap is not None and grown.size > cap:
             return None
-        if grown.size == members.size:
+        if grown.size == members.size or grown.size == len(mask):
             return grown
         members = grown
 
@@ -386,8 +389,29 @@ def memoized(fn):
 
 
 def release_memo(G: GroupTable) -> None:
-    """Drop every memoized derivation of G (they are rebuilt on demand)."""
+    """Drop every memoized derivation of G (they are rebuilt on demand), and
+    release in turn each table a dropped derivation holds -- a quotient, a
+    coset-action product -- whose own memo would otherwise keep it in a
+    reference cycle through its handles."""
+    dropped = list(G._memo.values())
     G._memo.clear()
+    for value in dropped:
+        for table in _tables_held(value):
+            release_memo(table)
+
+
+def _tables_held(value) -> list[GroupTable]:
+    """The tables a memoized value holds, directly, in a tuple, or as an
+    attribute of a result object (nested result objects included)."""
+    if isinstance(value, GroupTable):
+        return [value]
+    if isinstance(value, tuple):
+        items = value
+    elif hasattr(value, "__dict__"):
+        items = vars(value).values()
+    else:
+        return []
+    return [table for item in items for table in _tables_held(item)]
 
 
 def subgroup_closure(G: GroupTable, gens) -> SubgroupHandle:

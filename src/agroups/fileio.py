@@ -52,12 +52,13 @@ def load_cayley(text: str, label: str = "") -> GroupTable:
     n = values[0]
     if n < 1 or len(values) != 1 + n * n:
         raise InputError(f"cayley file declares n={n} but carries {len(values) - 1} entries")
-    table = np.array(values[1:], dtype=np.int64).reshape(n, n)
-    bad = np.argwhere((table < 0) | (table >= n))
-    if bad.size:
-        a, b = map(int, bad[0])
+    # range-checked as Python ints, so an entry past int64 is an input error too
+    bad = next((i for i, v in enumerate(values[1:]) if not 0 <= v < n), None)
+    if bad is not None:
+        a, b = divmod(bad, n)
         raise InputError(
-            f"closure violated at ({a},{b}): entry {int(table[a, b])} not in [0,{n})")
+            f"closure violated at ({a},{b}): entry {values[1 + bad]} not in [0,{n})")
+    table = np.array(values[1:], dtype=np.int64).reshape(n, n)
     e = find_identity(table)
     if e is None:
         raise InputError("identity violated: no two-sided identity element")

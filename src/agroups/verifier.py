@@ -44,7 +44,12 @@ from .structure import (
     p_core,
     sylow_subgroup,
 )
-from .constructions import corpus, natural_semidirect, two_step_collapse_witness
+from .constructions import (
+    collapse,
+    corpus,
+    natural_semidirect,
+    two_step_collapse_witness,
+)
 
 EXPLORE_IDS = ("perfect", "primeiro", "segundo")
 
@@ -373,14 +378,11 @@ def check_l4(G: GroupTable) -> list[VerificationReport]:
             [int(o) > 1 and p_part(int(o), p) == int(o) for o in orders]))
         for H in _normal_p_subgroups(G, p):
             q = quotient_group(G, H)
-            qcm = q.quotient.commute_matrix
-            for g in p_elts:
-                if H.mask[g]:
-                    continue
-                t_size = int(qcm[:, q.projection[g]].sum()) * H.order
-                if t_size == cg[g]:
-                    trivial += 1
-                    continue
+            outside = p_elts[~H.mask[p_elts]]
+            # the coset centralizer already equals C(g): trivially split
+            full = centralizer_sizes(q.quotient)[q.projection[outside]] * H.order == cg[outside]
+            trivial += int(full.sum())
+            for g in outside[~full]:
                 checked += 1
                 try:
                     split = l4_decompose(G, H, int(g))
@@ -503,7 +505,7 @@ def check_key(G: GroupTable) -> list[VerificationReport]:
     fd = fitting_data(G)
     F = fd.fitting
     ng = index_set(G)
-    single = natural_semidirect(G, F)
+    single = collapse(G, F)
     n_single = index_set(single.group)
     checked = 1
     if n_single.sizes != ng.sizes:
@@ -524,7 +526,7 @@ def check_key(G: GroupTable) -> list[VerificationReport]:
                             {"p": p}, checked),
                     _report(G, "key_iff", SKIP, "iterated embedding failed")]
         try:
-            ns = natural_semidirect(cur, SubgroupHandle(cur, image))
+            ns = collapse(cur, SubgroupHandle(cur, image))
         except (PreconditionError, LemmaViolation) as exc:
             return [_report(G, "key", FAIL,
                             f"embedded p-core at prime {p} broke the construction: {exc}",

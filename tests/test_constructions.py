@@ -324,5 +324,13 @@ def test_corpus_families_selector():
         list(cons.corpus(20, families=("nosuch",)))
 
 
+def test_fingerprint_matches_the_class_partition():
+    # the class sizes from centralizer orders equal those of the explicit classes
+    for G in cons.corpus(48):
+        want = (G.n, tuple(sorted(core.conjugacy_classes(G).sizes)),
+                tuple(sorted(int(o) for o in G.element_orders)))
+        assert cons._fingerprint(G) == want, G.label
+
+
 def test_corpus_orders_respect_bound(corpus_100):
     assert all(g.n <= 100 for g in corpus_100)

@@ -104,6 +104,15 @@ def test_perm_loader_rejects_non_integer_token(tmp_path, capsys):
     assert "'1 a 2'" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_cayley_entry_past_int64(tmp_path, capsys):
+    path = tmp_path / "big.grp"
+    path.write_text("2\n0 1\n1 99999999999999999999\n")
+    with pytest.raises(core.InputError, match=r"closure violated at \(1,1\)"):
+        fileio.load_group(str(path))
+    assert cli.main(["info", str(path)]) == 2
+    assert "99999999999999999999 not in [0,2)" in capsys.readouterr().err
+
+
 def test_empty_group_files_are_named(tmp_path, capsys):
     for name in ("empty.perm", "blank.grp"):
         path = tmp_path / name

@@ -391,6 +391,50 @@ def test_key_runs_iterated_construction(a4):
     assert st["key_iff"].status == "PASS"
 
 
+@pytest.mark.parametrize("recipe, builds", [
+    ("dihedral(5)", 1),                            # one nontrivial p-core
+    ("dp(cyclic(5),sym(3))", 3),                   # two
+    ("dp(dp(cyclic(5),sym(3)),cyclic(7))", 6),     # three
+])
+def test_key_builds_each_coset_action_product_once(recipe, builds, monkeypatch):
+    G = fileio.build_recipe(recipe)
+    calls = []
+    real = cons.natural_semidirect
+    monkeypatch.setattr(cons, "natural_semidirect",
+                        lambda G, H: calls.append((G, H.key())) or real(G, H))
+    reports = verifier.verify_group(G, ("key",))
+    assert _statuses(reports) == {"key": "PASS", "key_iff": "PASS"}
+    # the list keeps every base table alive, so no two share an id()
+    assert len(calls) == len({(id(T), mask) for T, mask in calls}) == builds
+    assert G._memo == {}
+
+
+def test_bingo_retains_no_coset_action_product():
+    G = cons.abelian_group((2, 2, 2))
+    verifier.check_bingo(G)
+    kept = [v for v in G._memo.values() if isinstance(v, cons.NaturalSemidirect)]
+    assert G._memo and kept == []
+
+
+def test_key_check_tables_are_freed_without_the_cyclic_collector(monkeypatch):
+    built = []
+    init = core.GroupTable.__init__
+
+    def tracking(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    G = cons.dihedral(6)
+    monkeypatch.setattr(core.GroupTable, "__init__", tracking)
+    gc.disable()
+    try:
+        verifier.verify_group(G, ("key",))
+        alive = [r() for r in built if r() is not None]
+        assert len(built) >= 5 and alive == []
+    finally:
+        gc.enable()
+
+
 def test_key_iff_on_abelian():
     reports = verifier.check_key(cons.abelian_group((4, 3)))
     st = {r.lemma_id: r.status for r in reports}
