@@ -32,6 +32,7 @@ from .core import (
     subgroup_closure,
     centralizer_sizes,
     memoized,
+    release_memo,
 )
 
 
@@ -556,12 +557,50 @@ def _fingerprint(G: GroupTable) -> tuple:
     return (G.n, classes, tuple(np.sort(G.element_orders).tolist()))
 
 
+def _orbit_representatives(acted: GroupTable, acting: GroupTable):
+    """Yield (k, action) for the first nontrivial action of each orbit of
+    Aut(acted) x Aut(acting) on ``action_homs(acted, acting)``.
+
+    (alpha, beta) maps phi to psi[x, b] = alpha^-1(phi[alpha(x), beta(b)]),
+    and (a, b) -> (alpha^-1(a), beta^-1(b)) is an isomorphism from
+    acted |x_phi acting onto acted |x_psi acting, so one product per orbit
+    stands for all of them.  The trivial action is its own orbit and is
+    never yielded.  The orbit arrays are built one beta at a time, in the
+    smallest dtype that holds an element of acted.
+    """
+    homs = action_homs(acted, acting)
+    dtype = np.min_scalar_type(acted.n - 1)
+    alphas = np.stack(automorphisms(acted)).astype(dtype)
+    inverses = np.argsort(alphas, axis=1).astype(dtype)
+    rows = np.arange(len(alphas))[:, None, None]
+    index = {h.astype(dtype).tobytes(): k for k, h in enumerate(homs)}
+    done = np.zeros(len(homs), dtype=bool)
+    done[0] = True
+    for k, action in enumerate(homs):
+        if done[k]:
+            continue
+        compact = action.astype(dtype)
+        for beta in automorphisms(acting):
+            for psi in inverses[rows, compact[:, beta][alphas]]:
+                done[index[psi.tobytes()]] = True
+        yield k, action
+
+
 def corpus(max_order: int, families=None):
     """Deterministic stream of corpus groups, deduplicated by table identity.
 
     Isomorphic duplicates with different tables are allowed and harmless;
     the semidirect catalogue additionally drops repeats with an identical
     (order, class sizes, element orders) fingerprint to keep it small.
+
+    The catalogue builds one candidate per orbit of Aut(acted) x
+    Aut(acting) on the actions (``_orbit_representatives``).  The other
+    actions of an orbit give isomorphic products, whose fingerprint the
+    orbit's first product has already entered, so they would all be
+    dropped: skipping them unbuilt leaves the stream unchanged.  Each
+    abelian type's table is built once per call, as ``abelian_group``
+    builds it, and shared by the abelian family, the product factors and
+    the catalogue; the catalogue releases the memos it filled on them.
     """
     if max_order > max_order_cap():
         raise InputError(f"max_order {max_order} beyond cap {max_order_cap()}")
@@ -578,13 +617,26 @@ def corpus(max_order: int, families=None):
         seen.add(key)
         return True
 
+    shared: dict[tuple[int, ...], GroupTable] = {}
+
+    def abelian(typ: tuple[int, ...]) -> GroupTable:
+        """``abelian_group(typ)``'s table, from the shared shorter type and
+        the last cyclic factor by the same left fold."""
+        if typ not in shared:
+            label = f"abelian({','.join(map(str, typ))})"
+            if len(typ) == 1:
+                shared[typ] = GroupTable(cyclic(typ[0]).table, label=label, trusted=True)
+            else:
+                shared[typ] = direct_product(abelian(typ[:-1]), abelian(typ[-1:]), label)
+        return shared[typ]
+
     base_nonabelian: list[GroupTable] = []
     abelian_tables: list[GroupTable] = []
 
     if "abelian" in chosen:
         for n in range(1, max_order + 1):
             for typ in _abelian_types(n):
-                G = abelian_group(typ) if typ else cyclic(1)
+                G = abelian(typ) if typ else cyclic(1)
                 abelian_tables.append(G)
                 if fresh(G):
                     yield G
@@ -651,28 +703,31 @@ def corpus(max_order: int, families=None):
                 yield G
     if "semidirect" in chosen:
         fingerprints: set[tuple] = set()
-        for acted_type in _SD_CATALOGUE_ACTED:
-            acted_order = int(np.prod(acted_type))
-            if acted_order * 2 > max_order:
-                continue
-            acted = abelian_group(acted_type)
-            for acting_type in _SD_CATALOGUE_ACTING:
-                acting_order = int(np.prod(acting_type))
-                if acted_order * acting_order > max_order:
+        try:
+            for acted_type in _SD_CATALOGUE_ACTED:
+                acted_order = int(np.prod(acted_type))
+                if acted_order * 2 > max_order:
                     continue
-                acting = abelian_group(acting_type)
-                for k, action in enumerate(action_homs(acted, acting)):
-                    if k == 0:
-                        continue  # trivial action: a direct product, already present
-                    spec = ActionSpec(acting=acting, acted=acted, action=action)
-                    G = semidirect_product(
-                        spec, label=f"sd({acted.label},{acting.label},{k})")
-                    fp = _fingerprint(G)
-                    if fp in fingerprints:
+                acted = abelian(acted_type)
+                for acting_type in _SD_CATALOGUE_ACTING:
+                    acting_order = int(np.prod(acting_type))
+                    if acted_order * acting_order > max_order:
                         continue
-                    fingerprints.add(fp)
-                    if fresh(G):
-                        yield G
+                    acting = abelian(acting_type)
+                    for k, action in _orbit_representatives(acted, acting):
+                        spec = ActionSpec(acting=acting, acted=acted, action=action)
+                        G = semidirect_product(
+                            spec, label=f"sd({acted.label},{acting.label},{k})")
+                        fp = _fingerprint(G)
+                        if fp in fingerprints:
+                            continue
+                        fingerprints.add(fp)
+                        if fresh(G):
+                            yield G
+                release_memo(acted)
+        finally:
+            for G in shared.values():
+                release_memo(G)
 
 
 def _factorial(n: int) -> int:

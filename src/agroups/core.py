@@ -17,11 +17,11 @@ place, until the set stops growing.
 
 Per-element tables (inverses, orders, commuting and conjugation tables, a
 generating set) are cached properties.  Every other derivation worth keeping
--- subgroup lists, Sylow subgroups, p-cores, quotients, the commutators
-[F, y] of the Fitting splitting, automorphisms and their tables -- goes
-through one decorator, ``memoized``, into one dict on the table; so do the
-coset-action products of the key check, which the collapse and the two-step
-pairings share.  Its handles point back at the table, so ``release_memo``
+-- subgroup lists, Sylow subgroups, p-cores, quotients, the derived
+series, the Fitting data, the commutators [F, y] of the Fitting splitting,
+automorphisms and their tables -- goes through one decorator,
+``memoized``, into one dict on the table; so do the coset-action products
+of the key check, which the collapse and the two-step pairings share.  Its handles point back at the table, so ``release_memo``
 empties it, and the memo of every table it held, once a caller is done with
 the group, and the tables are freed without waiting for the cyclic garbage
 collector.
@@ -558,6 +558,7 @@ def commutator_subgroup(G: GroupTable, H: SubgroupHandle) -> SubgroupHandle:
     return SubgroupHandle(G, members)
 
 
+@memoized
 def derived_series(G: GroupTable) -> DerivedSeries:
     series = [full_subgroup(G)]
     while True:

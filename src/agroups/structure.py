@@ -119,8 +119,12 @@ def fitting_subgroup(G: GroupTable) -> SubgroupHandle:
     return F
 
 
+@memoized
 def fitting_data(G: GroupTable) -> FittingData:
-    """Fitting subgroup, p-cores and second Fitting subgroup."""
+    """Fitting subgroup, p-cores and second Fitting subgroup.
+
+    Memoized: the key, ca and cc checks each ask for it on the same table.
+    """
     cores = {p: p_core(G, p) for p in prime_factors(G.n)}
     F = fitting_subgroup(G)
     if derived_series(G).is_solvable:

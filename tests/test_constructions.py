@@ -1,5 +1,9 @@
 """Family constructors, products, the coset-action product, and the corpus."""
 
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +283,36 @@ def test_automorphism_table_matches_composition_oracle(build):
     assert table.label == f"aut({G.label})"
 
 
+def test_catalogue_orbit_maps_are_isomorphisms():
+    # psi[x, b] = alpha^-1(phi[alpha(x), beta(b)]) is again an action, and
+    # (a, b) -> (alpha^-1(a), beta^-1(b)) maps the phi-product onto the psi-product.
+    # A bijection f with f(x g) = f(x) f(g) for all x and generators g is a homomorphism.
+    pairs = 0
+    for acted_type in cons._SD_CATALOGUE_ACTED:
+        for acting_type in cons._SD_CATALOGUE_ACTING:
+            if np.prod(acted_type) * np.prod(acting_type) > 48:
+                continue
+            A, B = cons.abelian_group(acted_type), cons.abelian_group(acting_type)
+            homs = cons.action_homs(A, B)
+            products = {h.tobytes(): cons.semidirect_product(cons.ActionSpec(B, A, h))
+                        for h in homs}
+            alphas = np.stack(cons.automorphisms(A))
+            alpha_inv = np.argsort(alphas, axis=1)
+            rows = np.arange(len(alphas))[:, None, None]
+            for phi in homs:
+                source = products[phi.tobytes()]
+                gens = source.generators
+                for beta in cons.automorphisms(B):
+                    psis = alpha_inv[rows, phi[alphas][:, :, beta]]
+                    targets = np.stack([products[psi.tobytes()].table for psi in psis])
+                    f = (alpha_inv[:, :, None] * B.n + np.argsort(beta)).reshape(len(psis), -1)
+                    images = f[rows, source.table[:, gens]]
+                    products_of_images = targets[rows, f[:, :, None], f[:, None, gens]]
+                    assert np.array_equal(images, products_of_images), (A.label, B.label)
+                    pairs += len(psis)
+    assert pairs == 256_348
+
+
 def test_corpus_builds_each_automorphism_table_once(monkeypatch):
     labels = []
     real = cons.perm_table
@@ -312,9 +346,60 @@ def test_corpus_100_size_and_negative_control(corpus_100):
 
 
 def test_corpus_is_deterministic():
-    a = [g.label for g in cons.corpus(40)]
-    b = [g.label for g in cons.corpus(40)]
+    a = [(g.label, g.key()) for g in cons.corpus(40)]
+    b = [(g.label, g.key()) for g in cons.corpus(40)]
     assert a == b
+
+
+def _corpus_digest(groups) -> str:
+    h = hashlib.sha256()
+    for G in groups:
+        h.update(G.label.encode() + b"\n" + G.table.tobytes())
+    return h.hexdigest()
+
+
+def test_corpus_bytes_are_pinned(corpus_100):
+    # the labels and int32 table bytes of the whole stream, in order
+    assert _corpus_digest(cons.corpus(60)) == (
+        "256251bed8d0d1f66195efc3f3eb30c757f79f1023c451e57d42fc101c7fb9e2")
+    assert _corpus_digest(corpus_100) == (
+        "9690f2f142a93ba3bdc449a1e4170286745c03d227118e6757d9d50e3b0a64f0")
+    assert _corpus_digest(cons.corpus(60, families=("products", "semidirect"))) == (
+        "c26b3153915cc26bdef2a4744aac258b24047443355f46c263b141a7ea52a360")
+
+
+def test_corpus_builds_one_candidate_per_action_orbit(monkeypatch):
+    sd_labels, built = [], []
+    real_sd = cons.semidirect_product
+
+    class Recording(core.GroupTable):
+        def __init__(self, table, label="", **kwargs):
+            built.append(label)
+            super().__init__(table, label, **kwargs)
+
+    monkeypatch.setattr(cons, "semidirect_product",
+                        lambda spec, label=None: sd_labels.append(label) or real_sd(spec, label))
+    monkeypatch.setattr(cons, "GroupTable", Recording)
+    assert len(list(cons.corpus(60))) == 343
+    assert len([lb for lb in sd_labels if lb.startswith("sd(")]) == 192
+    abelian = [lb for lb in built if lb.startswith("abelian(")]
+    assert len(abelian) == len(set(abelian)) == 114     # each abelian type once
+
+
+def test_corpus_releases_the_catalogue_memos(monkeypatch):
+    used = []
+    real = cons.action_homs
+    monkeypatch.setattr(cons, "action_homs", lambda acted, acting: used.extend(
+        (weakref.ref(acted), weakref.ref(acting))) or real(acted, acting))
+    gc.disable()
+    try:
+        groups = list(cons.corpus(60))
+        alive = [r() for r in used if r() is not None]
+        assert len(used) > 100 and alive
+        assert all(G._memo == {} for G in alive)
+        assert all(G._memo == {} for G in groups)
+    finally:
+        gc.enable()
 
 
 def test_corpus_families_selector():

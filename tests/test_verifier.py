@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from agroups import constructions as cons, core, fileio, verifier
+from agroups import constructions as cons, core, fileio, structure, verifier
 from agroups.structure import complement_search, fitting_data, p_core
 
 
@@ -377,6 +377,22 @@ def test_ca_builds_each_fitting_commutator_once(monkeypatch):
     assert report.status == "PASS" and G._memo == {}
     T = complement_search(G, fitting_data(G).fitting)
     assert 0 < len(runs) <= T.order < G.n
+
+
+def test_fitting_data_and_derived_series_run_once_per_verification(monkeypatch):
+    G = fileio.build_recipe("dp(cyclic(5),sym(3))")
+    fitting, commutators = [], []
+    real_fitting, real_commutator = structure.fitting_subgroup, core.commutator_subgroup
+    monkeypatch.setattr(structure, "fitting_subgroup",
+                        lambda T: fitting.append(T) or real_fitting(T))
+    monkeypatch.setattr(core, "commutator_subgroup",
+                        lambda T, H: commutators.append(T) or real_commutator(T, H))
+    reports = verifier.verify_group(G, ("key", "ca", "cc"))
+    assert {r.status for r in reports} == {"PASS"}
+    # one fitting_data body (F of G, then of G/F) and one derived series (G > C15 > 1)
+    assert len(fitting) == 2 and fitting[0] is G
+    assert len(commutators) == 2 and all(T is G for T in commutators)
+    assert G._memo == {}
 
 
 # -- key check internals ----------------------------------------------------------------
