@@ -13,6 +13,7 @@ identity pair at index 0.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -259,9 +260,8 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
         i, j = map(int, np.argwhere(~cm)[0])
         raise PreconditionError("H must be abelian",
                                 {"a": int(m[i]), "b": int(m[j])})
-    witness = H.normality_witness()
-    if witness is not None:
-        g, h = witness
+    if not H.is_normal:
+        g, h = H.normality_witness()
         raise PreconditionError("H must be normal",
                                 {"g": g, "h": h, "conjugate": G.conj(h, g)})
     q = quotient_group(G, H)
@@ -333,7 +333,7 @@ def two_step_collapse_witness(G: GroupTable, H: SubgroupHandle,
     for S, name in ((H, "H"), (N, "N")):
         if not S.is_abelian:
             raise PreconditionError(f"{name} must be abelian")
-        if S.normality_witness() is not None:
+        if not S.is_normal:
             raise PreconditionError(f"{name} must be normal")
     if int((H.mask & N.mask).sum()) != 1:
         raise PreconditionError("H and N must intersect trivially")
@@ -601,6 +601,14 @@ def corpus(max_order: int, families=None):
     abelian type's table is built once per call, as ``abelian_group``
     builds it, and shared by the abelian family, the product factors and
     the catalogue; the catalogue releases the memos it filled on them.
+
+    The identity dedup keys each yielded table by its order and the
+    SHA-256 digest of its bytes, 32 bytes in place of the n^2 int32 entries.
+    Two distinct tables share a key only on a SHA-256 collision.  The
+    tables are built by fixed constructions, not chosen to collide, so by
+    the birthday bound a collision among the m keys of one call has
+    probability below m^2 / 2^257: under 2^-200 for any m below 2^28.  So
+    the stream is the one a dedup on the full bytes gives.
     """
     if max_order > max_order_cap():
         raise InputError(f"max_order {max_order} beyond cap {max_order_cap()}")
@@ -608,10 +616,10 @@ def corpus(max_order: int, families=None):
     unknown = set(chosen) - set(FAMILIES)
     if unknown:
         raise InputError(f"unknown families: {sorted(unknown)}")
-    seen: set[bytes] = set()
+    seen: set[tuple[int, bytes]] = set()
 
     def fresh(G: GroupTable) -> bool:
-        key = G.key()
+        key = (G.n, hashlib.sha256(G.key()).digest())
         if key in seen:
             return False
         seen.add(key)

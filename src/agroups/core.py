@@ -15,16 +15,21 @@ axiom check, capped complement candidates -- runs one kernel, ``_close_mask``:
 square the member set and mark the products in a boolean mask filled in
 place, until the set stops growing.
 
-Per-element tables (inverses, orders, commuting and conjugation tables, a
-generating set) are cached properties.  Every other derivation worth keeping
--- subgroup lists, Sylow subgroups, p-cores, quotients, the derived
-series, the Fitting data, the commutators [F, y] of the Fitting splitting,
-automorphisms and their tables -- goes through one decorator,
-``memoized``, into one dict on the table; so do the coset-action products
-of the key check, which the collapse and the two-step pairings share.  Its handles point back at the table, so ``release_memo``
-empties it, and the memo of every table it held, once a caller is done with
-the group, and the tables are freed without waiting for the cyclic garbage
-collector.
+Per-element tables (inverses, orders, commuting, conjugation and commutator
+tables, a generating set) are cached properties.  Coset centralizers are
+read from the commutator table rather than from a quotient: xK and yK
+commute in G/K iff [x, y] lies in K, so ``coset_commute_matrix`` pulls the
+commute relation of every G/K back to G with one gather.
+
+Every other derivation worth keeping -- subgroup lists, Sylow subgroups,
+p-cores, quotients, the derived series, the Fitting data, the commutators
+[F, y] of the Fitting splitting, automorphisms and their tables -- goes
+through one decorator, ``memoized``, into one dict on the table; so do the
+coset-action products of the key check, which the collapse and the
+two-step pairings share.  Its handles point back at the table, so
+``release_memo`` empties it, and the memo of every table it held, once a
+caller is done with the group, and the tables are freed without waiting
+for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -274,6 +279,15 @@ class GroupTable:
         return cj
 
     @functools.cached_property
+    def commutator_table(self) -> np.ndarray:
+        """Entry [x, y] = x^-1 * y^-1 * x * y, the commutator of x and y."""
+        inv = self.inverse_table
+        T = self.table
+        comm = T[T[np.ix_(inv, inv)], T]
+        comm.setflags(write=False)
+        return comm
+
+    @functools.cached_property
     def generators(self) -> list[int]:
         return generating_set(self.table)
 
@@ -485,6 +499,17 @@ def centralizer_sizes(G: GroupTable) -> np.ndarray:
     return G.commute_matrix.sum(axis=0)
 
 
+def coset_commute_matrix(G: GroupTable, K: SubgroupHandle) -> np.ndarray:
+    """The commute relation of G/K pulled back to G: entry [x, y] iff xK and
+    yK commute, that is iff [x, y] lies in K.  K must be normal.
+
+    Its column sums are |K| * |C_{G/K}(xK)|, so the coset centralizers of
+    every x come from one gather, with no quotient table built.
+    """
+    require_normal(K)
+    return K.mask[G.commutator_table]
+
+
 # -- quotients ---------------------------------------------------------------
 
 
@@ -503,15 +528,19 @@ class QuotientMap:
         return np.flatnonzero(mask[self.projection])
 
 
+def require_normal(N: SubgroupHandle) -> None:
+    """Raise PreconditionError, with a conjugate that leaves N, unless N is
+    normal; the generator sweep runs only when normality is not yet known."""
+    if not N.is_normal:
+        g, h = N.normality_witness()
+        conj = N.parent.conj(h, g)
+        raise PreconditionError(f"subgroup is not normal: {h}^{g} = {conj} lies outside",
+                                {"g": g, "h": h, "conjugate": conj})
+
+
 @memoized
 def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
-    witness = N.normality_witness()
-    if witness is not None:
-        g, h = witness
-        raise PreconditionError(
-            f"subgroup is not normal: {h}^{g} = {G.conj(h, g)} lies outside",
-            {"g": g, "h": h, "conjugate": G.conj(h, g)},
-        )
+    require_normal(N)
     coset_min = G.table[:, N.members].min(axis=1)     # min of each left coset xN
     reps = np.unique(coset_min)
     projection = np.searchsorted(reps, coset_min)

@@ -31,6 +31,7 @@ from .core import (
     p_part,
     prime_factors,
     quotient_group,
+    require_normal,
     subgroup_closure,
     trivial_subgroup,
 )
@@ -50,7 +51,7 @@ def sylow_subgroup(G: GroupTable, p: int) -> SubgroupHandle:
     if target == 1:
         return trivial_subgroup(G)
     orders = G.element_orders
-    is_p_elt = np.array([o > 1 and p_part(int(o), p) == o for o in orders])
+    is_p_elt = (orders > 1) & (target % orders == 0)     # orders divide |G|
     seed = int(np.flatnonzero(orders == p)[0])
     P = subgroup_closure(G, [seed])
     while P.order < target:
@@ -150,7 +151,7 @@ def complement_search(G: GroupTable, F: SubgroupHandle) -> SubgroupHandle | None
     grows past |Q| or meets F beyond the identity.  A closure that survives
     every generator maps onto Q injectively, so it is a complement.
     """
-    if F.normality_witness() is not None:
+    if not F.is_normal:
         raise PreconditionError("complement search needs a normal subgroup")
     target = G.n // F.order
     if target == 1:
@@ -192,10 +193,9 @@ class SplitOffCentral:
 
 
 def coset_centralizer_preimage(G: GroupTable, H: SubgroupHandle, g: int) -> SubgroupHandle:
-    """T <= G with T/H the centralizer of gH in G/H."""
-    q = quotient_group(G, H)
-    qc = q.quotient.commute_matrix[:, q.projection[g]]
-    return SubgroupHandle(G, np.flatnonzero(qc[q.projection]))
+    """T <= G with T/H the centralizer of gH in G/H: the y with [g, y] in H."""
+    require_normal(H)
+    return SubgroupHandle(G, np.flatnonzero(H.mask[G.commutator_table[g]]))
 
 
 def l4_decompose(G: GroupTable, H: SubgroupHandle, g: int) -> SplitOffCentral:
@@ -216,7 +216,7 @@ def l4_decompose(G: GroupTable, H: SubgroupHandle, g: int) -> SplitOffCentral:
     if H.order != p_part(H.order, p):
         raise PreconditionError(f"subgroup order {H.order} is not a power of {p}",
                                 {"p": p})
-    if H.normality_witness() is not None:
+    if not H.is_normal:
         raise PreconditionError("H must be normal", {"witness": H.normality_witness()})
     if H.mask[g]:
         raise PreconditionError(f"element {g} lies inside H", {"g": g})

@@ -23,12 +23,12 @@ from .core import (
     SubgroupHandle,
     abelian_subgroups,
     centralizer_sizes,
+    coset_commute_matrix,
     derived_series,
     memoized,
     normal_subgroups,
     p_part,
     prime_factors,
-    quotient_group,
     release_memo,
     subgroup_closure,
     subgroups_of,
@@ -112,11 +112,11 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
     orders = G.element_orders
     checked = 0
     for K in normal_subgroups(G):
-        q = quotient_group(G, K)
+        rel = coset_commute_matrix(G, K)                # xK and yK commute
+        cq = rel.sum(axis=0)                            # |K| |C_{G/K}(xK)|
         ck = cm[K.members, :].sum(axis=0)
         ind_k = K.order // ck
-        qc = centralizer_sizes(q.quotient)
-        ind_q = (q.quotient.n // qc)[q.projection]
+        ind_q = n // cq
         if np.any(ind_g % ind_k) or np.any(ind_g % ind_q):
             x = int(np.argmax((ind_g % ind_k) + (ind_g % ind_q)))
             return [_report(G, "basic", FAIL,
@@ -126,7 +126,7 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
                              "ind_G": int(ind_g[x])},
                             checked)]
         # image of C_G(x) in G/K sits inside the centralizer of xK ...
-        img_ok = ~cm | q.quotient.commute_matrix[np.ix_(q.projection, q.projection)]
+        img_ok = ~cm | rel
         if not img_ok.all():
             u, x = map(int, np.argwhere(~img_ok)[0])
             return [_report(G, "basic", FAIL, "centralizer image escapes",
@@ -135,12 +135,13 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
         # ... with equality when the element order is coprime to |K|
         coprime = np.gcd(orders, K.order) == 1
         img_size = cg // ck
-        if np.any(coprime & (img_size != qc[q.projection])):
-            x = int(np.argmax(coprime & (img_size != qc[q.projection])))
+        qc = cq // K.order
+        if np.any(coprime & (img_size != qc)):
+            x = int(np.argmax(coprime & (img_size != qc)))
             return [_report(G, "basic", FAIL, "coprime centralizer image too small",
                             {"K": K.members.tolist(), "x": x,
                              "image": int(img_size[x]),
-                             "quotient_centralizer": int(qc[q.projection[x]])},
+                             "quotient_centralizer": int(qc[x])},
                             checked)]
         checked += 1
     # commuting coprime pairs: C(xy) = C(x) n C(y)
@@ -301,12 +302,10 @@ def check_centre(G: GroupTable) -> list[VerificationReport]:
     for H in normal_subgroups(G):
         if not H.is_abelian:
             continue
-        q = quotient_group(G, H)
-        qc = centralizer_sizes(q.quotient)
         hs = H.members
         cm_h = cm[:, hs]
         central = cm_h.all(axis=1)                      # g with H <= C_G(g)
-        cond = central & (cg == H.order * qc[q.projection])
+        cond = central & (cg == coset_commute_matrix(G, H).sum(axis=0))
         gs = np.flatnonzero(cond)
         step = max(1, _CENTRE_BLOCK // (G.n * H.order))
         for lo in range(0, gs.size, step):
@@ -327,7 +326,12 @@ def check_centre(G: GroupTable) -> list[VerificationReport]:
 
 def check_size(G: GroupTable) -> list[VerificationReport]:
     """An order-preserving translate hg of a coprime element g by the abelian
-    normal p-subgroup H is an H-conjugate of g, with |C(hg)| = |C(g)|."""
+    normal p-subgroup H is an H-conjugate of g, with |C(hg)| = |C(g)|.
+
+    All p' elements g of one H are compared at once: the translates form
+    an |H| x k array, and the H-conjugates of each g a column of an n x k
+    mask.
+    """
     orders = G.element_orders
     cg = centralizer_sizes(G)
     cj = G.conjugation_table
@@ -338,23 +342,24 @@ def check_size(G: GroupTable) -> list[VerificationReport]:
         primes = prime_factors(H.order)
         if len(primes) != 1:
             continue
-        p = primes[0]
-        p_prime = np.flatnonzero(np.array([p_part(int(o), p) == 1 for o in orders]))
-        for g in p_prime:
-            prods = G.table[H.members, g]
-            keep = orders[prods] == orders[g]
-            skipped += int((~keep).sum())
-            if not keep.any():
-                continue
-            checked += int(keep.sum())
-            conjugates = np.unique(cj[g, H.members])
-            hits = np.isin(prods[keep], conjugates)
-            sizes_ok = cg[prods[keep]] == cg[g]
-            if not (hits & sizes_ok).all():
-                h = int(H.members[np.flatnonzero(keep)[int(np.argmax(~(hits & sizes_ok)))]])
-                return [_report(G, "size", FAIL, "translate is not an H-conjugate",
-                                {"H": H.members.tolist(), "g": int(g), "h": h},
-                                checked, skipped)]
+        hs = H.members
+        gs = np.flatnonzero(orders % primes[0] != 0)
+        cols = np.arange(gs.size)
+        prods = G.table[np.ix_(hs, gs)]                 # [i, j] = h_i g_j
+        keep = orders[prods] == orders[gs]
+        conjugates = np.zeros((G.n, gs.size), dtype=bool)
+        conjugates[cj[np.ix_(gs, hs)], cols[:, None]] = True
+        bad = keep & ~(conjugates[prods, cols] & (cg[prods] == cg[gs]))
+        if bad.any():
+            j = int(np.argmax(bad.any(axis=0)))
+            through = keep[:, :j + 1]
+            h = int(hs[int(np.argmax(bad[:, j]))])
+            return [_report(G, "size", FAIL, "translate is not an H-conjugate",
+                            {"H": hs.tolist(), "g": int(gs[j]), "h": h},
+                            checked + int(through.sum()),
+                            skipped + int((~through).sum()))]
+        checked += int(keep.sum())
+        skipped += int((~keep).sum())
     note = "skipped h with |hg| != |g|" if skipped else ""
     return [_report(G, "size", PASS, note, None, checked, skipped)]
 
@@ -374,13 +379,12 @@ def check_l4(G: GroupTable) -> list[VerificationReport]:
     for p in prime_factors(G.n):
         if not sylow_subgroup(G, p).is_abelian:
             continue
-        p_elts = np.flatnonzero(np.array(
-            [int(o) > 1 and p_part(int(o), p) == int(o) for o in orders]))
+        # an element order divides |G|, so it is a power of p iff it divides |G|_p
+        p_elts = np.flatnonzero((orders > 1) & (p_part(G.n, p) % orders == 0))
         for H in _normal_p_subgroups(G, p):
-            q = quotient_group(G, H)
             outside = p_elts[~H.mask[p_elts]]
             # the coset centralizer already equals C(g): trivially split
-            full = centralizer_sizes(q.quotient)[q.projection[outside]] * H.order == cg[outside]
+            full = coset_commute_matrix(G, H)[:, outside].sum(axis=0) == cg[outside]
             trivial += int(full.sum())
             for g in outside[~full]:
                 checked += 1
@@ -449,7 +453,7 @@ def _bingo_reports(G: GroupTable, missing: dict | None, extra: dict | None,
 def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationReport]:
     """Index-set comparison for one (G, H) pair, gated on its hypotheses."""
     gate = None
-    if H.normality_witness() is not None:
+    if not H.is_normal:
         gate = "H is not normal"
     else:
         primes = prime_factors(H.order)
@@ -690,8 +694,7 @@ def explore_minimal_lemmas(G: GroupTable) -> list[VerificationReport]:
         return [_report(G, lemma, SKIP, f"exploratory; {gate}") for lemma in EXPLORE_IDS]
     F, F2 = fd.fitting, fd.second_fitting
     cg = centralizer_sizes(G)
-    q = quotient_group(G, F)
-    qc = centralizer_sizes(q.quotient)
+    cq = coset_commute_matrix(G, F).sum(axis=0)         # |F| |C_{G/F}(gF)|
 
     evaluated = holds = 0
     for g in F2.members:
@@ -703,7 +706,7 @@ def explore_minimal_lemmas(G: GroupTable) -> list[VerificationReport]:
             continue
         p = facs[0]
         evaluated += 1
-        ind_qg = q.quotient.n // int(qc[q.projection[g]])
+        ind_qg = G.n // int(cq[g])
         if p_part(ind_qg, p) == 1:
             holds += 1
     out.append(_report(G, "perfect", SKIP,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agroups import core
+from agroups import core, structure
 from agroups import constructions as cons
 from agroups.fileio import build_recipe
 from agroups.structure import p_core
@@ -308,6 +308,46 @@ def test_quotient_by_non_normal_raises_with_witness(s3):
     w = exc.value.witness
     conj = s3.conj(w["h"], w["g"])
     assert conj == w["conjugate"] and conj not in H
+
+
+# -- coset centralizers from the commutator table -----------------------------------
+
+
+@pytest.mark.parametrize("coset_read", [
+    core.coset_commute_matrix,
+    lambda G, H: structure.coset_centralizer_preimage(G, H, 1)])
+def test_coset_reads_reject_a_non_normal_subgroup(s3, coset_read):
+    H = next(H for H in core.subgroups_of(s3) if H.order == 2)
+    with pytest.raises(core.PreconditionError, match="not normal") as exc:
+        coset_read(s3, H)
+    w = exc.value.witness
+    assert s3.conj(w["h"], w["g"]) == w["conjugate"] and w["conjugate"] not in H
+
+
+def test_commutator_table_matches_the_oracle(small_pool):
+    for G in small_pool:
+        t = table_rows(G)
+        expect = [[t[t[x].index(0)][oracle_conj(t, x, y)] for y in range(G.n)]
+                  for x in range(G.n)]                      # x^-1 x^y
+        assert G.commutator_table.tolist() == expect, G.label
+        assert not G.commutator_table.flags.writeable
+
+
+def test_coset_commute_matrix_matches_the_quotient():
+    """[x, y] lies in K exactly when xK and yK commute in G/K, for every
+    normal K; the column sums are |K| |C_{G/K}(xK)|."""
+    groups = [*cons.corpus(48),
+              cons.direct_product(cons.abelian_group((2, 2, 2)), cons.symmetric(3))]
+    for G in groups:
+        for K in core.normal_subgroups(G):
+            q = core.quotient_group(G, K)
+            rel = core.coset_commute_matrix(G, K)
+            pulled = q.quotient.commute_matrix[np.ix_(q.projection, q.projection)]
+            assert np.array_equal(rel, pulled), (G.label, K.members.tolist())
+            assert np.array_equal(
+                rel.sum(axis=0),
+                K.order * core.centralizer_sizes(q.quotient)[q.projection])
+        core.release_memo(G)
 
 
 # -- derived series -------------------------------------------------------------------

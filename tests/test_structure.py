@@ -186,6 +186,20 @@ def test_complement_requires_normal(s3):
 # -- the centralizer-controlled splitting --------------------------------------------------
 
 
+def test_coset_centralizer_preimage_matches_the_quotient():
+    groups = [*cons.corpus(32),
+              cons.direct_product(cons.abelian_group((2, 2, 2)), cons.symmetric(3))]
+    for G in groups:
+        for K in core.normal_subgroups(G):
+            q = core.quotient_group(G, K)
+            qcm = q.quotient.commute_matrix
+            for g in range(G.n):
+                T = structure.coset_centralizer_preimage(G, K, g)
+                expect = q.preimage(np.flatnonzero(qcm[:, q.projection[g]]))
+                assert np.array_equal(T.members, expect), (G.label, K.order, g)
+        core.release_memo(G)
+
+
 def _asymmetric_c3c3_by_c2():
     """C2 inverts one C3 factor and fixes the other: the strict case appears."""
     A = cons.abelian_group((3, 3))

@@ -189,6 +189,91 @@ def test_batched_centre_fail_matches_per_g_loop(monkeypatch, block):
     assert got == _centre_per_g(G)
 
 
+def _size_per_g(G):
+    """check_size with one translate test per g, as (status, witness,
+    checked, skipped): the reference for the batched comparison."""
+    orders = G.element_orders
+    cg = core.centralizer_sizes(G)
+    cj = G.conjugation_table
+    checked = skipped = 0
+    for H in core.normal_subgroups(G):
+        if H.order == 1 or not H.is_abelian:
+            continue
+        primes = core.prime_factors(H.order)
+        if len(primes) != 1:
+            continue
+        p = primes[0]
+        for g in np.flatnonzero([core.p_part(int(o), p) == 1 for o in orders]):
+            prods = G.table[H.members, g]
+            keep = orders[prods] == orders[g]
+            skipped += int((~keep).sum())
+            if not keep.any():
+                continue
+            checked += int(keep.sum())
+            conjugates = np.unique(cj[g, H.members])
+            ok = np.isin(prods[keep], conjugates) & (cg[prods[keep]] == cg[g])
+            if not ok.all():
+                h = int(H.members[np.flatnonzero(keep)[int(np.argmax(~ok))]])
+                return ("FAIL", {"H": H.members.tolist(), "g": int(g), "h": h},
+                        checked, skipped)
+    return ("PASS", None, checked, skipped)
+
+
+def _size_record(G):
+    (r,) = verifier.check_size(G)
+    return (r.status, r.witness or None, r.checked, r.skipped)
+
+
+def test_batched_size_matches_per_g_loop():
+    for G in cons.corpus(32):
+        assert _size_record(G) == _size_per_g(G), G.label
+
+
+def test_batched_size_fail_matches_per_g_loop():
+    G = cons.direct_product(cons.symmetric(3), cons.cyclic(2))
+    H = next(H for H in core.normal_subgroups(G) if H.order == 3)
+    g = 10                                 # of order 2, late among the 3' elements
+    assert G.order_of(g) == 2
+    cj = G.conjugation_table.copy()
+    cj[g, H.members] = g                   # a broken table: g looks H-central
+    cj.setflags(write=False)
+    G.__dict__["conjugation_table"] = cj
+    got = _size_record(G)
+    assert got[0] == "FAIL" and got[1]["g"] == g and got[1]["h"] in H.members[1:]
+    assert got[2] > 1 and got[3] > 0       # the C2 subgroup came first
+    assert got == _size_per_g(G)
+
+
+def test_basic_centre_and_l4_build_no_quotient_table(monkeypatch):
+    built = []
+    init = core.GroupTable.__init__
+
+    def tracking(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.label)
+
+    groups = [cons.direct_product(cons.cyclic(3), cons.symmetric(3)),
+              cons.direct_product(cons.abelian_group((2, 2, 2)), cons.symmetric(3))]
+    monkeypatch.setattr(core.GroupTable, "__init__", tracking)
+    for G in groups:
+        reports = verifier.verify_group(G, ("basic", "centre", "l4"))
+        assert {r.status for r in reports} == {"PASS"}, G.label
+    # dp(cyclic(3),sym(3)) has g that l4_decompose splits for real
+    (l4,) = verifier.check_l4(groups[0])
+    assert l4.checked > int(l4.hypothesis_note.split()[0])
+    assert built == []
+
+
+def test_bingo_reads_the_cached_normality_flag(monkeypatch):
+    sweeps = []
+    real = core.SubgroupHandle.normality_witness
+    monkeypatch.setattr(core.SubgroupHandle, "normality_witness",
+                        lambda H: sweeps.append(H) or real(H))
+    reports = verifier.check_bingo(cons.abelian_group((2, 2, 2, 2, 2)))
+    assert {r.status for r in reports} == {"PASS"} and reports[0].checked == 374
+    assert sweeps == []
+
+
 def test_fail_reports_carry_witnesses():
     # drive the report plumbing with a deliberately wrong comparator result
     Q = cons.quaternion8()
