@@ -34,6 +34,8 @@ from .core import (
     centralizer_sizes,
     memoized,
     release_memo,
+    require_abelian,
+    require_normal,
 )
 
 
@@ -254,16 +256,8 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
     the twist independent of the representative, which is asserted rather
     than trusted.
     """
-    if not H.is_abelian:
-        m = H.members
-        cm = G.commute_matrix[np.ix_(m, m)]
-        i, j = map(int, np.argwhere(~cm)[0])
-        raise PreconditionError("H must be abelian",
-                                {"a": int(m[i]), "b": int(m[j])})
-    if not H.is_normal:
-        g, h = H.normality_witness()
-        raise PreconditionError("H must be normal",
-                                {"g": g, "h": h, "conjugate": G.conj(h, g)})
+    require_abelian(H)
+    require_normal(H)
     q = quotient_group(G, H)
     nq = q.quotient.n
     h = H.order
@@ -330,11 +324,9 @@ def two_step_collapse_witness(G: GroupTable, H: SubgroupHandle,
     is a bijective homomorphism.  Any failure is returned as a finding, not
     raised, because it would falsify the construction this package leans on.
     """
-    for S, name in ((H, "H"), (N, "N")):
-        if not S.is_abelian:
-            raise PreconditionError(f"{name} must be abelian")
-        if not S.is_normal:
-            raise PreconditionError(f"{name} must be normal")
+    for S in (H, N):
+        require_abelian(S)
+        require_normal(S)
     if int((H.mask & N.mask).sum()) != 1:
         raise PreconditionError("H and N must intersect trivially")
 

@@ -538,6 +538,17 @@ def require_normal(N: SubgroupHandle) -> None:
                                 {"g": g, "h": h, "conjugate": conj})
 
 
+def require_abelian(H: SubgroupHandle) -> None:
+    """Raise PreconditionError, with two members that do not commute, unless
+    H is abelian; the pairwise test runs only when abelianness is not yet known."""
+    if not H.is_abelian:
+        m = H.members
+        i, j = map(int, np.argwhere(~H.parent.commute_matrix[np.ix_(m, m)])[0])
+        a, b = int(m[i]), int(m[j])
+        raise PreconditionError(f"subgroup is not abelian: {a} and {b} do not commute",
+                                {"a": a, "b": b})
+
+
 @memoized
 def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
     require_normal(N)
@@ -672,14 +683,7 @@ def commutator_with_element(G: GroupTable, H: SubgroupHandle, g: int) -> Subgrou
     Fitting splitting asks for [F, y] once per element of each coset of F.
     """
     G._check_index(g)
-    if not H.is_abelian:
-        m = H.members
-        cm = G.commute_matrix[np.ix_(m, m)]
-        i, j = map(int, np.argwhere(~cm)[0])
-        raise PreconditionError(
-            "subgroup is not abelian",
-            {"a": int(m[i]), "b": int(m[j])},
-        )
+    require_abelian(H)
     conj = G.conjugation_table[H.members, g]
     if not H.mask[conj].all():
         bad = int(np.argmax(~H.mask[conj]))
@@ -700,6 +704,30 @@ def commutator_with_element(G: GroupTable, H: SubgroupHandle, g: int) -> Subgrou
 # -- subgroup enumeration -------------------------------------------------------
 
 
+def _walk(n: int, step) -> list[np.ndarray]:
+    """Every subgroup reached from the trivial one by repeated steps, breadth-first.
+
+    ``step(mem, mask)`` yields the sorted int64 members of the subgroups one
+    step above the sorted members ``mem`` of a subgroup, whose membership
+    mask is ``mask``.  Each subgroup reached is kept once.
+    """
+    trivial = np.array([0], dtype=np.int64)
+    seen = {trivial.tobytes(): trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt: list[np.ndarray] = []
+        for mem in frontier:
+            mask = np.zeros(n, dtype=bool)
+            mask[mem] = True
+            for new in step(mem, mask):
+                key = new.tobytes()
+                if key not in seen:
+                    seen[key] = new.copy()      # not a view that pins a batch
+                    nxt.append(seen[key])
+        frontier = nxt
+    return list(seen.values())
+
+
 def _abelian_walk(G: GroupTable, within: np.ndarray) -> list[np.ndarray]:
     """Every abelian subgroup of G inside the mask ``within``, by prime-index steps.
 
@@ -717,95 +745,23 @@ def _abelian_walk(G: GroupTable, within: np.ndarray) -> list[np.ndarray]:
         for _ in range(p):
             cur = T[cur, np.arange(n)]
         pw[p] = cur
-    trivial = np.array([0], dtype=np.int64)
-    seen = {trivial.tobytes(): trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt: list[np.ndarray] = []
-        for mem in frontier:
-            mask = np.zeros(n, dtype=bool)
-            mask[mem] = True
-            free = within & ~mask & cm[mem].all(axis=0)
-            for p in primes:
-                cands = np.flatnonzero(free & mask[pw[p]])
-                if not cands.size:
-                    continue
-                cands = cands[T[cands[:, None], mem].min(axis=1) == cands]
-                powers = np.zeros_like(cands)
-                blocks = []
-                for _ in range(p):                  # x^k H for k = 0..p-1
-                    blocks.append(T[powers[:, None], mem])
-                    powers = T[powers, cands]
-                # int64, as ``_handles`` matches member bytes against handles
-                rows = np.sort(np.concatenate(blocks, axis=1), axis=1).astype(np.int64)
-                for row in rows:
-                    key = row.tobytes()
-                    if key not in seen:
-                        seen[key] = row.copy()
-                        nxt.append(seen[key])
-        frontier = nxt
-    return list(seen.values())
 
+    def extend(mem: np.ndarray, mask: np.ndarray):
+        free = within & ~mask & cm[mem].all(axis=0)
+        for p in primes:
+            cands = np.flatnonzero(free & mask[pw[p]])
+            if not cands.size:
+                continue
+            cands = cands[T[cands[:, None], mem].min(axis=1) == cands]
+            powers = np.zeros_like(cands)
+            blocks = []
+            for _ in range(p):                      # x^k H for k = 0..p-1
+                blocks.append(T[powers[:, None], mem])
+                powers = T[powers, cands]
+            # int64, as ``_handles`` matches member bytes against handles
+            yield from np.sort(np.concatenate(blocks, axis=1), axis=1).astype(np.int64)
 
-def _join_walk(n: int, atoms: list[tuple[int, np.ndarray]], join) -> list[np.ndarray]:
-    """Every join of atoms, found breadth-first from the trivial subgroup.
-
-    An atom is ``(g, members)``, the smallest subgroup of its kind holding g,
-    so a subgroup already contains the atom exactly when it contains g.
-    ``join(mem, atom)`` returns the sorted members of the join of two member
-    lists.
-    """
-    gens = np.array([g for g, _ in atoms], dtype=np.int64)
-    trivial = np.array([0], dtype=np.int64)
-    seen = {trivial.tobytes(): trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt: list[np.ndarray] = []
-        for mem in frontier:
-            mask = np.zeros(n, dtype=bool)
-            mask[mem] = True
-            for i in np.flatnonzero(~mask[gens]):
-                new = join(mem, atoms[i][1]).astype(np.int64)
-                key = new.tobytes()
-                if key not in seen:
-                    seen[key] = new
-                    nxt.append(new)
-        frontier = nxt
-    return list(seen.values())
-
-
-def _cyclic_atoms(G: GroupTable, within: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The prime-power cyclic subgroups inside a mask, each with a generator.
-
-    They suffice as join atoms: a composite cyclic subgroup is the join of
-    the prime-power cyclics it contains.
-    """
-    orders = G.element_orders
-    atoms: dict[bytes, tuple[int, np.ndarray]] = {}
-    for x in np.flatnonzero(within):
-        if x == 0 or len(prime_factors(int(orders[x]))) != 1:
-            continue
-        powers = [0]
-        y = int(x)
-        while y != 0:
-            powers.append(y)
-            y = int(G.table[y, x])
-        mem = np.unique(np.array(powers, dtype=np.int64))
-        atoms.setdefault(mem.tobytes(), (int(x), mem))
-    return list(atoms.values())
-
-
-def _generic_subgroups(G: GroupTable, limit: SubgroupHandle | None = None) -> list[np.ndarray]:
-    """The whole subgroup lattice: joins of cyclic atoms, each one closure.
-
-    Seeding the closure with the union of a subgroup and a whole cyclic atom
-    converges in fewer rounds than extending by single elements.  Only
-    ``subgroups_of`` on a nonabelian scope comes here; it is the slow oracle
-    that ``normal_subgroups`` and ``abelian_subgroups`` are tested against.
-    """
-    within = limit.mask if limit is not None else np.ones(G.n, dtype=bool)
-    return _join_walk(G.n, _cyclic_atoms(G, within),
-                      lambda mem, atom: _close_members(G.table, np.concatenate([mem, atom])))
+    return _walk(n, extend)
 
 
 def _handles(G: GroupTable, raw: list[np.ndarray], known=(),
@@ -821,20 +777,20 @@ def _handles(G: GroupTable, raw: list[np.ndarray], known=(),
 
 
 def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[SubgroupHandle]:
-    """Every subgroup of G (or of the given subgroup), deterministically ordered.
+    """Every subgroup of an abelian G, or of an abelian subgroup ``limit``,
+    deterministically ordered.
 
-    An abelian scope takes the prime-index walk of ``_abelian_walk``; a
-    nonabelian one walks the whole lattice by closures.  The handles are
-    memoized on the parent table, so each one works out its normality and
-    abelianness once; callers get a fresh list of them.
+    The scope must be abelian (``PreconditionError`` with a noncommuting pair
+    otherwise): the subgroups come from the prime-index walk of
+    ``_abelian_walk``.  The handles are memoized on the parent table, so each
+    one works out its normality once; callers get a fresh list of them.
     """
     return list(_subgroup_handles(G, limit if limit is not None else full_subgroup(G)))
 
 
 @memoized
 def _subgroup_handles(G: GroupTable, scope: SubgroupHandle) -> list[SubgroupHandle]:
-    if not scope.is_abelian:
-        return _handles(G, _generic_subgroups(G, scope))
+    require_abelian(scope)
     flags = {"is_abelian": True}
     if scope.order == G.n:
         flags["is_normal"] = True   # every subgroup of an abelian group
@@ -842,11 +798,12 @@ def _subgroup_handles(G: GroupTable, scope: SubgroupHandle) -> list[SubgroupHand
 
 
 def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
-    """Every normal subgroup, in the order of ``subgroups_of``.
+    """Every normal subgroup, in the canonical order of ``_handles``.
 
-    Hulpke's class-union construction: the atoms are the normal closures of
-    the conjugacy classes, and since the product of two normal subgroups is
-    a subgroup, each join is one set product with no closure loop.
+    Hulpke's class-union construction: each step of the walk multiplies by
+    the normal closure of a conjugacy class, and since the product of two
+    normal subgroups is a subgroup, each step is one set product with no
+    closure loop.
     """
     if G.is_abelian():
         return subgroups_of(G)
@@ -860,13 +817,19 @@ def _normal_handles(G: GroupTable) -> list[SubgroupHandle]:
     for cls in conjugacy_classes(G).classes[1:]:
         mem = _close_members(T, np.append(cls, 0))
         atoms.setdefault(mem.tobytes(), (int(cls[0]), mem))
-    raw = _join_walk(G.n, list(atoms.values()),
-                     lambda N, M: np.unique(T[N[:, None], M]))
-    return _handles(G, raw, is_normal=True)
+    gens = np.array([g for g, _ in atoms.values()], dtype=np.int64)
+    closures = [mem for _, mem in atoms.values()]
+
+    def join(N: np.ndarray, mask: np.ndarray):
+        """The product N M with each class closure M outside N."""
+        for i in np.flatnonzero(~mask[gens]):
+            yield np.unique(T[N[:, None], closures[i]]).astype(np.int64)
+
+    return _handles(G, _walk(G.n, join), is_normal=True)
 
 
 def abelian_subgroups(G: GroupTable) -> list[SubgroupHandle]:
-    """Every abelian subgroup, in the order of ``subgroups_of``.
+    """Every abelian subgroup, in the canonical order of ``_handles``.
 
     The prime-index walk of ``subgroups_of`` on abelian scopes, here taking
     its steps from all of G: each subgroup is only extended inside its

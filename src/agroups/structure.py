@@ -151,8 +151,7 @@ def complement_search(G: GroupTable, F: SubgroupHandle) -> SubgroupHandle | None
     grows past |Q| or meets F beyond the identity.  A closure that survives
     every generator maps onto Q injectively, so it is a complement.
     """
-    if not F.is_normal:
-        raise PreconditionError("complement search needs a normal subgroup")
+    require_normal(F)
     target = G.n // F.order
     if target == 1:
         return trivial_subgroup(G)
@@ -216,8 +215,7 @@ def l4_decompose(G: GroupTable, H: SubgroupHandle, g: int) -> SplitOffCentral:
     if H.order != p_part(H.order, p):
         raise PreconditionError(f"subgroup order {H.order} is not a power of {p}",
                                 {"p": p})
-    if not H.is_normal:
-        raise PreconditionError("H must be normal", {"witness": H.normality_witness()})
+    require_normal(H)
     if H.mask[g]:
         raise PreconditionError(f"element {g} lies inside H", {"g": g})
     if not sylow_subgroup(G, p).is_abelian:

@@ -21,6 +21,7 @@ from .core import (
     LemmaViolation,
     PreconditionError,
     SubgroupHandle,
+    _close_members,
     abelian_subgroups,
     centralizer_sizes,
     coset_commute_matrix,
@@ -277,9 +278,19 @@ def check_go(G: GroupTable) -> list[VerificationReport]:
     return [_report(G, "go", PASS, "", None, checked)]
 
 
+def _replayed_subgroup(G: GroupTable, members: list[int]) -> SubgroupHandle:
+    """The subgroup a witness names by its members, once they are checked to
+    be closed: a report file is outside input."""
+    H = SubgroupHandle(G, np.array(members))
+    if _close_members(G.table, H.members, H.order) is None:
+        raise PreconditionError(f"members {H.members.tolist()} do not form a subgroup",
+                                {"members": H.members.tolist()})
+    return H
+
+
 def replay_go(G: GroupTable, P_members: list[int], a: int) -> bool:
     G._check_index(a)
-    P = SubgroupHandle(G, np.array(P_members))
+    P = _replayed_subgroup(G, P_members)
     return _coprime_split_ok(G, P, np.array([a])) is None
 
 
@@ -494,7 +505,7 @@ def check_bingo(G: GroupTable) -> list[VerificationReport]:
 
 
 def replay_bingo(G: GroupTable, H_members: list[int]) -> bool:
-    H = SubgroupHandle(G, np.array(H_members))
+    H = _replayed_subgroup(G, H_members)
     missing, extra = bingo_compare(G, H, natural_semidirect(G, H).group)
     return not missing and not extra
 

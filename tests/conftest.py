@@ -2,16 +2,20 @@
 
 The oracles here are deliberately plain Python over list-of-list tables:
 no numpy, no reuse of the library's algorithms.  Expected values frozen in
-the tests were computed with these.
+the tests were computed with these.  The one exception is the closure
+lattice in its own section below, the reference the targeted subgroup
+queries are compared against at orders the plain oracles cannot reach.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from agroups import constructions as cons
+from agroups import core
 
 
 # -- pure-python oracles -------------------------------------------------------
@@ -155,6 +159,76 @@ def sorted_perm_group(gens) -> tuple[list[tuple[int, ...]], dict]:
         frontier = nxt
     perms = sorted(elements)
     return perms, {p: i for i, p in enumerate(perms)}
+
+
+# -- the closure lattice (numpy, and the library's closure kernel) ---------------
+
+
+def _join_walk(n: int, atoms: list[tuple[int, np.ndarray]], join) -> list[np.ndarray]:
+    """Every join of atoms, found breadth-first from the trivial subgroup.
+
+    An atom is ``(g, members)``, the smallest subgroup of its kind holding g,
+    so a subgroup already contains the atom exactly when it contains g.
+    ``join(mem, atom)`` returns the sorted members of the join of two member
+    lists.
+    """
+    gens = np.array([g for g, _ in atoms], dtype=np.int64)
+    trivial = np.array([0], dtype=np.int64)
+    seen = {trivial.tobytes(): trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt: list[np.ndarray] = []
+        for mem in frontier:
+            mask = np.zeros(n, dtype=bool)
+            mask[mem] = True
+            for i in np.flatnonzero(~mask[gens]):
+                new = join(mem, atoms[i][1]).astype(np.int64)
+                key = new.tobytes()
+                if key not in seen:
+                    seen[key] = new
+                    nxt.append(new)
+        frontier = nxt
+    return list(seen.values())
+
+
+def _cyclic_atoms(G, within: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The prime-power cyclic subgroups inside a mask, each with a generator.
+
+    They suffice as join atoms: a composite cyclic subgroup is the join of
+    the prime-power cyclics it contains.
+    """
+    orders = G.element_orders
+    atoms: dict[bytes, tuple[int, np.ndarray]] = {}
+    for x in np.flatnonzero(within):
+        if x == 0 or len(core.prime_factors(int(orders[x]))) != 1:
+            continue
+        powers = [0]
+        y = int(x)
+        while y != 0:
+            powers.append(y)
+            y = int(G.table[y, x])
+        mem = np.unique(np.array(powers, dtype=np.int64))
+        atoms.setdefault(mem.tobytes(), (int(x), mem))
+    return list(atoms.values())
+
+
+def lattice_subgroups(G, limit=None) -> list:
+    """The whole subgroup lattice of G (or of the subgroup ``limit``), as
+    fresh handles in the canonical order of the subgroup queries.
+
+    Joins of cyclic atoms, each join one closure of the union of a subgroup
+    and a whole atom.  Every flag of a handle is worked out from scratch.
+    """
+    within = limit.mask if limit is not None else np.ones(G.n, dtype=bool)
+    raw = _join_walk(G.n, _cyclic_atoms(G, within),
+                     lambda mem, atom: core._close_members(G.table, np.concatenate([mem, atom])))
+    raw.sort(key=lambda mem: (len(mem), mem.tolist()))
+    return [core.SubgroupHandle(G, mem) for mem in raw]
+
+
+def cyclic_of_order(G, k: int):
+    """The cyclic subgroup generated by the smallest element of order k."""
+    return core.subgroup_closure(G, [next(x for x in range(G.n) if G.order_of(x) == k)])
 
 
 # -- fixtures -------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from agroups import constructions as cons, core
 from agroups.indices import index_set
 
+from conftest import cyclic_of_order
 
 
 # -- standard families ---------------------------------------------------------
@@ -172,7 +173,7 @@ def test_nsd_requires_abelian(s3, a4):
 
 
 def test_nsd_requires_normal(s3):
-    h2 = next(H for H in core.subgroups_of(s3) if H.order == 2)
+    h2 = cyclic_of_order(s3, 2)
     with pytest.raises(core.PreconditionError, match="normal"):
         cons.natural_semidirect(s3, h2)
 

@@ -13,6 +13,8 @@ from agroups.fileio import build_recipe
 from agroups.structure import p_core
 
 from conftest import (
+    cyclic_of_order,
+    lattice_subgroups,
     oracle_assoc_violation,
     oracle_centralizer,
     oracle_class_sizes,
@@ -302,7 +304,7 @@ def test_a4_mod_v4_is_c3(a4):
 
 
 def test_quotient_by_non_normal_raises_with_witness(s3):
-    H = next(H for H in core.subgroups_of(s3) if H.order == 2)
+    H = cyclic_of_order(s3, 2)
     with pytest.raises(core.PreconditionError, match="not normal") as exc:
         core.quotient_group(s3, H)
     w = exc.value.witness
@@ -317,7 +319,7 @@ def test_quotient_by_non_normal_raises_with_witness(s3):
     core.coset_commute_matrix,
     lambda G, H: structure.coset_centralizer_preimage(G, H, 1)])
 def test_coset_reads_reject_a_non_normal_subgroup(s3, coset_read):
-    H = next(H for H in core.subgroups_of(s3) if H.order == 2)
+    H = cyclic_of_order(s3, 2)
     with pytest.raises(core.PreconditionError, match="not normal") as exc:
         coset_read(s3, H)
     w = exc.value.witness
@@ -430,7 +432,7 @@ def test_commutator_preconditions(a4, s3):
     v4 = next(H for H in core.normal_subgroups(a4) if H.order == 4)
     with pytest.raises(core.PreconditionError, match="abelian"):
         core.commutator_with_element(s3, core.full_subgroup(s3), 1)
-    h2 = next(H for H in core.subgroups_of(a4) if H.order == 2)
+    h2 = cyclic_of_order(a4, 2)
     moved = next(g for g in range(12)
                  if not all(h2.mask[a4.conj(h, g)] for h in h2.members))
     with pytest.raises(core.PreconditionError, match="normalized"):
@@ -470,8 +472,10 @@ def test_centralizer_sizes_vs_oracle(small_pool):
     (lambda: cons.abelian_group((2, 4)), 8),
 ])
 def test_subgroup_counts_vs_oracle(build, count):
+    """The prime-index walk on abelian groups, the reference lattice on the
+    others (the plain-Python lattice checks the reference itself)."""
     G = build()
-    subs = core.subgroups_of(G)
+    subs = core.subgroups_of(G) if G.is_abelian() else lattice_subgroups(G)
     assert len(subs) == count
     oracle = oracle_subgroups(table_rows(G))
     assert {frozenset(map(int, H.members)) for H in subs} == oracle
@@ -501,7 +505,7 @@ def test_normal_subgroups_vs_oracle(small_pool):
 def assert_queries_match_lattice(G):
     """The targeted queries equal the filtered lattice, in order, and every
     handle's flag agrees with a direct normality or commutation test."""
-    subs = core.subgroups_of(G)
+    subs = lattice_subgroups(G)
     normals = core.normal_subgroups(G)
     abelians = core.abelian_subgroups(G)
     assert [H.key() for H in normals] == [H.key() for H in subs if H.is_normal]
@@ -527,14 +531,30 @@ def test_targeted_queries_match_lattice_larger(recipe):
     assert_queries_match_lattice(build_recipe(recipe))
 
 
-def test_subgroups_of_returns_cached_handles(a4):
-    first = core.subgroups_of(a4)
-    second = core.subgroups_of(a4)
+def test_subgroups_of_returns_cached_handles():
+    G = cons.abelian_group((2, 2, 2))
+    first = core.subgroups_of(G)
+    second = core.subgroups_of(G)
     assert all(a is b for a, b in zip(first, second, strict=True))
     first.clear()
-    third = core.subgroups_of(a4)
-    assert len(third) == 10
+    third = core.subgroups_of(G)
+    assert len(third) == 16
     assert all(a is b for a, b in zip(second, third, strict=True))
+
+
+@pytest.mark.parametrize("build,scope", [
+    (lambda: cons.symmetric(3), lambda G: None),
+    (lambda: cons.symmetric(4),
+     lambda G: next(H for H in core.normal_subgroups(G) if H.order == 12)),
+])
+def test_subgroups_of_rejects_a_nonabelian_scope(build, scope):
+    G = build()
+    limit = scope(G)
+    with pytest.raises(core.PreconditionError, match="not abelian") as exc:
+        core.subgroups_of(G, limit=limit)
+    a, b = exc.value.witness["a"], exc.value.witness["b"]
+    inside = limit.mask if limit is not None else np.ones(G.n, dtype=bool)
+    assert inside[a] and inside[b] and G.mul(a, b) != G.mul(b, a)
 
 
 def test_elementary_and_generic_paths_agree():
@@ -547,8 +567,7 @@ def test_elementary_and_generic_paths_agree():
 
 def assert_walk_matches_lattice(G, limit=None):
     walk = [H.members.tolist() for H in core.subgroups_of(G, limit=limit)]
-    lattice = sorted((m.tolist() for m in core._generic_subgroups(G, limit)),
-                     key=lambda m: (len(m), m))
+    lattice = [H.members.tolist() for H in lattice_subgroups(G, limit)]
     assert walk == lattice
 
 

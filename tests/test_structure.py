@@ -6,6 +6,8 @@ import pytest
 from agroups import constructions as cons, core, structure
 
 from conftest import (
+    cyclic_of_order,
+    lattice_subgroups,
     oracle_p_core_closures,
     oracle_p_core_small,
     table_rows,
@@ -163,10 +165,10 @@ def test_complement_search_is_exact_against_the_lattice():
               cons.direct_product(cons.abelian_group((2, 2, 2)), cons.symmetric(3))]
     split = 0
     for G in groups:
-        lattice = core._generic_subgroups(G)
+        lattice = lattice_subgroups(G)
         for N in core.normal_subgroups(G):
-            complements = {tuple(S.tolist()) for S in lattice
-                           if S.size * N.order == G.n and N.mask[S].sum() == 1}
+            complements = {tuple(S.members.tolist()) for S in lattice
+                           if S.order * N.order == G.n and N.mask[S.members].sum() == 1}
             T = structure.complement_search(G, N)
             if T is None:
                 assert not complements, (G.label, N.members.tolist())
@@ -178,7 +180,7 @@ def test_complement_search_is_exact_against_the_lattice():
 
 
 def test_complement_requires_normal(s3):
-    h2 = next(H for H in core.subgroups_of(s3) if H.order == 2)
+    h2 = cyclic_of_order(s3, 2)
     with pytest.raises(core.PreconditionError, match="normal"):
         structure.complement_search(s3, h2)
 

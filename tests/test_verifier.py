@@ -11,6 +11,8 @@ import pytest
 from agroups import constructions as cons, core, fileio, structure, verifier
 from agroups.structure import complement_search, fitting_data, p_core
 
+from conftest import cyclic_of_order, lattice_subgroups
+
 
 def _statuses(reports):
     return {r.lemma_id: r.status for r in reports}
@@ -84,7 +86,7 @@ def test_go_comparator_fails_on_violated_hypothesis():
     # the splitting genuinely fails when 'a' is not coprime to P: inside Q8,
     # P = <i> and a = j give overlapping fixed points and commutators
     Q = cons.quaternion8()
-    P = next(H for H in core.subgroups_of(Q) if H.order == 4)
+    P = cyclic_of_order(Q, 4)
     j = next(x for x in range(8)
              if Q.order_of(x) == 4 and not P.mask[x])
     bad = verifier._coprime_split_ok(Q, P, np.array([j]))
@@ -106,6 +108,17 @@ def test_replays_reject_out_of_range_elements(a4):
         verifier.replay_go(a4, [0, 12], 1)
     with pytest.raises(core.InputError, match="out of range"):
         verifier.replay_bingo(a4, [0, 12])
+
+
+@pytest.mark.parametrize("replay", [
+    lambda G, members: verifier.replay_go(G, members, 1),
+    verifier.replay_bingo,
+])
+def test_replays_reject_a_member_list_that_is_not_a_subgroup(replay):
+    # {0, 2} in C6 holds the identity and has order dividing 6, but 2 + 2 = 4
+    with pytest.raises(core.PreconditionError, match=r"\[0, 2\] do not form a subgroup") as exc:
+        replay(cons.cyclic(6), [0, 2])
+    assert exc.value.witness == {"members": [0, 2]}
 
 
 def test_bingo_comparator_detects_untwisted_product(s3):
@@ -130,9 +143,8 @@ def test_regular_orbit_fails_without_faithfulness():
     # inside dihedral(6) the abelian subgroup {e, r^3, s, r^3 s} acts on the
     # rotation C3 with the central flip in the kernel: no regular orbit
     G = cons.dihedral(6)
-    V = next(H for H in core.subgroups_of(G)
-             if H.order == 3 and H.is_normal)
-    A = next(H for H in core.subgroups_of(G)
+    V = next(H for H in core.normal_subgroups(G) if H.order == 3)
+    A = next(H for H in lattice_subgroups(G)
              if H.order == 4 and H.is_abelian)
     assert not verifier.regular_orbit_exists(G, V, A)
 
@@ -277,7 +289,7 @@ def test_bingo_reads_the_cached_normality_flag(monkeypatch):
 def test_fail_reports_carry_witnesses():
     # drive the report plumbing with a deliberately wrong comparator result
     Q = cons.quaternion8()
-    P = next(H for H in core.subgroups_of(Q) if H.order == 4)
+    P = cyclic_of_order(Q, 4)
     j = next(x for x in range(8) if Q.order_of(x) == 4 and not P.mask[x])
     report = verifier.VerificationReport(
         Q.label, Q.n, "go", "FAIL", "no splitting",
@@ -319,7 +331,7 @@ def test_bingo_pair_surface(a4, s3):
     v4 = next(H for H in core.normal_subgroups(a4) if H.order == 4)
     by_id = {r.lemma_id: r for r in verifier.check_bingo_pair(a4, v4)}
     assert {by_id[k].status for k in ("bingo1", "bingo2", "bingo")} == {"PASS"}
-    h2 = next(H for H in core.subgroups_of(s3) if H.order == 2)
+    h2 = cyclic_of_order(s3, 2)
     skip = verifier.check_bingo_pair(s3, h2)
     assert all(r.status == "SKIP" and "not normal" in r.hypothesis_note for r in skip)
     mixed = next(H for H in core.normal_subgroups(cons.cyclic(6)) if H.order == 6)
