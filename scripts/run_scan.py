@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Run the full corpus scan and drop the report next to this script.
+"""Run the full corpus scan and write the report to ``--out``.
 
 Defaults match the repo's headline claim: every check over every corpus
 group up to order 200, both inclusions of the index-set equality reported
-separately.
+separately.  The default ``--out``, ``scan-report.jsonl``, is relative, so
+the report lands in the working directory, not next to this script.
 """
 
 import argparse

@@ -255,13 +255,38 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
     (h1, g1 H)(h2, g2 H) = (h1 * h2^(g1^-1), g1 g2 H), and abelianness makes
     the twist independent of the representative, which is asserted rather
     than trusted.
+
+    Each distinct product table is axiom-checked once per base group.  The
+    generating set of every table that passed is kept in G's memo under the
+    SHA-256 digest of its bytes, and a later table with the same digest is
+    built trusted and handed that generating set.  Two distinct tables share
+    a digest only on a SHA-256 collision, with the bound given in
+    ``corpus``'s docstring, so every product is either checked or
+    byte-identical to one checked before.  The preconditions, the
+    representative check and the range and cap checks of ``GroupTable``
+    run on every call.
     """
     require_abelian(H)
     require_normal(H)
     q = quotient_group(G, H)
+    table = _coset_action_table(G, H, q)
+    label = f"nsd({G.label},H{H.order})"
+    checked = _checked_products(G)
+    digest = hashlib.sha256(table.tobytes()).digest()
+    if digest in checked:
+        group = GroupTable(table, label, trusted=True)
+        group.generators = list(checked[digest])
+    else:
+        group = GroupTable(table, label)
+        checked[digest] = group.generators
+    return NaturalSemidirect(group, G, H, q)
+
+
+def _coset_action_table(G: GroupTable, H: SubgroupHandle, q: QuotientMap) -> np.ndarray:
+    """The int32 table of H |x G/H, pairs flattened in (h, coset) order."""
     nq = q.quotient.n
     h = H.order
-    pos = np.full(G.n, -1, dtype=np.int64)
+    pos = np.full(G.n, -1, dtype=np.int32)
     pos[H.members] = np.arange(h)
     cj = G.conjugation_table
     inv = G.inverse_table
@@ -275,10 +300,15 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
             {"element": g, "coset": int(q.projection[g])})
     ht = pos[G.table[np.ix_(H.members, H.members)]]
     left = ht[:, twist]                       # [i1, c1, i2]
-    table = (left[:, :, :, None] * nq
-             + q.quotient.table[None, :, None, :]).reshape(G.n, G.n)
-    group = GroupTable(table, label=f"nsd({G.label},H{H.order})")
-    return NaturalSemidirect(group, G, H, q)
+    return (left[:, :, :, None] * nq
+            + q.quotient.table[None, :, None, :]).reshape(G.n, G.n)
+
+
+@memoized
+def _checked_products(G: GroupTable) -> dict[bytes, list[int]]:
+    """Digest -> generating set of each coset-action product of G that has
+    passed the axiom check; ``natural_semidirect`` fills it."""
+    return {}
 
 
 @memoized
@@ -287,10 +317,11 @@ def collapse(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
 
     The key check asks for the same product several times: its single
     collapse, its iterated steps and the three products of each two-step
-    pairing overlap.  Each one is built and axiom-checked once per
-    verification and freed when G's memo is released.  The per-H products
-    of the bingo check call ``natural_semidirect`` directly, so none of
-    them is retained.
+    pairing overlap.  Each one is built once per verification and freed
+    when G's memo is released.  The per-H products of the bingo check call
+    ``natural_semidirect`` directly, so none of them is retained; a key
+    product whose table repeats a bingo product's bytes is still rebuilt,
+    but not axiom-checked again (see ``natural_semidirect``).
     """
     return natural_semidirect(G, H)
 

@@ -26,10 +26,12 @@ p-cores, quotients, the derived series, the Fitting data, the commutators
 [F, y] of the Fitting splitting, automorphisms and their tables -- goes
 through one decorator, ``memoized``, into one dict on the table; so do the
 coset-action products of the key check, which the collapse and the
-two-step pairings share.  Its handles point back at the table, so
-``release_memo`` empties it, and the memo of every table it held, once a
-caller is done with the group, and the tables are freed without waiting
-for the cyclic garbage collector.
+two-step pairings share, and the digests of the coset-action product
+tables that have passed the axiom check, so that each distinct product
+table is axiom-checked once per base group.  Its handles point back at the
+table, so ``release_memo`` empties it, and the memo of every table it held,
+once a caller is done with the group, and the tables are freed without
+waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations

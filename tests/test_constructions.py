@@ -187,6 +187,24 @@ def test_nsd_pair_bookkeeping(a4):
         assert v4.mask[pair.h]
 
 
+def test_nsd_axiom_checks_a_product_unlike_every_cached_one(monkeypatch):
+    G = cons.abelian_group((2, 2, 2))
+    normals = core.normal_subgroups(G)
+    for H in normals:                   # every product passes, into the cache
+        cons.natural_semidirect(G, H)
+    real = cons._coset_action_table
+
+    def swapped(G, H, q):               # rows stay permutations, columns do not
+        table = real(G, H, q)
+        table[1, [1, 2]] = table[1, [2, 1]]
+        return table
+
+    monkeypatch.setattr(cons, "_coset_action_table", swapped)
+    for H in normals:
+        with pytest.raises(core.InputError):
+            cons.natural_semidirect(G, H)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_nsd_order_preserved_and_matches_action_spec(small_pool, data):

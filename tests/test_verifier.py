@@ -201,6 +201,31 @@ def test_batched_centre_fail_matches_per_g_loop(monkeypatch, block):
     assert got == _centre_per_g(G)
 
 
+def test_centre_reads_coset_centralizers_from_classes():
+    groups = [*cons.corpus(32),
+              cons.direct_product(cons.abelian_group((2, 2, 2)), cons.symmetric(3))]
+    for G in groups:
+        orders = verifier._coset_centralizer_orders(G)
+        for H in core.normal_subgroups(G):
+            if H.is_abelian:
+                sums = core.coset_commute_matrix(G, H).sum(axis=0)
+                assert np.array_equal(orders(H), sums), (G.label, H.members.tolist())
+
+
+def test_centre_fail_on_a_tampered_conjugation_table():
+    # 1^g = 5 for a single g, each g in turn: the normal walk then returns
+    # the non-normal {0, 1, 4, 5}, whose product rule breaks.  The record is
+    # the one the gathered coset_commute_matrix column sums gave.
+    base = cons.direct_product(cons.symmetric(3), cons.cyclic(2))
+    for g in range(base.n):
+        G = core.GroupTable(base.table, base.label, trusted=True)
+        cj = G.conjugation_table.copy()
+        cj[1, g] = 5
+        cj.setflags(write=False)
+        G.__dict__["conjugation_table"] = cj
+        assert _centre_record(G) == ("FAIL", {"H": [0, 1, 4, 5], "g": 4, "h": 4}, 17, 4)
+
+
 def _size_per_g(G):
     """check_size with one translate test per g, as (status, witness,
     checked, skipped): the reference for the batched comparison."""
@@ -527,6 +552,61 @@ def test_bingo_retains_no_coset_action_product():
     verifier.check_bingo(G)
     kept = [v for v in G._memo.values() if isinstance(v, cons.NaturalSemidirect)]
     assert G._memo and kept == []
+
+
+def _record_products(monkeypatch):
+    """Wrap ``natural_semidirect`` and ``verify_group_axioms``.  The first
+    returned list fills with (product, number of tables axiom-checked
+    before it was built, and after), the second with the bytes of every
+    table that passed the axiom check."""
+    built, verified = [], []
+    real_nsd, real_verify = cons.natural_semidirect, core.verify_group_axioms
+
+    def verifying(table):
+        gens = real_verify(table)
+        verified.append(table.tobytes())
+        return gens
+
+    def building(G, H):
+        before = len(verified)
+        ns = real_nsd(G, H)
+        built.append((ns.group, before, len(verified)))
+        return ns
+
+    monkeypatch.setattr(core, "verify_group_axioms", verifying)
+    monkeypatch.setattr(cons, "natural_semidirect", building)
+    monkeypatch.setattr(verifier, "natural_semidirect", building)
+    return built, verified
+
+
+def test_bingo_axiom_checks_each_distinct_product_once(monkeypatch):
+    G = cons.abelian_group((2, 2, 2, 2, 2))
+    built, verified = _record_products(monkeypatch)
+    verifier.check_bingo(G)
+    products = [P.key() for P, _, _ in built]
+    assert len(products) == 374
+    assert sorted(verified) == sorted(set(products))
+    assert len(set(products)) < len(products)
+
+
+def test_trusted_products_repeat_a_product_checked_in_the_same_verification(monkeypatch):
+    built, verified = _record_products(monkeypatch)
+    checked = trusted = distinct = 0
+    for G in cons.corpus(32):
+        del built[:], verified[:]
+        verifier.verify_group(G, ("all",))
+        distinct += len({P.key() for P, _, _ in built})
+        for P, before, after in built:
+            if after > before:
+                assert verified[before:after] == [P.key()]
+                checked += 1
+                continue
+            trusted += 1
+            assert P.generators == core.generating_set(P.table)
+            assert P.key() in verified[:before], G.label
+    # the cache is per base table: 46 checked tables repeat the bytes of a
+    # product built on another base table in the same verification
+    assert (checked, trusted, distinct) == (375, 952, 329)
 
 
 def test_key_check_tables_are_freed_without_the_cyclic_collector(monkeypatch):
