@@ -27,6 +27,7 @@ from .core import (
     PreconditionError,
     QuotientMap,
     SubgroupHandle,
+    _as_table,
     is_prime,
     prime_factors,
     quotient_group,
@@ -256,30 +257,27 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
     the twist independent of the representative, which is asserted rather
     than trusted.
 
-    Each distinct product table is axiom-checked once per base group.  The
-    generating set of every table that passed is kept in G's memo under the
-    SHA-256 digest of its bytes, and a later table with the same digest is
-    built trusted and handed that generating set.  Two distinct tables share
-    a digest only on a SHA-256 collision, with the bound given in
-    ``corpus``'s docstring, so every product is either checked or
-    byte-identical to one checked before.  The preconditions, the
-    representative check and the range and cap checks of ``GroupTable``
-    run on every call.
+    Each distinct product table is built and axiom-checked once per base
+    group.  G's memo maps the SHA-256 digest of each product's bytes to the
+    first ``GroupTable`` built from them, and a later product with the same
+    digest gets that table object back, label included, so its derived
+    tables and memo are shared too.  Two distinct tables share a digest
+    only on a SHA-256 collision, with the bound given in ``corpus``'s
+    docstring, so every product is either checked or byte-identical to one
+    checked before.  The preconditions, the representative check, the range
+    check of ``_as_table`` and the cap check run on every call;
+    ``collapse`` is the memoized entry point.
     """
     require_abelian(H)
     require_normal(H)
     q = quotient_group(G, H)
-    table = _coset_action_table(G, H, q)
-    label = f"nsd({G.label},H{H.order})"
-    checked = _checked_products(G)
+    table = _as_table(_coset_action_table(G, H, q))
+    _require_within_cap(len(table), "coset-action product")
+    products = _product_tables(G)
     digest = hashlib.sha256(table.tobytes()).digest()
-    if digest in checked:
-        group = GroupTable(table, label, trusted=True)
-        group.generators = list(checked[digest])
-    else:
-        group = GroupTable(table, label)
-        checked[digest] = group.generators
-    return NaturalSemidirect(group, G, H, q)
+    if digest not in products:
+        products[digest] = GroupTable(table, f"nsd({G.label},H{H.order})")
+    return NaturalSemidirect(products[digest], G, H, q)
 
 
 def _coset_action_table(G: GroupTable, H: SubgroupHandle, q: QuotientMap) -> np.ndarray:
@@ -305,23 +303,23 @@ def _coset_action_table(G: GroupTable, H: SubgroupHandle, q: QuotientMap) -> np.
 
 
 @memoized
-def _checked_products(G: GroupTable) -> dict[bytes, list[int]]:
-    """Digest -> generating set of each coset-action product of G that has
-    passed the axiom check; ``natural_semidirect`` fills it."""
+def _product_tables(G: GroupTable) -> dict[bytes, GroupTable]:
+    """Digest -> the axiom-checked table of each distinct coset-action
+    product of G; ``natural_semidirect`` fills it."""
     return {}
 
 
 @memoized
 def collapse(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
-    """``natural_semidirect(G, H)``, memoized on G.
+    """``natural_semidirect(G, H)``, memoized on G: the one way a check gets
+    a coset-action product.
 
-    The key check asks for the same product several times: its single
-    collapse, its iterated steps and the three products of each two-step
-    pairing overlap.  Each one is built once per verification and freed
-    when G's memo is released.  The per-H products of the bingo check call
-    ``natural_semidirect`` directly, so none of them is retained; a key
-    product whose table repeats a bingo product's bytes is still rebuilt,
-    but not axiom-checked again (see ``natural_semidirect``).
+    The bingo check asks for one product per normal p-subgroup, and the
+    key check for its single collapse, its iterated steps and the three
+    products of each two-step pairing; these overlap, with each other and
+    across the two checks.  Each (G, H) product is built once per
+    verification, byte-identical products of G share one table (see
+    ``natural_semidirect``), and all are freed when G's memo is released.
     """
     return natural_semidirect(G, H)
 

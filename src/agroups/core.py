@@ -22,16 +22,15 @@ commute in G/K iff [x, y] lies in K, so ``coset_commute_matrix`` pulls the
 commute relation of every G/K back to G with one gather.
 
 Every other derivation worth keeping -- subgroup lists, Sylow subgroups,
-p-cores, quotients, the derived series, the Fitting data, the commutators
-[F, y] of the Fitting splitting, automorphisms and their tables -- goes
-through one decorator, ``memoized``, into one dict on the table; so do the
-coset-action products of the key check, which the collapse and the
-two-step pairings share, and the digests of the coset-action product
-tables that have passed the axiom check, so that each distinct product
-table is axiom-checked once per base group.  Its handles point back at the
-table, so ``release_memo`` empties it, and the memo of every table it held,
-once a caller is done with the group, and the tables are freed without
-waiting for the cyclic garbage collector.
+p-cores, quotients, index sets, the derived series, the Fitting data, the
+commutators [F, y] of the Fitting splitting, automorphisms and their
+tables -- goes through one decorator, ``memoized``, into one dict on the
+table; so do the coset-action products, one per (G, H), which the bingo
+and key checks share, and the map from digest to each distinct product
+table, so that each one is built and axiom-checked once per base group.
+Its handles point back at the table, so ``release_memo`` empties it, and
+the memo of every table it held, once a caller is done with the group,
+and the tables are freed without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -272,11 +271,8 @@ class GroupTable:
     @functools.cached_property
     def conjugation_table(self) -> np.ndarray:
         """Entry [x, g] = g^-1 * x * g."""
-        n = self.n
-        inv = self.inverse_table
-        cj = np.empty((n, n), dtype=_INDEX_DTYPE)
-        for g in range(n):
-            cj[:, g] = self.table[self.table[inv[g], :], g]
+        T = self.table
+        cj = T[T[self.inverse_table].T, np.arange(self.n)]
         cj.setflags(write=False)
         return cj
 
@@ -417,12 +413,14 @@ def release_memo(G: GroupTable) -> None:
 
 
 def _tables_held(value) -> list[GroupTable]:
-    """The tables a memoized value holds, directly, in a tuple, or as an
-    attribute of a result object (nested result objects included)."""
+    """The tables a memoized value holds, directly, in a tuple, as a dict
+    value, or as an attribute of a result object (nested ones included)."""
     if isinstance(value, GroupTable):
         return [value]
     if isinstance(value, tuple):
         items = value
+    elif isinstance(value, dict):
+        items = value.values()
     elif hasattr(value, "__dict__"):
         items = vars(value).values()
     else:

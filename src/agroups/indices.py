@@ -18,6 +18,7 @@ from .core import (
     GroupTable,
     SubgroupHandle,
     centralizer_sizes,
+    memoized,
     p_part,
     prime_factors,
 )
@@ -56,6 +57,7 @@ def ind_rel(G: GroupTable, K: SubgroupHandle, x: int) -> int:
     return K.order // ck
 
 
+@memoized
 def index_set(G: GroupTable) -> IndexSet:
     sizes = G.n // centralizer_sizes(G)
     return IndexSet(tuple(int(s) for s in np.unique(sizes)), G.n)

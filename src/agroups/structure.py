@@ -68,24 +68,13 @@ def sylow_subgroup(G: GroupTable, p: int) -> SubgroupHandle:
 
 @memoized
 def p_core(G: GroupTable, p: int) -> SubgroupHandle:
-    """Largest normal p-subgroup: intersect the conjugates of one Sylow p-subgroup.
-
-    Conjugating by one representative per coset of the Sylow normalizer hits
-    every conjugate exactly once.
+    """Largest normal p-subgroup: the intersection of the conjugates of one
+    Sylow p-subgroup P, read in one gather as the x in P whose every
+    conjugate x^g lies in P.
     """
     P = sylow_subgroup(G, p)
-    if P.order == 1:
-        return trivial_subgroup(G)
-    nm = normalizer(G, P)
-    coset_min = G.table[:, nm.members].min(axis=1)
-    reps = np.unique(coset_min)
-    mask = P.mask.copy()
-    cj = G.conjugation_table
-    for g in reps:
-        conj_mask = np.zeros(G.n, dtype=bool)
-        conj_mask[cj[P.members, g]] = True
-        mask &= conj_mask
-    return SubgroupHandle(G, np.flatnonzero(mask), is_normal=True)
+    members = P.members[P.mask[G.conjugation_table[P.members]].all(axis=1)]
+    return SubgroupHandle(G, members, is_normal=True)
 
 
 def is_a_group(G: GroupTable) -> bool:

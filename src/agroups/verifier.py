@@ -26,7 +26,6 @@ from .core import (
     centralizer_sizes,
     coset_commute_matrix,
     derived_series,
-    memoized,
     normal_subgroups,
     p_part,
     prime_factors,
@@ -440,14 +439,6 @@ def bingo_compare(G: GroupTable, H: SubgroupHandle,
     return ([s for s in ng if s not in nc], [s for s in nc if s not in ng])
 
 
-@memoized
-def _bingo_diff(G: GroupTable, H: SubgroupHandle) -> tuple[list[int], list[int]]:
-    """``bingo_compare`` against H |x G/H, memoized on G so that ``verify``,
-    which runs ``check_bingo_pair`` and then ``check_bingo``, builds each
-    product once."""
-    return bingo_compare(G, H, natural_semidirect(G, H).group)
-
-
 def bingo_tuples(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
     """Admissible (prime, normal p-subgroup) pairs, deduplicated across primes."""
     tuples: list[tuple[int, SubgroupHandle]] = []
@@ -494,7 +485,7 @@ def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationRepor
             gate = "no prime with an abelian Sylow subgroup"
     if gate is not None:
         return [_report(G, lemma, SKIP, gate, None, 0, 1) for lemma in _BINGO_IDS]
-    missing, extra = _bingo_diff(G, H)
+    missing, extra = bingo_compare(G, H, collapse(G, H).group)
     base = {"H": H.members.tolist()}
     return _bingo_reports(
         G, {**base, "missing": missing} if missing else None,
@@ -512,7 +503,7 @@ def check_bingo(G: GroupTable) -> list[VerificationReport]:
     missing_fail = extra_fail = None
     checked = 0
     for p, H in tuples:
-        missing, extra = _bingo_diff(G, H)
+        missing, extra = bingo_compare(G, H, collapse(G, H).group)
         checked += 1
         if missing and missing_fail is None:
             missing_fail = {"p": p, "H": H.members.tolist(), "missing": missing}

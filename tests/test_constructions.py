@@ -205,6 +205,21 @@ def test_nsd_axiom_checks_a_product_unlike_every_cached_one(monkeypatch):
             cons.natural_semidirect(G, H)
 
 
+def test_release_frees_a_product_built_outside_collapse():
+    G = cons.dihedral(6)
+    H = next(H for H in core.normal_subgroups(G) if H.order == 3)
+    P = cons.natural_semidirect(G, H).group
+    core.normal_subgroups(P)            # its handles point back at P
+    product = weakref.ref(P)
+    del P
+    gc.disable()
+    try:
+        core.release_memo(G)            # through the digest map G's memo holds
+        assert product() is None
+    finally:
+        gc.enable()
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_nsd_order_preserved_and_matches_action_spec(small_pool, data):

@@ -333,6 +333,9 @@ def test_commutator_table_matches_the_oracle(small_pool):
                   for x in range(G.n)]                      # x^-1 x^y
         assert G.commutator_table.tolist() == expect, G.label
         assert not G.commutator_table.flags.writeable
+        assert G.conjugation_table.tolist() == [
+            [oracle_conj(t, x, g) for g in range(G.n)] for x in range(G.n)], G.label
+        assert not G.conjugation_table.flags.writeable
 
 
 def test_coset_commute_matrix_matches_the_quotient():

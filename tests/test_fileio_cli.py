@@ -224,11 +224,9 @@ def test_cli_verify_bingo_alt4(capsys):
 
 
 def test_cli_verify_builds_each_bingo_product_once(capsys, monkeypatch):
-    from agroups import verifier
-
     calls = []
-    real = verifier.natural_semidirect
-    monkeypatch.setattr(verifier, "natural_semidirect",
+    real = cons.natural_semidirect
+    monkeypatch.setattr(cons, "natural_semidirect",
                         lambda G, H: calls.append(H.key()) or real(G, H))
     assert cli.main(["verify", "--lemma", "bingo", "abelian(2,2,2)"]) == 0
     h_lines = [ln for ln in capsys.readouterr().out.splitlines() if " H = " in ln]

@@ -444,6 +444,15 @@ def test_scan_report_matches_pinned_digest(tmp_path):
         "61ed584f2fb5a4a401f998807c4d6343fb85683c9451a30dd3e158c75bf2a3b2")
 
 
+def test_explore_report_matches_pinned_digest(tmp_path):
+    """The order-32 report with the exploratory minimal-lemma checks."""
+    path = tmp_path / "explore32.jsonl"
+    fileio.write_report_file(
+        verifier.scan(32, lemmas=("all",), explore=True).reports, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "4bd5f1abb410d1fb71400f89b5d686f24ea7bee547999d8feb7b68142c171dfb")
+
+
 def test_scan_report_does_not_depend_on_the_seed(tmp_path):
     reports = []
     for seed in (7, 8):
@@ -547,18 +556,36 @@ def test_key_builds_each_coset_action_product_once(recipe, builds, monkeypatch):
     assert G._memo == {}
 
 
-def test_bingo_retains_no_coset_action_product():
-    G = cons.abelian_group((2, 2, 2))
+@pytest.mark.parametrize("recipe, pairs", [
+    ("dihedral(5)", 2),
+    ("dp(cyclic(5),sym(3))", 5),
+    ("dp(dp(cyclic(5),sym(3)),cyclic(7))", 9),
+])
+def test_bingo_and_key_build_each_coset_action_product_once(recipe, pairs, monkeypatch):
+    G = fileio.build_recipe(recipe)
+    calls = []
+    real = cons.natural_semidirect
+    monkeypatch.setattr(cons, "natural_semidirect",
+                        lambda G, H: calls.append((G, H.key())) or real(G, H))
+    reports = verifier.verify_group(G, ("bingo", "key"))
+    assert {r.status for r in reports} == {"PASS"}
+    # the key check reuses the bingo check's products of G
+    assert len(calls) == len({(id(T), mask) for T, mask in calls}) == pairs
+
+
+def test_bingo_products_share_one_table():
+    G = cons.abelian_group((2, 2, 2, 2, 2))
     verifier.check_bingo(G)
     kept = [v for v in G._memo.values() if isinstance(v, cons.NaturalSemidirect)]
-    assert G._memo and kept == []
+    assert len(kept) == 374
+    assert len({id(ns.group) for ns in kept}) == 1
 
 
 def _record_products(monkeypatch):
     """Wrap ``natural_semidirect`` and ``verify_group_axioms``.  The first
-    returned list fills with (product, number of tables axiom-checked
-    before it was built, and after), the second with the bytes of every
-    table that passed the axiom check."""
+    returned list fills with (coset-action product, number of tables
+    axiom-checked before it was built, and after), the second with the
+    bytes of every table that passed the axiom check."""
     built, verified = [], []
     real_nsd, real_verify = cons.natural_semidirect, core.verify_group_axioms
 
@@ -570,7 +597,7 @@ def _record_products(monkeypatch):
     def building(G, H):
         before = len(verified)
         ns = real_nsd(G, H)
-        built.append((ns.group, before, len(verified)))
+        built.append((ns, before, len(verified)))
         return ns
 
     monkeypatch.setattr(core, "verify_group_axioms", verifying)
@@ -583,30 +610,34 @@ def test_bingo_axiom_checks_each_distinct_product_once(monkeypatch):
     G = cons.abelian_group((2, 2, 2, 2, 2))
     built, verified = _record_products(monkeypatch)
     verifier.check_bingo(G)
-    products = [P.key() for P, _, _ in built]
+    products = [ns.group.key() for ns, _, _ in built]
     assert len(products) == 374
     assert sorted(verified) == sorted(set(products))
     assert len(set(products)) < len(products)
 
 
-def test_trusted_products_repeat_a_product_checked_in_the_same_verification(monkeypatch):
+def test_byte_identical_products_on_one_base_share_one_checked_table(monkeypatch):
     built, verified = _record_products(monkeypatch)
-    checked = trusted = distinct = 0
+    builds = checked = distinct = 0
     for G in cons.corpus(32):
         del built[:], verified[:]
         verifier.verify_group(G, ("all",))
-        distinct += len({P.key() for P, _, _ in built})
-        for P, before, after in built:
-            if after > before:
-                assert verified[before:after] == [P.key()]
-                checked += 1
+        builds += len(built)
+        distinct += len({ns.group.key() for ns, _, _ in built})
+        shared, tables = {}, set()
+        for ns, before, after in built:
+            P = ns.group
+            # the list keeps every base table alive, so no two share an id()
+            assert shared.setdefault((id(ns.base), P.key()), P) is P, G.label
+            if id(P) in tables:
+                assert after == before
                 continue
-            trusted += 1
-            assert P.generators == core.generating_set(P.table)
-            assert P.key() in verified[:before], G.label
-    # the cache is per base table: 46 checked tables repeat the bytes of a
-    # product built on another base table in the same verification
-    assert (checked, trusted, distinct) == (375, 952, 329)
+            tables.add(id(P))
+            assert verified[before:after] == [P.key()]
+        checked += len(tables)
+    # the table map is per base table: 46 checked tables repeat the bytes of
+    # a product built on another base table in the same verification
+    assert (builds, checked, distinct) == (1227, 375, 329)
 
 
 def test_key_check_tables_are_freed_without_the_cyclic_collector(monkeypatch):
@@ -621,7 +652,7 @@ def test_key_check_tables_are_freed_without_the_cyclic_collector(monkeypatch):
     monkeypatch.setattr(core.GroupTable, "__init__", tracking)
     gc.disable()
     try:
-        verifier.verify_group(G, ("key",))
+        verifier.verify_group(G, ("bingo", "key"))
         alive = [r() for r in built if r() is not None]
         assert len(built) >= 5 and alive == []
     finally:
