@@ -8,14 +8,17 @@ actions (a^(b1*b2) = (a^b1)^b2) and the product of pairs is
 so that the coset-action product H |x G/H built here agrees bit for bit
 with the conjugation action it encodes.  Pair elements are flattened to
 dense indices in lexicographic (acted, acting) order, which puts the
-identity pair at index 0.
+identity pair at index 0.  ``_pair_table`` is the one place that builds a
+table on pairs: direct products are its identity twist, and semidirect and
+coset-action products pass the twist a2 -> a2^(b1^-1).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product as iproduct
 
 import numpy as np
 
@@ -59,9 +62,17 @@ def cyclic(n: int) -> GroupTable:
 
 def direct_product(A: GroupTable, B: GroupTable, label: str | None = None) -> GroupTable:
     _require_within_cap(A.n * B.n, "direct product")
-    a, b = np.divmod(np.arange(A.n * B.n), B.n)
-    table = A.table[np.ix_(a, a)] * B.n + B.table[np.ix_(b, b)]
+    untwisted = np.broadcast_to(np.arange(A.n), (B.n, A.n))
+    table = _pair_table(A.table, B.table, untwisted)
     return GroupTable(table, label=label or f"dp({A.label},{B.label})")
+
+
+def _pair_table(TA: np.ndarray, TB: np.ndarray, twisted: np.ndarray) -> np.ndarray:
+    """The table on pairs (a, b), flattened as a * |B| + b, under
+    (a1, b1)(a2, b2) = (a1 * twisted[b1, a2], b1 * b2)."""
+    na, nb = len(TA), len(TB)
+    left = TA[:, twisted]                     # [a1, b1, a2] -> a1 * twisted[b1, a2]
+    return (left[:, :, :, None] * nb + TB[None, :, None, :]).reshape(na * nb, na * nb)
 
 
 def abelian_group(factors) -> GroupTable:
@@ -216,11 +227,8 @@ def semidirect_product(spec: ActionSpec, label: str | None = None) -> GroupTable
     spec.validate()
     A, B, act = spec.acted, spec.acting, np.asarray(spec.action)
     _require_within_cap(A.n * B.n, "semidirect product")
-    binv = B.inverse_table
-    twisted = act[:, binv].T                 # [b1, a2] -> a2^(b1^-1)
-    left = A.table[:, twisted]               # [a1, b1, a2] -> a1 * a2^(b1^-1)
-    table = (left[:, :, :, None] * B.n + B.table[None, :, None, :]).reshape(
-        A.n * B.n, A.n * B.n)
+    twisted = act[:, B.inverse_table].T      # [b1, a2] -> a2^(b1^-1)
+    table = _pair_table(A.table, B.table, twisted)
     return GroupTable(table, label=label or f"sd({A.label},{B.label},?)")
 
 
@@ -282,10 +290,8 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
 
 def _coset_action_table(G: GroupTable, H: SubgroupHandle, q: QuotientMap) -> np.ndarray:
     """The int32 table of H |x G/H, pairs flattened in (h, coset) order."""
-    nq = q.quotient.n
-    h = H.order
     pos = np.full(G.n, -1, dtype=np.int32)
-    pos[H.members] = np.arange(h)
+    pos[H.members] = np.arange(H.order)
     cj = G.conjugation_table
     inv = G.inverse_table
     # twist[c, i] = position of h_i^(rep(c)^-1); representative independence check
@@ -297,9 +303,7 @@ def _coset_action_table(G: GroupTable, H: SubgroupHandle, q: QuotientMap) -> np.
             "coset action depends on the representative despite abelian H",
             {"element": g, "coset": int(q.projection[g])})
     ht = pos[G.table[np.ix_(H.members, H.members)]]
-    left = ht[:, twist]                       # [i1, c1, i2]
-    return (left[:, :, :, None] * nq
-            + q.quotient.table[None, :, None, :]).reshape(G.n, G.n)
+    return _pair_table(ht, q.quotient.table, twist)
 
 
 @memoized
@@ -446,31 +450,36 @@ def _construction_trace(G: GroupTable) -> list[tuple[int, int, int]]:
     return trace
 
 
-_AUT_CANDIDATE_CAP = 1_000_000
+_HOM_CANDIDATE_CAP = 1_000_000
+
+
+def _homomorphisms(source: GroupTable, target: GroupTable, cands):
+    """Yield every homomorphism source -> target that sends the i-th
+    generator of source into ``cands[i]``, in generator-image order.
+
+    Each choice of images is extended along the construction trace and kept
+    when f(x * g) = f(x) * f(g) for every x and every generator g: with
+    f(0) = 0, induction on word length makes that the homomorphism law.
+    """
+    gens = source.generators
+    total = math.prod(len(c) for c in cands)
+    if total > _HOM_CANDIDATE_CAP:
+        raise InputError(f"homomorphism search space {total} from {source.label} "
+                         f"to {target.label} is too large")
+    steps = source.table[:, gens]             # [x, i] -> x * gens[i]
+    for images in iproduct(*cands):
+        f = _hom_extension(source, dict(zip(gens, map(int, images))), target)
+        if np.array_equal(f[steps], target.table[f[:, None], f[gens]]):
+            yield f
 
 
 @memoized
 def automorphisms(G: GroupTable) -> list[np.ndarray]:
-    """All automorphisms as permutation arrays, lexicographically sorted."""
-    gens = G.generators
+    """All automorphisms as permutation arrays, lexicographically sorted:
+    the homomorphisms G -> G with trivial kernel."""
     orders = G.element_orders
-    cands = [np.flatnonzero(orders == orders[g]) for g in gens]
-    total = 1
-    for c in cands:
-        total *= len(c)
-    if total > _AUT_CANDIDATE_CAP:
-        raise InputError(
-            f"automorphism search space {total} too large for {G.label}")
-    out = []
-    from itertools import product as iproduct
-
-    for images in iproduct(*cands):
-        gen_images = dict(zip(gens, map(int, images)))
-        mapping = _hom_extension(G, gen_images, G)
-        if len(np.unique(mapping)) != G.n:
-            continue
-        if np.array_equal(mapping[G.table], G.table[np.ix_(mapping, mapping)]):
-            out.append(mapping)
+    cands = [np.flatnonzero(orders == orders[g]) for g in G.generators]
+    out = [f for f in _homomorphisms(G, G, cands) if np.count_nonzero(f == 0) == 1]
     out.sort(key=lambda m: m.tolist())
     return out
 
@@ -488,34 +497,18 @@ def automorphism_table(G: GroupTable) -> tuple[GroupTable, list[np.ndarray]]:
 def action_homs(acted: GroupTable, acting: GroupTable) -> list[np.ndarray]:
     """Every right action of `acting` on `acted`, in generator-image order.
 
-    Index k of the returned list is the recipe-level action selector: homs
-    are ordered lexicographically by the images chosen for the minimal
-    generating sequence of the acting group, so index 0 is the trivial
-    action (direct product).
+    The actions are the homomorphisms acting -> Aut(acted), each generator
+    sent to an automorphism whose order divides its own.  Index k of the
+    returned list is the recipe-level action selector: homs are ordered
+    lexicographically by the images chosen for the minimal generating
+    sequence of the acting group, so index 0 is the trivial action (direct
+    product).
     """
     aut_group, auts = automorphism_table(acted)
     arr = np.stack(auts)
-    gens = acting.generators
-    if not gens:
-        return [np.tile(np.arange(acted.n)[:, None], (1, acting.n))]
-    g_orders = [acting.order_of(g) for g in gens]
-    cands = [
-        np.flatnonzero(np.array([g_orders[i] % int(o) == 0
-                                 for o in aut_group.element_orders]))
-        for i in range(len(gens))
-    ]
-    out = []
-    from itertools import product as iproduct
-
-    for images in iproduct(*cands):
-        gen_images = dict(zip(gens, map(int, images)))
-        mapping = _hom_extension(acting, gen_images, aut_group)
-        if not np.array_equal(mapping[acting.table],
-                              aut_group.table[np.ix_(mapping, mapping)]):
-            continue
-        action = arr[mapping].T              # [a, b] = auts[mapping[b]][a]
-        out.append(action)
-    return out
+    aut_orders = aut_group.element_orders
+    cands = [np.flatnonzero(acting.order_of(g) % aut_orders == 0) for g in acting.generators]
+    return [arr[f].T for f in _homomorphisms(acting, aut_group, cands)]   # [a, b] = auts[f[b]][a]
 
 
 def semidirect_from_selector(acted: GroupTable, acting: GroupTable, k: int) -> GroupTable:

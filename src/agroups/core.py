@@ -590,11 +590,7 @@ class DerivedSeries:
 def commutator_subgroup(G: GroupTable, H: SubgroupHandle) -> SubgroupHandle:
     """Derived subgroup of H, computed inside G."""
     m = H.members
-    inv = G.inverse_table
-    left = G.table[np.ix_(inv[m], inv[m])]
-    right = G.table[np.ix_(m, m)]
-    comms = np.unique(G.table[left, right])
-    members = _close_members(G.table, np.append(comms, 0))
+    members = _close_members(G.table, G.commutator_table[np.ix_(m, m)].ravel())
     return SubgroupHandle(G, members)
 
 
@@ -691,7 +687,7 @@ def commutator_with_element(G: GroupTable, H: SubgroupHandle, g: int) -> Subgrou
             "subgroup is not normalized by the element",
             {"g": g, "h": int(H.members[bad]), "conjugate": int(conj[bad])},
         )
-    comms = np.unique(G.table[G.inverse_table[H.members], conj])
+    comms = np.unique(G.commutator_table[H.members, g])
     closed = _close_members(G.table, comms)
     if closed.size != comms.size:
         raise LemmaViolation(

@@ -217,12 +217,9 @@ def l4_decompose(G: GroupTable, H: SubgroupHandle, g: int) -> SplitOffCentral:
 
     K = subgroup_closure(G, np.append(H.members, g))
     # [K, T] and C_K(T)
-    cj = G.conjugation_table
     inv = G.inverse_table
-    comm_set = np.unique(
-        G.table[inv[K.members][:, None], cj[np.ix_(K.members, T.members)]]
-    )
-    KT = SubgroupHandle(G, _close_members(G.table, np.append(comm_set, 0)))
+    comms = G.commutator_table[np.ix_(K.members, T.members)].ravel()
+    KT = SubgroupHandle(G, _close_members(G.table, comms))
     ck_mask = K.mask & G.commute_matrix[:, T.members].all(axis=1)
     CKT = SubgroupHandle(G, np.flatnonzero(ck_mask))
 

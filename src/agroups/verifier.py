@@ -237,11 +237,9 @@ def check_cl2(G: GroupTable) -> list[VerificationReport]:
 def _coprime_split_ok(G: GroupTable, P: SubgroupHandle, a_list: np.ndarray):
     """Check C_P(a) x [P,a] = P for each a; returns index of first failure."""
     cm = G.commute_matrix
-    cj = G.conjugation_table
-    inv = G.inverse_table
     m = P.members
     cent_sizes = cm[np.ix_(m, a_list)].sum(axis=0)
-    raw = G.table[inv[m][:, None], cj[np.ix_(m, a_list)]]      # [i, j] = h_i^-1 h_i^a_j
+    raw = G.commutator_table[np.ix_(m, a_list)]                # [i, j] = [h_i, a_j]
     srt = np.sort(raw, axis=0)
     comm_sizes = 1 + (srt[1:] != srt[:-1]).sum(axis=0)
     cover = cent_sizes * comm_sizes == P.order

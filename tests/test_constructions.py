@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agroups import constructions as cons, core
+from agroups import cli, constructions as cons, core
 from agroups.indices import index_set
 
 from conftest import cyclic_of_order
@@ -345,6 +345,39 @@ def test_catalogue_orbit_maps_are_isomorphisms():
                     assert np.array_equal(images, products_of_images), (A.label, B.label)
                     pairs += len(psis)
     assert pairs == 256_348
+
+
+def test_action_homs_and_automorphisms_are_pinned():
+    # The generator-image order fixes the sd(A,B,k) selectors and the corpus.
+    digest = hashlib.sha256()
+    pairs = actions = 0
+    for acted_type in cons._SD_CATALOGUE_ACTED:
+        for acting_type in cons._SD_CATALOGUE_ACTING:
+            if np.prod(acted_type) * np.prod(acting_type) > 60:
+                continue
+            A, B = cons.abelian_group(acted_type), cons.abelian_group(acting_type)
+            homs = cons.action_homs(A, B)
+            for h in homs:
+                assert h.dtype == np.int64
+                digest.update(h.tobytes())
+            for a in cons.automorphisms(A):
+                digest.update(a.astype(np.int64).tobytes())
+            pairs += 1
+            actions += len(homs)
+    assert (pairs, actions) == (151, 1075)
+    assert digest.hexdigest() == (
+        "686cdd553c7a3732f37f4819a3f4b458752fe7aecddb028edaabab7a47197514")
+    trivial = cons.action_homs(cons.cyclic(3), cons.cyclic(1))
+    assert len(trivial) == 1 and trivial[0].dtype == np.int64
+    assert trivial[0].tolist() == [[0], [1], [2]]
+
+
+def test_action_search_refuses_an_oversized_candidate_space():
+    # 6 generators of order 2, each with 22 candidate images in GL(3,2).
+    acted, acting = cons.abelian_group((2, 2, 2)), cons.abelian_group((2,) * 6)
+    with pytest.raises(core.InputError, match="search space 113379904"):
+        cons.semidirect_from_selector(acted, acting, 1)
+    assert cli.main(["info", "sd(abelian(2,2,2),abelian(2,2,2,2,2,2),1)"]) == 2
 
 
 def test_corpus_builds_each_automorphism_table_once(monkeypatch):

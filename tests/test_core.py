@@ -413,6 +413,16 @@ def test_pp_decomposition_properties(small_pool, data):
 # -- relative commutator subgroup -------------------------------------------------------
 
 
+def test_commutator_subgroup_matches_the_oracle(small_pool):
+    for G in small_pool:
+        t = table_rows(G)
+        for H in core.normal_subgroups(G):
+            m = H.members.tolist()
+            comms = {t[t[t[x].index(0)][t[y].index(0)]][t[x][y]] for x in m for y in m}
+            expect = sorted(oracle_closure(t, comms))       # x^-1 y^-1 x y
+            assert core.commutator_subgroup(G, H).members.tolist() == expect, G.label
+
+
 def test_commutator_with_central_element_is_trivial():
     G = cons.abelian_group((3, 3))
     H = core.subgroup_closure(G, [1])
