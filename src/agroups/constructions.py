@@ -420,14 +420,13 @@ def two_step_collapse_witness(G: GroupTable, H: SubgroupHandle,
 # -- automorphisms and action enumeration -------------------------------------
 
 
-def _hom_extension(G: GroupTable, gen_images: dict[int, int],
-                   target: GroupTable) -> np.ndarray:
-    """Extend generator images to a full map via the BFS construction trace."""
-    trace = _construction_trace(G)
-    out = np.full(G.n, -1, dtype=np.int64)
-    out[0] = 0
-    for e, parent, g in trace:
-        out[e] = target.table[out[parent], gen_images[g]]
+def _hom_extension(G: GroupTable, gen_images: dict, mul, one) -> np.ndarray:
+    """Extend generator images to a full map via the BFS construction trace:
+    f(identity) = one and f(parent * g) = mul(f(parent), f(g))."""
+    out = np.empty((G.n, *one.shape), dtype=np.int64)
+    out[0] = one
+    for e, parent, g in _construction_trace(G):
+        out[e] = mul(out[parent], gen_images[g])
     return out
 
 
@@ -453,23 +452,27 @@ def _construction_trace(G: GroupTable) -> list[tuple[int, int, int]]:
 _HOM_CANDIDATE_CAP = 1_000_000
 
 
-def _homomorphisms(source: GroupTable, target: GroupTable, cands):
-    """Yield every homomorphism source -> target that sends the i-th
-    generator of source into ``cands[i]``, in generator-image order.
+def _homomorphisms(source: GroupTable, cands, mul, one, target: str):
+    """Yield every homomorphism from source into the target named ``target``
+    that sends the i-th generator of source into ``cands[i]``, in
+    generator-image order.
 
-    Each choice of images is extended along the construction trace and kept
-    when f(x * g) = f(x) * f(g) for every x and every generator g: with
-    f(0) = 0, induction on word length makes that the homomorphism law.
+    The target is given by its composition ``mul``, which broadcasts over
+    leading axes, and its identity ``one``, an array (0-d when the target's
+    elements are indices).  Each choice of images is extended along the
+    construction trace and kept when f(x * g) = f(x) * f(g) for every x and
+    every generator g: with f(0) = one, induction on word length makes that
+    the homomorphism law.
     """
     gens = source.generators
     total = math.prod(len(c) for c in cands)
     if total > _HOM_CANDIDATE_CAP:
         raise InputError(f"homomorphism search space {total} from {source.label} "
-                         f"to {target.label} is too large")
+                         f"to {target} is too large")
     steps = source.table[:, gens]             # [x, i] -> x * gens[i]
     for images in iproduct(*cands):
-        f = _hom_extension(source, dict(zip(gens, map(int, images))), target)
-        if np.array_equal(f[steps], target.table[f[:, None], f[gens]]):
+        f = _hom_extension(source, dict(zip(gens, images)), mul, one)
+        if (f[steps] == mul(f[:, None], f[gens][None])).all():
             yield f
 
 
@@ -478,20 +481,26 @@ def automorphisms(G: GroupTable) -> list[np.ndarray]:
     """All automorphisms as permutation arrays, lexicographically sorted:
     the homomorphisms G -> G with trivial kernel."""
     orders = G.element_orders
-    cands = [np.flatnonzero(orders == orders[g]) for g in G.generators]
-    out = [f for f in _homomorphisms(G, G, cands) if np.count_nonzero(f == 0) == 1]
+    cands = [np.flatnonzero(orders == orders[g]).tolist() for g in G.generators]
+    T = G.table
+    homs = _homomorphisms(G, cands, lambda a, b: T[a, b], np.int64(0), G.label)
+    out = [f for f in homs if np.count_nonzero(f == 0) == 1]
     out.sort(key=lambda m: m.tolist())
     return out
 
 
-@memoized
-def automorphism_table(G: GroupTable) -> tuple[GroupTable, list[np.ndarray]]:
-    """The automorphisms as a group table under apply-left-then-right.
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Permutation a, then b (``b[a]``), over broadcast leading axes."""
+    return b[a] if b.ndim == 1 else np.take_along_axis(b, a, axis=-1)
 
-    Memoized: the corpus asks for it once per acting group on the same table.
-    """
-    auts = automorphisms(G)
-    return perm_table(auts, f"aut({G.label})"), auts
+
+def _powers_are_identity(perms: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the stacked permutations whose k-th power is the identity,
+    that is, whose order divides k."""
+    power = perms
+    for _ in range(k - 1):
+        power = _compose(power, perms)
+    return (power == np.arange(perms.shape[1])).all(axis=1)
 
 
 def action_homs(acted: GroupTable, acting: GroupTable) -> list[np.ndarray]:
@@ -503,12 +512,18 @@ def action_homs(acted: GroupTable, acting: GroupTable) -> list[np.ndarray]:
     lexicographically by the images chosen for the minimal generating
     sequence of the acting group, so index 0 is the trivial action (direct
     product).
+
+    Aut(acted) is never a table: its elements are the rows of the stacked,
+    sorted ``automorphisms``, composed by indexing, and an automorphism's
+    order is read from its powers.  So no cap applies to |Aut(acted)|; the
+    search's candidate cap does.
     """
-    aut_group, auts = automorphism_table(acted)
-    arr = np.stack(auts)
-    aut_orders = aut_group.element_orders
-    cands = [np.flatnonzero(acting.order_of(g) % aut_orders == 0) for g in acting.generators]
-    return [arr[f].T for f in _homomorphisms(acting, aut_group, cands)]   # [a, b] = auts[f[b]][a]
+    auts = np.stack(automorphisms(acted))
+    cands = [auts[_powers_are_identity(auts, acting.order_of(g))]
+             for g in acting.generators]
+    homs = _homomorphisms(acting, cands, _compose, np.arange(acted.n),
+                          f"aut({acted.label})")
+    return [f.T for f in homs]                # [a, b] = image of a under b
 
 
 def semidirect_from_selector(acted: GroupTable, acting: GroupTable, k: int) -> GroupTable:
@@ -746,7 +761,6 @@ def corpus(max_order: int, families=None):
                         fingerprints.add(fp)
                         if fresh(G):
                             yield G
-                release_memo(acted)
         finally:
             for G in shared.values():
                 release_memo(G)

@@ -23,11 +23,11 @@ commute relation of every G/K back to G with one gather.
 
 Every other derivation worth keeping -- subgroup lists, Sylow subgroups,
 p-cores, quotients, index sets, the derived series, the Fitting data, the
-commutators [F, y] of the Fitting splitting, automorphisms and their
-tables -- goes through one decorator, ``memoized``, into one dict on the
-table; so do the coset-action products, one per (G, H), which the bingo
-and key checks share, and the map from digest to each distinct product
-table, so that each one is built and axiom-checked once per base group.
+commutators [F, y] of the Fitting splitting, the automorphisms -- goes
+through one decorator, ``memoized``, into one dict on the table; so do the
+coset-action products, one per (G, H), which the bingo and key checks
+share, and the map from digest to each distinct product table, so that
+each one is built and axiom-checked once per base group.
 Its handles point back at the table, so ``release_memo`` empties it, and
 the memo of every table it held, once a caller is done with the group,
 and the tables are freed without waiting for the cyclic garbage collector.
@@ -413,13 +413,11 @@ def release_memo(G: GroupTable) -> None:
 
 
 def _tables_held(value) -> list[GroupTable]:
-    """The tables a memoized value holds, directly, in a tuple, as a dict
-    value, or as an attribute of a result object (nested ones included)."""
+    """The tables a memoized value holds, directly, as a dict value, or as an
+    attribute of a result object (nested ones included)."""
     if isinstance(value, GroupTable):
         return [value]
-    if isinstance(value, tuple):
-        items = value
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         items = value.values()
     elif hasattr(value, "__dict__"):
         items = vars(value).values()

@@ -114,7 +114,8 @@ def _find_isomorphism(A: core.GroupTable, B: core.GroupTable):
         [y for y in range(B.n) if B.order_of(y) == A.order_of(g)] for g in gens
     ]
     for images in product(*cands):
-        mapping = cons._hom_extension(A, dict(zip(gens, images)), B)
+        mapping = cons._hom_extension(A, dict(zip(gens, images)),
+                                      lambda a, b: B.table[a, b], np.int64(0))
         if len(set(mapping.tolist())) != A.n:
             continue
         if np.array_equal(mapping[A.table], B.table[np.ix_(mapping, mapping)]):
@@ -308,13 +309,26 @@ def test_automorphisms_are_sorted_and_valid():
     lambda: cons.abelian_group((3, 3)),
 ])
 def test_automorphism_table_matches_composition_oracle(build):
+    # The table of composites of Aut(G) as permutation arrays, by indexing:
+    # [i, j] = auts[i] applied first, then auts[j].  Actions compose this way.
     G = build()
-    table, auts = cons.automorphism_table(G)
-    index = {tuple(a.tolist()): i for i, a in enumerate(auts)}
-    want = [[index[tuple(int(b[a[x]]) for x in range(G.n))] for b in auts]
-            for a in auts]                    # apply a first, then b
-    assert table.table.tolist() == want
-    assert table.label == f"aut({G.label})"
+    auts = [a.tolist() for a in cons.automorphisms(G)]
+    P = np.stack(cons.automorphisms(G))
+    composites = cons._compose(P[:, None], P[None])
+    for i, a in enumerate(auts):
+        for j, b in enumerate(auts):
+            want = [b[a[x]] for x in range(G.n)]
+            assert composites[i, j].tolist() == want
+            assert cons._compose(P[i], P[j]).tolist() == want
+            assert want in auts
+    orders = []
+    for a in auts:                            # plain-Python repeated composition
+        power, k = a, 1
+        while power != list(range(G.n)):
+            power, k = [a[x] for x in power], k + 1
+        orders.append(k)
+    for k in range(1, max(orders) + 1):
+        assert cons._powers_are_identity(P, k).tolist() == [k % o == 0 for o in orders]
 
 
 def test_catalogue_orbit_maps_are_isomorphisms():
@@ -380,14 +394,24 @@ def test_action_search_refuses_an_oversized_candidate_space():
     assert cli.main(["info", "sd(abelian(2,2,2),abelian(2,2,2,2,2,2),1)"]) == 2
 
 
-def test_corpus_builds_each_automorphism_table_once(monkeypatch):
-    labels = []
-    real = cons.perm_table
-    monkeypatch.setattr(cons, "perm_table",
-                        lambda perms, label: labels.append(label) or real(perms, label))
+def test_corpus_searches_each_automorphism_group_once(monkeypatch):
+    searches = []
+    real = cons._homomorphisms
+    monkeypatch.setattr(cons, "_homomorphisms", lambda source, cands, mul, one, target: (
+        searches.append((source.label, target)) or real(source, cands, mul, one, target)))
     list(cons.corpus(60))
-    aut_labels = [lb for lb in labels if lb.startswith("aut(")]
-    assert len(aut_labels) == len(set(aut_labels)) == 35
+    automorphism_searches = [s for s, t in searches if s == t]
+    acted = {t[len("aut("):-1] for s, t in searches if t.startswith("aut(")}
+    assert len(automorphism_searches) == len(set(automorphism_searches))
+    assert len(acted) == 35 and acted <= set(automorphism_searches)
+
+
+def test_actions_on_groups_with_automorphisms_past_the_order_cap(capsys):
+    # |Aut(C2^4)| = 20160 and |GL(2, 7)| = 2016 both exceed the order cap of 2000.
+    assert cli.main(["info", "sd(abelian(2,2,2,2),cyclic(2),1)"]) == 0
+    assert "order: 32" in capsys.readouterr().out
+    G = cons.semidirect_from_selector(cons.abelian_group((7, 7)), cons.abelian_group((3,)), 1)
+    assert G.n == 147 and not G.is_abelian()
 
 
 # -- corpus -----------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from agroups import cli, constructions as cons, core, fileio
+from agroups import cli, constructions as cons, core, fileio, verifier
 from agroups.verifier import scan
 
 
@@ -236,6 +236,15 @@ def test_cli_verify_builds_each_bingo_product_once(capsys, monkeypatch):
 
 def test_cli_verify_failing_exit_code():
     assert cli.main(["verify", "--lemma", "basic", "sym(4)"]) == 0
+
+
+def test_cli_verify_exits_one_on_a_fail(monkeypatch, capsys):
+    def failing(G):
+        return [verifier._report(G, "basic", verifier.FAIL, witness={"pair": [1, 2]})]
+
+    monkeypatch.setitem(verifier._CHECKS, "basic", failing)
+    assert cli.main(["verify", "--lemma", "basic", "sym(4)"]) == 1
+    assert "witness: {'pair': [1, 2]}" in capsys.readouterr().out
 
 
 def test_cli_scan_max_order_one(tmp_path, capsys):
