@@ -1,5 +1,6 @@
 """Core table representation, element arithmetic, and elementary algorithms."""
 
+import hashlib
 import pickle
 import tracemalloc
 
@@ -542,6 +543,20 @@ def test_targeted_queries_match_lattice_on_corpus(small_pool):
 ])
 def test_targeted_queries_match_lattice_larger(recipe):
     assert_queries_match_lattice(build_recipe(recipe))
+
+
+def test_subgroup_queries_are_pinned_on_corpus(corpus_100):
+    # the member bytes of every normal and every abelian subgroup, in the
+    # canonical order, over the whole order-100 stream
+    h = hashlib.sha256()
+    for G in corpus_100:
+        for query in (core.normal_subgroups, core.abelian_subgroups):
+            for H in query(G):
+                h.update(H.members.tobytes())
+            h.update(b"|")
+        core.release_memo(G)
+    assert h.hexdigest() == (
+        "7516dfb8d1473a6eafe2365a0e71e03795027f3ccdd95d73490706841da81483")
 
 
 def test_subgroups_of_returns_cached_handles():
