@@ -508,6 +508,22 @@ def coset_commute_matrix(G: GroupTable, K: SubgroupHandle) -> np.ndarray:
     return K.mask[G.commutator_table]
 
 
+@memoized
+def _class_minima(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """The least member of each element's class, and |C_G(x)| = n / |cl(x)|."""
+    rep = G.conjugation_table.min(axis=1)
+    return rep, G.n // np.bincount(rep, minlength=G.n)[rep]
+
+
+def coset_centralizer_orders(G: GroupTable, K: SubgroupHandle) -> np.ndarray:
+    """|K| |C_{G/K}(xK)| for every x, the column sums of
+    ``coset_commute_matrix(G, K)`` read from n x |K| entries: the y with
+    [x, y] in K are those with x^y in Kx, |C_G(x)| |cl(x) n Kx| of them."""
+    require_normal(K)
+    rep, class_centralizer = _class_minima(G)
+    return class_centralizer * (rep[G.table[K.members]] == rep).sum(axis=0)
+
+
 # -- quotients ---------------------------------------------------------------
 
 
@@ -698,64 +714,69 @@ def commutator_with_element(G: GroupTable, H: SubgroupHandle, g: int) -> Subgrou
 # -- subgroup enumeration -------------------------------------------------------
 
 
-def _walk(n: int, step) -> list[np.ndarray]:
-    """Every subgroup reached from the trivial one by repeated steps, breadth-first.
+_JOIN_BLOCK = 1 << 21   # products one step of the join walk forms at once
 
-    ``step(mem, mask)`` yields the sorted int64 members of the subgroups one
-    step above the sorted members ``mem`` of a subgroup, whose membership
-    mask is ``mask``.  Each subgroup reached is kept once.
+
+def _closed_joins(T: np.ndarray, gens: np.ndarray, atoms: list[np.ndarray],
+                  compat: np.ndarray) -> list[np.ndarray]:
+    """Every join of the atoms, each produced exactly once, as sorted members.
+
+    Atom i, the members ``atoms[i]``, is the smallest subgroup of its kind
+    holding ``gens[i]``; a join holding atom j may take atom i only if
+    ``compat[j, i]``.  Prefix-preserving closure extension (the LCM scheme
+    for closed itemsets): N, made by atom c, is extended by each allowed
+    atom i > c it lacks, to the product of N and atom i (a subgroup, as the
+    atom normalizes N), kept only when the first atom it adds is i.
+    Products are formed in blocks under ``_JOIN_BLOCK``, each padded to its
+    largest atom, so atoms sorted by size waste the least.
     """
-    trivial = np.array([0], dtype=np.int64)
-    seen = {trivial.tobytes(): trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt: list[np.ndarray] = []
-        for mem in frontier:
-            mask = np.zeros(n, dtype=bool)
-            mask[mem] = True
-            for new in step(mem, mask):
-                key = new.tobytes()
-                if key not in seen:
-                    seen[key] = new.copy()      # not a view that pins a batch
-                    nxt.append(seen[key])
-        frontier = nxt
-    return list(seen.values())
+    n, k = len(T), len(gens)
+    sizes = np.array([len(a) for a in atoms], dtype=np.int64)
+    width = sizes.max(initial=1)
+    padded = np.zeros((k, width), dtype=np.int64)  # padded with the identity
+    for row, a in zip(padded, atoms):
+        row[:len(a)] = a
+    elements, ids = np.arange(n), np.arange(k)
+    index = np.full(n, k, dtype=_INDEX_DTYPE)
+    index[gens] = ids                               # the atom each element generates
+    found = [elements[:1]]
+    stack = [(elements == 0, -1, np.ones(k, dtype=bool))]  # members, last atom, allowed
+    while stack:
+        mask, last, allowed = stack.pop()
+        allowed[:last + 1] = False
+        cands = ids[allowed & ~mask[gens]]
+        mem, lacked = elements[mask], np.where(mask, k, index)
+        step = max(1, _JOIN_BLOCK // (mem.size * width))
+        for lo in range(0, cands.size, step):
+            block = cands[lo:lo + step]
+            rows = padded[block, None, :sizes[block].max()]
+            prods = T[mem[:, None], rows].reshape(block.size, -1)
+            for r in np.flatnonzero(lacked[prods].min(axis=1) == block):
+                child = np.zeros(n, dtype=bool)
+                child[prods[r]] = True
+                found.append(elements[child])
+                stack.append((child, block[r], allowed & compat[block[r]]))
+    return found
 
 
 def _abelian_walk(G: GroupTable, within: np.ndarray) -> list[np.ndarray]:
-    """Every abelian subgroup of G inside the mask ``within``, by prime-index steps.
-
-    An abelian A > 1 has a subgroup H of prime index p, and A is the union of
-    the cosets x^k H (k < p) for any x in A outside H.  So H is extended by
-    each x in ``within`` outside H that centralizes H and has x^p in H; that
-    union is already an abelian subgroup, with no closure loop.  x and xh give
-    the same step, so only the smallest element of each coset xH is tried.
+    """Every abelian subgroup of G inside the mask ``within``: the joins of
+    its cyclic subgroups <x> of prime-power order, an atom that centralizes
+    N giving the abelian N<x>.  Each atom is read from a power table of the
+    scope (x, x^2, ... up to the largest prime-power order) at the least x
+    that generates it.
     """
-    n, T, cm = G.n, G.table, G.commute_matrix
-    primes = prime_factors(int(within.sum()))
-    pw = {}                                         # x -> x^p
-    for p in primes:
-        cur = np.zeros(n, dtype=np.int64)
-        for _ in range(p):
-            cur = T[cur, np.arange(n)]
-        pw[p] = cur
-
-    def extend(mem: np.ndarray, mask: np.ndarray):
-        free = within & ~mask & cm[mem].all(axis=0)
-        for p in primes:
-            cands = np.flatnonzero(free & mask[pw[p]])
-            if not cands.size:
-                continue
-            cands = cands[T[cands[:, None], mem].min(axis=1) == cands]
-            powers = np.zeros_like(cands)
-            blocks = []
-            for _ in range(p):                      # x^k H for k = 0..p-1
-                blocks.append(T[powers[:, None], mem])
-                powers = T[powers, cands]
-            # int64, as ``_handles`` matches member bytes against handles
-            yield from np.sort(np.concatenate(blocks, axis=1), axis=1).astype(np.int64)
-
-    return _walk(n, extend)
+    orders = G.element_orders
+    prime_powers = [o for o in np.unique(orders) if len(prime_factors(int(o))) == 1]
+    xs = np.flatnonzero(within & np.isin(orders, prime_powers))
+    powers = [xs]
+    for _ in range(1, int(orders[xs].max(initial=1))):
+        powers.append(G.table[powers[-1], xs])
+    powers = np.stack(powers, axis=1)
+    least = np.where(orders[powers] == orders[xs][:, None], powers, G.n).min(axis=1)
+    keep = least == xs
+    gens, atoms = xs[keep], [row[:orders[x]] for row, x in zip(powers[keep], xs[keep])]
+    return _closed_joins(G.table, gens, atoms, G.commute_matrix[np.ix_(gens, gens)])
 
 
 def _handles(G: GroupTable, raw: list[np.ndarray], known=(),
@@ -775,8 +796,8 @@ def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[Sub
     deterministically ordered.
 
     The scope must be abelian (``PreconditionError`` with a noncommuting pair
-    otherwise): the subgroups come from the prime-index walk of
-    ``_abelian_walk``.  The handles are memoized on the parent table, so each
+    otherwise): the subgroups are the joins of its prime-power cyclic
+    subgroups, each produced once by ``_abelian_walk``.  The handles are memoized on the parent table, so each
     one works out its normality once; callers get a fresh list of them.
     """
     return list(_subgroup_handles(G, limit if limit is not None else full_subgroup(G)))
@@ -794,10 +815,11 @@ def _subgroup_handles(G: GroupTable, scope: SubgroupHandle) -> list[SubgroupHand
 def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
     """Every normal subgroup, in the canonical order of ``_handles``.
 
-    Hulpke's class-union construction: each step of the walk multiplies by
-    the normal closure of a conjugacy class, and since the product of two
-    normal subgroups is a subgroup, each step is one set product with no
-    closure loop.
+    Hulpke's class-union construction: a normal subgroup is the join of the
+    normal closures of the classes it holds, and since the product of two
+    normal subgroups is a subgroup, each step of the join walk,
+    ``_closed_joins``, is one set product with no closure loop; each normal
+    subgroup is produced once.
     """
     if G.is_abelian():
         return subgroups_of(G)
@@ -806,28 +828,21 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
 
 @memoized
 def _normal_handles(G: GroupTable) -> list[SubgroupHandle]:
-    T = G.table
-    atoms: dict[bytes, tuple[int, np.ndarray]] = {}
+    closures: dict[bytes, tuple[int, np.ndarray]] = {}
     for cls in conjugacy_classes(G).classes[1:]:
-        mem = _close_members(T, np.append(cls, 0))
-        atoms.setdefault(mem.tobytes(), (int(cls[0]), mem))
-    gens = np.array([g for g, _ in atoms.values()], dtype=np.int64)
-    closures = [mem for _, mem in atoms.values()]
-
-    def join(N: np.ndarray, mask: np.ndarray):
-        """The product N M with each class closure M outside N."""
-        for i in np.flatnonzero(~mask[gens]):
-            yield np.unique(T[N[:, None], closures[i]]).astype(np.int64)
-
-    return _handles(G, _walk(G.n, join), is_normal=True)
+        mem = _close_members(G.table, np.append(cls, 0))
+        closures.setdefault(mem.tobytes(), (int(cls[0]), mem))
+    gens, atoms = zip(*sorted(closures.values(), key=lambda atom: len(atom[1])))
+    compat = np.ones((len(gens), len(gens)), dtype=bool)
+    return _handles(G, _closed_joins(G.table, np.array(gens), atoms, compat), is_normal=True)
 
 
 def abelian_subgroups(G: GroupTable) -> list[SubgroupHandle]:
     """Every abelian subgroup, in the canonical order of ``_handles``.
 
-    The prime-index walk of ``subgroups_of`` on abelian scopes, here taking
-    its steps from all of G: each subgroup is only extended inside its
-    centralizer, so every step is again abelian.
+    The join walk of ``subgroups_of`` on abelian scopes, here taking its
+    prime-power cyclic atoms from all of G: a subgroup is only extended by an
+    atom that centralizes it, so every join is again abelian.
     """
     if G.is_abelian():
         return subgroups_of(G)

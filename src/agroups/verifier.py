@@ -24,6 +24,7 @@ from .core import (
     _close_members,
     abelian_subgroups,
     centralizer_sizes,
+    coset_centralizer_orders,
     coset_commute_matrix,
     derived_series,
     normal_subgroups,
@@ -297,22 +298,6 @@ def replay_go(G: GroupTable, P_members: list[int], a: int) -> bool:
 _CENTRE_BLOCK = 1 << 20   # booleans in one n x |H| x k comparison of check_centre
 
 
-def _coset_centralizer_orders(G: GroupTable):
-    """The map H -> #{x : [g, x] in H} for every g, the column sums of
-    ``coset_commute_matrix(G, H)`` for a normal H, read from n x |H| entries
-    in place of that n x n gather.
-
-    The x with [g, x] in H are those with g^x in gH = Hg, so there are
-    (n / |cl(g)|) * |cl(g) n Hg| of them.  Classes are told apart by their
-    least member, read from the conjugation table once per G, and
-    ``rep_table[h, g]`` is the least member of the class of hg.
-    """
-    rep = G.conjugation_table.min(axis=1)
-    class_centralizer = G.n // np.bincount(rep, minlength=G.n)[rep]
-    rep_table = rep[G.table]
-    return lambda H: class_centralizer * (rep_table[H.members] == rep).sum(axis=0)
-
-
 def check_centre(G: GroupTable) -> list[VerificationReport]:
     """When the centralizer of g covers the coset centralizer of gH exactly,
     centralizers multiply: C(hg) = C(h) n C(g) for every h in H.
@@ -322,7 +307,6 @@ def check_centre(G: GroupTable) -> list[VerificationReport]:
     """
     T, cm = G.table, G.commute_matrix
     cg = centralizer_sizes(G)
-    coset_centralizer_orders = _coset_centralizer_orders(G)
     checked = skipped = 0
     for H in normal_subgroups(G):
         if not H.is_abelian:
@@ -330,7 +314,7 @@ def check_centre(G: GroupTable) -> list[VerificationReport]:
         hs = H.members
         cm_h = cm[:, hs]
         central = cm_h.all(axis=1)                      # g with H <= C_G(g)
-        cond = central & (cg == coset_centralizer_orders(H))
+        cond = central & (cg == coset_centralizer_orders(G, H))
         gs = np.flatnonzero(cond)
         step = max(1, _CENTRE_BLOCK // (G.n * H.order))
         for lo in range(0, gs.size, step):
@@ -409,7 +393,7 @@ def check_l4(G: GroupTable) -> list[VerificationReport]:
         for H in _normal_p_subgroups(G, p):
             outside = p_elts[~H.mask[p_elts]]
             # the coset centralizer already equals C(g): trivially split
-            full = coset_commute_matrix(G, H)[:, outside].sum(axis=0) == cg[outside]
+            full = coset_centralizer_orders(G, H)[outside] == cg[outside]
             trivial += int(full.sum())
             for g in outside[~full]:
                 checked += 1
@@ -711,7 +695,7 @@ def explore_minimal_lemmas(G: GroupTable) -> list[VerificationReport]:
         return [_report(G, lemma, SKIP, f"exploratory; {gate}") for lemma in EXPLORE_IDS]
     F, F2 = fd.fitting, fd.second_fitting
     cg = centralizer_sizes(G)
-    cq = coset_commute_matrix(G, F).sum(axis=0)         # |F| |C_{G/F}(gF)|
+    cq = coset_centralizer_orders(G, F)                 # |F| |C_{G/F}(gF)|
 
     evaluated = holds = 0
     for g in F2.members:

@@ -318,7 +318,8 @@ def test_quotient_by_non_normal_raises_with_witness(s3):
 
 @pytest.mark.parametrize("coset_read", [
     core.coset_commute_matrix,
-    lambda G, H: structure.coset_centralizer_preimage(G, H, 1)])
+    lambda G, H: structure.coset_centralizer_preimage(G, H, 1),
+    core.coset_centralizer_orders])
 def test_coset_reads_reject_a_non_normal_subgroup(s3, coset_read):
     H = cyclic_of_order(s3, 2)
     with pytest.raises(core.PreconditionError, match="not normal") as exc:
@@ -599,17 +600,36 @@ def assert_walk_matches_lattice(G, limit=None):
     assert walk == lattice
 
 
-def test_abelian_walk_matches_lattice():
-    """``subgroups_of`` on abelian scopes (the prime-index walk) equals the
-    closure lattice, in order: on abelian groups and on abelian p-cores."""
+def test_abelian_walk_matches_lattice(monkeypatch):
+    """The join walk yields each subgroup exactly once, with nothing
+    deduplicated after it, for the normal and the abelian queries; and
+    ``subgroups_of`` on abelian scopes (the joins of prime-power cyclic
+    atoms) equals the closure lattice, in order: on abelian groups and on
+    abelian p-cores."""
+    walks = []                                      # (atoms, joins) of each walk
+    real = core._closed_joins
+    monkeypatch.setattr(core, "_closed_joins",
+                        lambda T, gens, *rest: walks.append((len(gens), real(T, gens, *rest)))
+                        or walks[-1][1])
     groups = [*cons.corpus(32), cons.abelian_group((2, 2, 2, 2, 3))]
     for G in groups:
         if G.is_abelian():
             assert_walk_matches_lattice(G)
+        else:
+            core.normal_subgroups(G)
+            core.abelian_subgroups(G)
         for p in core.prime_factors(G.n):
             P = p_core(G, p)
             if P.is_abelian:
                 assert_walk_matches_lattice(G, P)
+    assert len(core.subgroups_of(cons.abelian_group((2,) * 6))) == 2825
+    assert walks[-1][0] == 63
+    assert [H.order for H in core.subgroups_of(cons.cyclic(1))] == [1]
+    assert walks[-1][0] == 0
+    assert [H.order for H in core.subgroups_of(cons.cyclic(1999))] == [1, 1999]
+    assert walks[-1][0] == 1
+    for _, joins in walks:
+        assert len({mem.tobytes() for mem in joins}) == len(joins)
 
 
 def test_perm_group_helper_matches_sym3(s3, s3_perms):
