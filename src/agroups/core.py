@@ -751,24 +751,24 @@ def _closed_joins(T: np.ndarray, gens: np.ndarray, atoms: list[np.ndarray],
             block = cands[lo:lo + step]
             rows = padded[block, None, :sizes[block].max()]
             prods = T[mem[:, None], rows].reshape(block.size, -1)
-            for r in np.flatnonzero(lacked[prods].min(axis=1) == block):
+            keep = lacked[prods].min(axis=1) == block
+            for row, i in zip(prods[keep], block[keep]):
                 child = np.zeros(n, dtype=bool)
-                child[prods[r]] = True
+                child[row] = True
                 found.append(elements[child])
-                stack.append((child, block[r], allowed & compat[block[r]]))
+                stack.append((child, i, allowed & compat[i]))
     return found
 
 
 def _abelian_walk(G: GroupTable, within: np.ndarray) -> list[np.ndarray]:
     """Every abelian subgroup of G inside the mask ``within``: the joins of
-    its cyclic subgroups <x> of prime-power order, an atom that centralizes
-    N giving the abelian N<x>.  Each atom is read from a power table of the
-    scope (x, x^2, ... up to the largest prime-power order) at the least x
-    that generates it.
-    """
+    its cyclic subgroups <x> of prime-power order (one prime of |G| divides
+    |x|), an atom that centralizes N giving the abelian N<x>.  Each atom is
+    read from a power table of the scope (x, x^2, ... up to the largest
+    prime-power order) at the least x that generates it."""
     orders = G.element_orders
-    prime_powers = [o for o in np.unique(orders) if len(prime_factors(int(o))) == 1]
-    xs = np.flatnonzero(within & np.isin(orders, prime_powers))
+    primes = np.array(prime_factors(G.n), dtype=np.int64)
+    xs = np.flatnonzero(within & ((orders[:, None] % primes == 0).sum(axis=1) == 1))
     powers = [xs]
     for _ in range(1, int(orders[xs].max(initial=1))):
         powers.append(G.table[powers[-1], xs])
@@ -776,7 +776,7 @@ def _abelian_walk(G: GroupTable, within: np.ndarray) -> list[np.ndarray]:
     least = np.where(orders[powers] == orders[xs][:, None], powers, G.n).min(axis=1)
     keep = least == xs
     gens, atoms = xs[keep], [row[:orders[x]] for row, x in zip(powers[keep], xs[keep])]
-    return _closed_joins(G.table, gens, atoms, G.commute_matrix[np.ix_(gens, gens)])
+    return _closed_joins(G.table, gens, atoms, G.commute_matrix[gens][:, gens])
 
 
 def _handles(G: GroupTable, raw: list[np.ndarray], known=(),
@@ -796,9 +796,9 @@ def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[Sub
     deterministically ordered.
 
     The scope must be abelian (``PreconditionError`` with a noncommuting pair
-    otherwise): the subgroups are the joins of its prime-power cyclic
-    subgroups, each produced once by ``_abelian_walk``.  The handles are memoized on the parent table, so each
-    one works out its normality once; callers get a fresh list of them.
+    otherwise): ``_abelian_walk`` joins its prime-power cyclic subgroups,
+    each subgroup once.  The handles are memoized on the parent table, so
+    each one works out its normality once; callers get a fresh list of them.
     """
     return list(_subgroup_handles(G, limit if limit is not None else full_subgroup(G)))
 

@@ -487,7 +487,7 @@ def test_centralizer_sizes_vs_oracle(small_pool):
     (lambda: cons.abelian_group((2, 4)), 8),
 ])
 def test_subgroup_counts_vs_oracle(build, count):
-    """The prime-index walk on abelian groups, the reference lattice on the
+    """The join walk on abelian groups, the reference lattice on the
     others (the plain-Python lattice checks the reference itself)."""
     G = build()
     subs = core.subgroups_of(G) if G.is_abelian() else lattice_subgroups(G)
