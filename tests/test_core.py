@@ -608,9 +608,12 @@ def test_abelian_walk_matches_lattice(monkeypatch):
     abelian p-cores."""
     walks = []                                      # (atoms, joins) of each walk
     real = core._closed_joins
-    monkeypatch.setattr(core, "_closed_joins",
-                        lambda T, gens, *rest: walks.append((len(gens), real(T, gens, *rest)))
-                        or walks[-1][1])
+
+    def recording(T, gens, atoms, compat):
+        walks.append((len(gens), real(T, gens, atoms, compat)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(core, "_closed_joins", recording)
     groups = [*cons.corpus(32), cons.abelian_group((2, 2, 2, 2, 3))]
     for G in groups:
         if G.is_abelian():
