@@ -313,12 +313,13 @@ class SubgroupHandle:
     def __init__(self, parent: GroupTable, members: np.ndarray,
                  *, is_normal: bool | None = None, is_abelian: bool | None = None):
         self.parent = parent
-        members = np.unique(np.asarray(members, dtype=np.int64))
-        if members.size and (members[0] < 0 or members[-1] >= parent.n):
-            bad = int(members[0] if members[0] < 0 else members[-1])
+        members = np.asarray(members, dtype=np.int64)
+        if members.size and (members.min() < 0 or members.max() >= parent.n):
+            bad = int(members.min() if members.min() < 0 else members.max())
             raise InputError(f"member {bad} out of range [0,{parent.n})")
         mask = np.zeros(parent.n, dtype=bool)
         mask[members] = True
+        members = np.arange(parent.n)[mask]   # sorted, distinct, owning its data
         mask.setflags(write=False)
         members.setflags(write=False)
         self.members = members
@@ -478,17 +479,19 @@ class ClassPartition:
         return [len(c) for c in self.classes]
 
 
+@memoized
+def _class_minima(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """The least member of each element's class, and |C_G(x)| = n / |cl(x)|."""
+    rep = G.conjugation_table.min(axis=1)
+    return rep, G.n // np.bincount(rep, minlength=G.n)[rep]
+
+
 def conjugacy_classes(G: GroupTable) -> ClassPartition:
-    n = G.n
-    cj = G.conjugation_table
-    class_of = np.full(n, -1, dtype=np.int64)
-    classes: list[np.ndarray] = []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        orbit = np.unique(cj[x, :])
-        class_of[orbit] = len(classes)
-        classes.append(orbit)
+    """The classes of ``_class_minima``, each member list sorted."""
+    rep, _ = _class_minima(G)
+    _, class_of = np.unique(rep, return_inverse=True)
+    by_class = np.argsort(class_of, kind="stable")
+    classes = np.split(by_class, np.cumsum(np.bincount(class_of))[:-1])
     return ClassPartition(classes, class_of)
 
 
@@ -506,13 +509,6 @@ def coset_commute_matrix(G: GroupTable, K: SubgroupHandle) -> np.ndarray:
     """
     require_normal(K)
     return K.mask[G.commutator_table]
-
-
-@memoized
-def _class_minima(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """The least member of each element's class, and |C_G(x)| = n / |cl(x)|."""
-    rep = G.conjugation_table.min(axis=1)
-    return rep, G.n // np.bincount(rep, minlength=G.n)[rep]
 
 
 def coset_centralizer_orders(G: GroupTable, K: SubgroupHandle) -> np.ndarray:
@@ -760,63 +756,70 @@ def _closed_joins(T: np.ndarray, gens: np.ndarray, atoms: list[np.ndarray],
     return found
 
 
-def _abelian_walk(G: GroupTable, within: np.ndarray) -> list[np.ndarray]:
-    """Every abelian subgroup of G inside the mask ``within``: the joins of
-    its cyclic subgroups <x> of prime-power order (one prime of |G| divides
-    |x|), an atom that centralizes N giving the abelian N<x>.  Each atom is
-    read from a power table of the scope (x, x^2, ... up to the largest
-    prime-power order) at the least x that generates it."""
+@memoized
+def _cyclic_atoms(G: GroupTable) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The cyclic subgroups <x> of prime-power order (one prime of |G|
+    divides |x|), each at its least generator x: the generators, and the
+    members of each, read from one power table (x, x^2, ... up to the
+    largest prime-power order)."""
     orders = G.element_orders
     primes = np.array(prime_factors(G.n), dtype=np.int64)
-    xs = np.flatnonzero(within & ((orders[:, None] % primes == 0).sum(axis=1) == 1))
+    xs = np.flatnonzero((orders[:, None] % primes == 0).sum(axis=1) == 1)
     powers = [xs]
     for _ in range(1, int(orders[xs].max(initial=1))):
         powers.append(G.table[powers[-1], xs])
     powers = np.stack(powers, axis=1)
     least = np.where(orders[powers] == orders[xs][:, None], powers, G.n).min(axis=1)
     keep = least == xs
-    gens, atoms = xs[keep], [row[:orders[x]] for row, x in zip(powers[keep], xs[keep])]
+    return xs[keep], [row[:orders[x]] for row, x in zip(powers[keep], xs[keep])]
+
+
+def _abelian_walk(G: GroupTable) -> list[np.ndarray]:
+    """Every abelian subgroup of G: the joins of the ``_cyclic_atoms``, an
+    atom that centralizes N giving the abelian N<x>."""
+    gens, atoms = _cyclic_atoms(G)
     return _closed_joins(G.table, gens, atoms, G.commute_matrix[gens][:, gens])
 
 
 def _handles(G: GroupTable, raw: list[np.ndarray], known=(),
              **flags) -> list[SubgroupHandle]:
-    """Handles in the canonical order of every subgroup query: (order, members).
+    """Handles in the canonical order of every subgroup query: (order,
+    members), the members compared as big-endian bytes, which sort like the
+    integers.
 
     A handle in ``known`` with the same members is reused rather than built
     again, so a subgroup two queries return is held once.
     """
     reuse = {H.members.tobytes(): H for H in known}
-    raw.sort(key=lambda mem: (len(mem), mem.tolist()))
+    raw.sort(key=lambda mem: (len(mem), mem.astype(">u4").tobytes()))
     return [reuse.get(mem.tobytes()) or SubgroupHandle(G, mem, **flags) for mem in raw]
 
 
-def subgroups_of(G: GroupTable, limit: SubgroupHandle | None = None) -> list[SubgroupHandle]:
-    """Every subgroup of an abelian G, or of an abelian subgroup ``limit``,
-    deterministically ordered.
+def subgroups_of(G: GroupTable) -> list[SubgroupHandle]:
+    """Every subgroup of an abelian G, deterministically ordered.
 
-    The scope must be abelian (``PreconditionError`` with a noncommuting pair
+    G must be abelian (``PreconditionError`` with a noncommuting pair
     otherwise): ``_abelian_walk`` joins its prime-power cyclic subgroups,
-    each subgroup once.  The handles are memoized on the parent table, so
-    each one works out its normality once; callers get a fresh list of them.
+    each subgroup once.  The handles are memoized on the table; callers get
+    a fresh list of them.
     """
-    return list(_subgroup_handles(G, limit if limit is not None else full_subgroup(G)))
+    return list(_subgroup_handles(G))
 
 
 @memoized
-def _subgroup_handles(G: GroupTable, scope: SubgroupHandle) -> list[SubgroupHandle]:
-    require_abelian(scope)
-    flags = {"is_abelian": True}
-    if scope.order == G.n:
-        flags["is_normal"] = True   # every subgroup of an abelian group
-    return _handles(G, _abelian_walk(G, scope.mask), **flags)
+def _subgroup_handles(G: GroupTable) -> list[SubgroupHandle]:
+    require_abelian(full_subgroup(G))
+    return _handles(G, _abelian_walk(G), is_abelian=True, is_normal=True)
 
 
 def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
-    """Every normal subgroup, in the canonical order of ``_handles``.
+    """Every normal subgroup, in the canonical order of ``_handles``; the one
+    list that every normal-subgroup question filters.
 
     Hulpke's class-union construction: a normal subgroup is the join of the
-    normal closures of the classes it holds, and since the product of two
+    normal closures of its prime-power elements, and the closure of x depends
+    only on the class of <x>; so the atoms are the distinct closures of the
+    least generators of the ``_cyclic_atoms``.  Since the product of two
     normal subgroups is a subgroup, each step of the join walk,
     ``_closed_joins``, is one set product with no closure loop; each normal
     subgroup is produced once.
@@ -828,10 +831,11 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
 
 @memoized
 def _normal_handles(G: GroupTable) -> list[SubgroupHandle]:
+    rep, _ = _class_minima(G)
     closures: dict[bytes, tuple[int, np.ndarray]] = {}
-    for cls in conjugacy_classes(G).classes[1:]:
-        mem = _close_members(G.table, np.append(cls, 0))
-        closures.setdefault(mem.tobytes(), (int(cls[0]), mem))
+    for x in np.unique(rep[_cyclic_atoms(G)[0]]):
+        mem = _close_members(G.table, np.append(G.conjugation_table[x], 0))
+        closures.setdefault(mem.tobytes(), (int(x), mem))
     gens, atoms = zip(*sorted(closures.values(), key=lambda atom: len(atom[1])))
     compat = np.ones((len(gens), len(gens)), dtype=bool)
     return _handles(G, _closed_joins(G.table, np.array(gens), atoms, compat), is_normal=True)
@@ -840,9 +844,8 @@ def _normal_handles(G: GroupTable) -> list[SubgroupHandle]:
 def abelian_subgroups(G: GroupTable) -> list[SubgroupHandle]:
     """Every abelian subgroup, in the canonical order of ``_handles``.
 
-    The join walk of ``subgroups_of`` on abelian scopes, here taking its
-    prime-power cyclic atoms from all of G: a subgroup is only extended by an
-    atom that centralizes it, so every join is again abelian.
+    The join walk of ``subgroups_of``, on a nonabelian G: a subgroup is only
+    extended by an atom that centralizes it, so every join is again abelian.
     """
     if G.is_abelian():
         return subgroups_of(G)
@@ -851,6 +854,5 @@ def abelian_subgroups(G: GroupTable) -> list[SubgroupHandle]:
 
 @memoized
 def _abelian_handles(G: GroupTable) -> list[SubgroupHandle]:
-    raw = _abelian_walk(G, np.ones(G.n, dtype=bool))
     normal = [H for H in normal_subgroups(G) if H.is_abelian]
-    return _handles(G, raw, normal, is_abelian=True)
+    return _handles(G, _abelian_walk(G), normal, is_abelian=True)

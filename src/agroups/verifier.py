@@ -32,7 +32,6 @@ from .core import (
     prime_factors,
     release_memo,
     subgroup_closure,
-    subgroups_of,
     trivial_subgroup,
 )
 from .indices import hypothesis_check, ind_rel, index_set, norms
@@ -42,7 +41,6 @@ from .structure import (
     fitting_data,
     is_a_group,
     l4_decompose,
-    p_core,
     sylow_subgroup,
 )
 from .constructions import (
@@ -374,9 +372,8 @@ def check_size(G: GroupTable) -> list[VerificationReport]:
 
 
 def _normal_p_subgroups(G: GroupTable, p: int) -> list[SubgroupHandle]:
-    """All normal p-subgroups: subgroups of the p-core that G normalizes."""
-    core = p_core(G, p)
-    return [H for H in subgroups_of(G, limit=core) if H.is_normal]
+    """All normal p-subgroups, in order: the p-power entries of ``normal_subgroups``."""
+    return [H for H in normal_subgroups(G) if p_part(H.order, p) == H.order]
 
 
 def check_l4(G: GroupTable) -> list[VerificationReport]:

@@ -191,15 +191,15 @@ def _join_walk(n: int, atoms: list[tuple[int, np.ndarray]], join) -> list[np.nda
     return list(seen.values())
 
 
-def _cyclic_atoms(G, within: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The prime-power cyclic subgroups inside a mask, each with a generator.
+def _cyclic_atoms(G) -> list[tuple[int, np.ndarray]]:
+    """The prime-power cyclic subgroups, each with a generator.
 
     They suffice as join atoms: a composite cyclic subgroup is the join of
     the prime-power cyclics it contains.
     """
     orders = G.element_orders
     atoms: dict[bytes, tuple[int, np.ndarray]] = {}
-    for x in np.flatnonzero(within):
+    for x in range(G.n):
         if x == 0 or len(core.prime_factors(int(orders[x]))) != 1:
             continue
         powers = [0]
@@ -212,15 +212,14 @@ def _cyclic_atoms(G, within: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return list(atoms.values())
 
 
-def lattice_subgroups(G, limit=None) -> list:
-    """The whole subgroup lattice of G (or of the subgroup ``limit``), as
-    fresh handles in the canonical order of the subgroup queries.
+def lattice_subgroups(G) -> list:
+    """The whole subgroup lattice of G, as fresh handles in the canonical
+    order of the subgroup queries.
 
     Joins of cyclic atoms, each join one closure of the union of a subgroup
     and a whole atom.  Every flag of a handle is worked out from scratch.
     """
-    within = limit.mask if limit is not None else np.ones(G.n, dtype=bool)
-    raw = _join_walk(G.n, _cyclic_atoms(G, within),
+    raw = _join_walk(G.n, _cyclic_atoms(G),
                      lambda mem, atom: core._close_members(G.table, np.concatenate([mem, atom])))
     raw.sort(key=lambda mem: (len(mem), mem.tolist()))
     return [core.SubgroupHandle(G, mem) for mem in raw]

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agroups import core, structure
+from agroups import core, structure, verifier
 from agroups import constructions as cons
 from agroups.fileio import build_recipe
-from agroups.structure import p_core
 
 from conftest import (
     cyclic_of_order,
     lattice_subgroups,
     oracle_assoc_violation,
     oracle_centralizer,
+    oracle_class_of,
     oracle_class_sizes,
     oracle_closure,
     oracle_conj,
@@ -236,12 +236,16 @@ def test_class_sizes_s3_a4(s3, a4):
 def test_class_partition_consistency(small_pool):
     for G in small_pool:
         part = core.conjugacy_classes(G)
+        t = table_rows(G)
         assert sum(part.sizes) == G.n
         for cid, cls in enumerate(part.classes):
             assert G.n % len(cls) == 0
+            assert cls.tolist() == sorted(oracle_class_of(t, int(cls[0])))
             for x in cls:
                 assert part.class_of[x] == cid
-        assert sorted(part.sizes) == oracle_class_sizes(table_rows(G))
+        minima = [int(cls[0]) for cls in part.classes]
+        assert minima == sorted(minima)
+        assert sorted(part.sizes) == oracle_class_sizes(t)
 
 
 # -- subgroup closure -----------------------------------------------------------------
@@ -274,6 +278,17 @@ def test_subgroup_handle_rejects_out_of_range_members(s3):
     for members in ([0, 6], [0, -1]):
         with pytest.raises(core.InputError, match="out of range"):
             core.SubgroupHandle(s3, np.array(members))
+
+
+def test_subgroup_handle_puts_members_in_canonical_form(s3):
+    """Unsorted or repeated members, as a replayed witness may list them,
+    give the handle of the sorted member list, which owns its data."""
+    c3 = next(H for H in core.normal_subgroups(s3) if H.order == 3)
+    a, b, c = c3.members.tolist()
+    H = core.SubgroupHandle(s3, [c, a, b, c, a])
+    assert H.members.tolist() == [a, b, c] and H.key() == c3.key()
+    assert H.members.dtype == np.int64 and H.members.flags.owndata
+    assert not H.members.flags.writeable
 
 
 # -- quotients ----------------------------------------------------------------------
@@ -496,12 +511,6 @@ def test_subgroup_counts_vs_oracle(build, count):
     assert {frozenset(map(int, H.members)) for H in subs} == oracle
 
 
-def test_subgroups_within_limit(a4):
-    v4 = next(H for H in core.normal_subgroups(a4) if H.order == 4)
-    subs = core.subgroups_of(a4, limit=v4)
-    assert sorted(H.order for H in subs) == [1, 2, 2, 2, 4]
-
-
 def test_normal_subgroups_examples(s3, a4):
     assert sorted(H.order for H in core.normal_subgroups(s3)) == [1, 3, 6]
     assert sorted(H.order for H in core.normal_subgroups(a4)) == [1, 4, 12]
@@ -515,6 +524,40 @@ def test_normal_subgroups_vs_oracle(small_pool):
         got = {frozenset(map(int, H.members)) for H in core.normal_subgroups(G)}
         want = {H for H in oracle_subgroups(t) if oracle_is_normal(t, H)}
         assert got == want
+
+
+def test_normal_atoms_close_one_class_per_cyclic_generator_class(monkeypatch):
+    """The normal walk closes one class per G-class of the least generators
+    of the prime-power cyclic subgroups (24 here: conjugate subgroups may
+    have least generators in different classes), not one per nontrivial
+    conjugacy class (399 on this group)."""
+    G = build_recipe("dp(sym(4),cyclic(80))")
+    calls = []
+    real = core._close_mask
+
+    def counting(table, mask, cap=None):
+        calls.append(1)
+        return real(table, mask, cap)
+
+    monkeypatch.setattr(core, "_close_mask", counting)
+    core.normal_subgroups(G)
+    rep = G.conjugation_table.min(axis=1)
+    least = set()
+    for x in range(1, G.n):
+        o = G.order_of(x)
+        primes = core.prime_factors(o)
+        if len(primes) == 1:
+            least.add(int(rep[min(G.power(x, k) for k in range(1, o) if k % primes[0])]))
+    assert len(calls) == len(least) == 24
+    assert len(core.conjugacy_classes(G).classes[1:]) == 399
+
+
+def test_subgroup_queries_sort_members_as_integers():
+    """The canonical order compares member lists as integers, also past
+    element 255, where the low byte alone no longer orders them."""
+    G = cons.abelian_group((2, 2, 2, 37))
+    keys = [(H.order, H.members.tolist()) for H in core.subgroups_of(G)]
+    assert keys == sorted(keys)
 
 
 def assert_queries_match_lattice(G):
@@ -571,19 +614,16 @@ def test_subgroups_of_returns_cached_handles():
     assert all(a is b for a, b in zip(second, third, strict=True))
 
 
-@pytest.mark.parametrize("build,scope", [
-    (lambda: cons.symmetric(3), lambda G: None),
-    (lambda: cons.symmetric(4),
-     lambda G: next(H for H in core.normal_subgroups(G) if H.order == 12)),
+@pytest.mark.parametrize("build", [
+    lambda: cons.symmetric(3),
+    lambda: cons.symmetric(4),
 ])
-def test_subgroups_of_rejects_a_nonabelian_scope(build, scope):
+def test_subgroups_of_rejects_a_nonabelian_group(build):
     G = build()
-    limit = scope(G)
     with pytest.raises(core.PreconditionError, match="not abelian") as exc:
-        core.subgroups_of(G, limit=limit)
+        core.subgroups_of(G)
     a, b = exc.value.witness["a"], exc.value.witness["b"]
-    inside = limit.mask if limit is not None else np.ones(G.n, dtype=bool)
-    assert inside[a] and inside[b] and G.mul(a, b) != G.mul(b, a)
+    assert G.mul(a, b) != G.mul(b, a)
 
 
 def test_elementary_and_generic_paths_agree():
@@ -594,18 +634,13 @@ def test_elementary_and_generic_paths_agree():
     assert len(fast) == 67
 
 
-def assert_walk_matches_lattice(G, limit=None):
-    walk = [H.members.tolist() for H in core.subgroups_of(G, limit=limit)]
-    lattice = [H.members.tolist() for H in lattice_subgroups(G, limit)]
-    assert walk == lattice
-
-
 def test_abelian_walk_matches_lattice(monkeypatch):
     """The join walk yields each subgroup exactly once, with nothing
-    deduplicated after it, for the normal and the abelian queries; and
-    ``subgroups_of`` on abelian scopes (the joins of prime-power cyclic
-    atoms) equals the closure lattice, in order: on abelian groups and on
-    abelian p-cores."""
+    deduplicated after it, for the normal and the abelian queries; on
+    abelian groups ``subgroups_of`` (the joins of prime-power cyclic atoms)
+    equals the closure lattice, in order; and at every prime the normal
+    p-subgroups are the lattice's normal subgroups of p-power order, in
+    order."""
     walks = []                                      # (atoms, joins) of each walk
     real = core._closed_joins
 
@@ -616,15 +651,17 @@ def test_abelian_walk_matches_lattice(monkeypatch):
     monkeypatch.setattr(core, "_closed_joins", recording)
     groups = [*cons.corpus(32), cons.abelian_group((2, 2, 2, 2, 3))]
     for G in groups:
+        lattice = lattice_subgroups(G)
         if G.is_abelian():
-            assert_walk_matches_lattice(G)
+            walk = core.subgroups_of(G)
+            assert [H.key() for H in walk] == [H.key() for H in lattice]
         else:
             core.normal_subgroups(G)
             core.abelian_subgroups(G)
         for p in core.prime_factors(G.n):
-            P = p_core(G, p)
-            if P.is_abelian:
-                assert_walk_matches_lattice(G, P)
+            normal_p = [H.key() for H in lattice
+                        if H.is_normal and core.p_part(H.order, p) == H.order]
+            assert [H.key() for H in verifier._normal_p_subgroups(G, p)] == normal_p
     assert len(core.subgroups_of(cons.abelian_group((2,) * 6))) == 2825
     assert walks[-1][0] == 63
     assert [H.order for H in core.subgroups_of(cons.cyclic(1))] == [1]
