@@ -37,7 +37,6 @@ from .structure import (
 from .constructions import (
     ActionSpec,
     NaturalSemidirect,
-    SemidirectPair,
     abelian_group,
     alternating,
     action_homs,

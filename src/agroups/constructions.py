@@ -232,29 +232,26 @@ def semidirect_product(spec: ActionSpec, label: str | None = None) -> GroupTable
     return GroupTable(table, label=label or f"sd({A.label},{B.label},?)")
 
 
-@dataclass(frozen=True)
-class SemidirectPair:
-    """An element (h, gH) of a coset-action product."""
-
-    h: int
-    coset: int
-
-
 @dataclass
 class NaturalSemidirect:
-    """H |x G/H for an abelian normal H, with pair bookkeeping."""
+    """H |x G/H for an abelian normal H of the base G."""
 
     group: GroupTable
     base: GroupTable
     subgroup: SubgroupHandle
     quotient: QuotientMap
 
-    def pair_index(self, h: int, coset: int) -> int:
-        return self.subgroup.position_of(h) * self.quotient.quotient.n + coset
-
-    def pair_of(self, idx: int) -> SemidirectPair:
-        pos, coset = divmod(int(idx), self.quotient.quotient.n)
-        return SemidirectPair(int(self.subgroup.members[pos]), coset)
+    def pairs(self, h, g) -> np.ndarray:
+        """Indices in ``group`` of the elements (h, gH), for h in H and g in
+        the base.  The pair (h, gH) is pos(h) * |G/H| + coset(g), where pos(h)
+        is h's place among H's sorted members; the identity comes first, so
+        (1, gH) has index coset(g) and ``quotient.projection`` embeds G/H."""
+        h = np.asarray(h)
+        outside = ~self.subgroup.mask[h]
+        if outside.any():
+            raise InputError(f"element {int(h[outside].flat[0])} is not in the subgroup")
+        pos = np.searchsorted(self.subgroup.members, h)
+        return pos * self.quotient.quotient.n + self.quotient.projection[g]
 
 
 def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
@@ -265,16 +262,17 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
     the twist independent of the representative, which is asserted rather
     than trusted.
 
-    Each distinct product table is built and axiom-checked once per base
-    group.  G's memo maps the SHA-256 digest of each product's bytes to the
-    first ``GroupTable`` built from them, and a later product with the same
-    digest gets that table object back, label included, so its derived
-    tables and memo are shared too.  Two distinct tables share a digest
-    only on a SHA-256 collision, with the bound given in ``corpus``'s
-    docstring, so every product is either checked or byte-identical to one
-    checked before.  The preconditions, the representative check, the range
-    check of ``_as_table`` and the cap check run on every call;
-    ``collapse`` is the memoized entry point.
+    Each distinct product table is built and axiom-checked once per
+    verification.  G's memo maps the SHA-256 digest of each product's bytes
+    to the first ``GroupTable`` built from them, and each new product holds
+    the same map in its own memo, so products built on a product join it.
+    A later product with the same digest gets that table object back, label
+    included, so its derived tables and memo are shared too.  Two distinct
+    tables share a digest only on a SHA-256 collision, with the bound given
+    in ``corpus``'s docstring, so every product is either checked or
+    byte-identical to one checked before.  The preconditions, the
+    representative check, the range check of ``_as_table`` and the cap check
+    run on every call; ``collapse`` is the memoized entry point.
     """
     require_abelian(H)
     require_normal(H)
@@ -284,7 +282,9 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
     products = _product_tables(G)
     digest = hashlib.sha256(table.tobytes()).digest()
     if digest not in products:
-        products[digest] = GroupTable(table, f"nsd({G.label},H{H.order})")
+        P = GroupTable(table, f"nsd({G.label},H{H.order})")
+        P._memo[("_product_tables",)] = products
+        products[digest] = P
     return NaturalSemidirect(products[digest], G, H, q)
 
 
@@ -309,7 +309,8 @@ def _coset_action_table(G: GroupTable, H: SubgroupHandle, q: QuotientMap) -> np.
 @memoized
 def _product_tables(G: GroupTable) -> dict[bytes, GroupTable]:
     """Digest -> the axiom-checked table of each distinct coset-action
-    product of G; ``natural_semidirect`` fills it."""
+    product of G and of the products built on it; ``natural_semidirect``
+    fills it."""
     return {}
 
 
@@ -322,7 +323,7 @@ def collapse(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
     key check for its single collapse, its iterated steps and the three
     products of each two-step pairing; these overlap, with each other and
     across the two checks.  Each (G, H) product is built once per
-    verification, byte-identical products of G share one table (see
+    verification, byte-identical products share one table (see
     ``natural_semidirect``), and all are freed when G's memo is released.
     """
     return natural_semidirect(G, H)
@@ -336,13 +337,6 @@ class IsomorphismWitness:
     ok: bool
     detail: str
     mapping: np.ndarray | None = None
-    source_label: str = ""
-    target_label: str = ""
-
-
-def embedded_coset_image(ns: NaturalSemidirect, members: np.ndarray) -> np.ndarray:
-    """Indices of {(identity, gH) : g in members} inside the product group."""
-    return np.unique(ns.quotient.projection[members])
 
 
 def two_step_collapse_witness(G: GroupTable, H: SubgroupHandle,
@@ -357,16 +351,16 @@ def two_step_collapse_witness(G: GroupTable, H: SubgroupHandle,
     is a bijective homomorphism.  Any failure is returned as a finding, not
     raised, because it would falsify the construction this package leans on.
     """
-    for S in (H, N):
-        require_abelian(S)
-        require_normal(S)
+    require_abelian(H)
+    require_normal(H)
+    require_abelian(N)
+    require_normal(N)
     if int((H.mask & N.mask).sum()) != 1:
         raise PreconditionError("H and N must intersect trivially")
 
     G1 = collapse(G, H)
-    n1_members = embedded_coset_image(G1, N.members)
-    N1 = SubgroupHandle(G1.group, n1_members)
-    if len(n1_members) != N.order:
+    N1 = SubgroupHandle(G1.group, G1.quotient.projection[N.members])   # the (1, nH)
+    if N1.order != N.order:
         raise LemmaViolation("embedded copy of N collapsed", {"N": N.members.tolist()})
     wit = N1.normality_witness()
     if wit is not None:
@@ -378,43 +372,27 @@ def two_step_collapse_witness(G: GroupTable, H: SubgroupHandle,
     HN = subgroup_closure(G, np.append(H.members, N.members))
     G3 = collapse(G, HN)
 
-    # factor each m in HN uniquely as h * n
-    inv = G.inverse_table
-    h_of = {}
-    for m in HN.members:
-        for hh in H.members:
-            nn = int(G.table[inv[hh], m])
-            if N.mask[nn]:
-                h_of[int(m)] = (int(hh), nn)
-                break
-        else:
-            return IsomorphismWitness(False, f"element {int(m)} of HN does not factor as h*n")
+    # factor each m in HN as h * n with the first h in H's order
+    cand = G.table[G.inverse_table[H.members][:, None], HN.members]    # [i, j] = h_i^-1 m_j
+    found = N.mask[cand]
+    if not found.any(axis=0).all():
+        m = int(HN.members[np.argmin(found.any(axis=0))])
+        return IsomorphismWitness(False, f"element {m} of HN does not factor as h*n")
+    first = found.argmax(axis=0)
+    h, n = H.members[first], cand[first, np.arange(HN.order)]
 
-    nq1 = G1.quotient.quotient.n
-    nq2 = G2.quotient.quotient.n
-    nq3 = G3.quotient.quotient.n
-    phi = np.empty(G.n, dtype=np.int64)
-    for idx in range(G3.group.n):
-        pos3, c3 = divmod(idx, nq3)
-        m = int(HN.members[pos3])
-        g = int(G3.quotient.section[c3])
-        hh, nn = h_of[m]
-        first = N1.position_of(int(G1.quotient.projection[nn]))
-        second = int(G2.quotient.projection[G1.pair_index(hh, int(G1.quotient.projection[g]))])
-        phi[idx] = first * nq2 + second
-
+    pos3, c3 = np.divmod(np.arange(G.n), G3.quotient.quotient.n)
+    g = G3.quotient.section[c3]
+    phi = G2.pairs(G1.quotient.projection[n[pos3]], G1.pairs(h[pos3], g))
     if len(np.unique(phi)) != G.n:
-        return IsomorphismWitness(False, "pairing is not injective",
-                                  source_label=G3.group.label, target_label=G2.group.label)
+        return IsomorphismWitness(False, "pairing is not injective")
     lhs = phi[G3.group.table]
     rhs = G2.group.table[np.ix_(phi, phi)]
     if not np.array_equal(lhs, rhs):
         a, b = map(int, np.argwhere(lhs != rhs)[0])
         return IsomorphismWitness(False, f"pairing breaks the product at ({a},{b})",
-                                  mapping=phi, source_label=G3.group.label,
-                                  target_label=G2.group.label)
-    return IsomorphismWitness(True, "verified on all pairs", mapping=phi,
-                              source_label=G3.group.label, target_label=G2.group.label)
+                                  mapping=phi)
+    return IsomorphismWitness(True, "verified on all pairs", mapping=phi)
 
 
 # -- automorphisms and action enumeration -------------------------------------

@@ -26,8 +26,9 @@ p-cores, quotients, index sets, the derived series, the Fitting data, the
 commutators [F, y] of the Fitting splitting, the automorphisms -- goes
 through one decorator, ``memoized``, into one dict on the table; so do the
 coset-action products, one per (G, H), which the bingo and key checks
-share, and the map from digest to each distinct product table, so that
-each one is built and axiom-checked once per base group.
+share, and the map from digest to each distinct product table, which
+every product built from the table shares, so that each one is built and
+axiom-checked once per verification.
 Its handles point back at the table, so ``release_memo`` empties it, and
 the memo of every table it held, once a caller is done with the group,
 and the tables are freed without waiting for the cyclic garbage collector.
@@ -372,13 +373,6 @@ class SubgroupHandle:
     def key(self) -> bytes:
         return self.mask.tobytes()
 
-    def position_of(self, x: int) -> int:
-        """Index of element x inside the sorted member list."""
-        pos = int(np.searchsorted(self.members, x))
-        if pos >= len(self.members) or self.members[pos] != x:
-            raise InputError(f"element {x} is not a member")
-        return pos
-
     def __repr__(self) -> str:
         return f"SubgroupHandle(order={self.order} of {self.parent.label!r})"
 
@@ -405,12 +399,16 @@ def release_memo(G: GroupTable) -> None:
     """Drop every memoized derivation of G (they are rebuilt on demand), and
     release in turn each table a dropped derivation holds -- a quotient, a
     coset-action product -- whose own memo would otherwise keep it in a
-    reference cycle through its handles."""
-    dropped = list(G._memo.values())
-    G._memo.clear()
-    for value in dropped:
-        for table in _tables_held(value):
-            release_memo(table)
+    reference cycle through its handles.  Each memo is emptied before its
+    values are walked, so a table reached again (the products share one
+    digest map) adds nothing, and no recursion grows with the tables."""
+    pending = [G]
+    while pending:
+        table = pending.pop()
+        dropped = list(table._memo.values())
+        table._memo.clear()
+        for value in dropped:
+            pending.extend(_tables_held(value))
 
 
 def _tables_held(value) -> list[GroupTable]:

@@ -505,63 +505,65 @@ def check_key(G: GroupTable) -> list[VerificationReport]:
         return [_report(G, "key", SKIP, "not an A-group: some Sylow subgroup is nonabelian"),
                 _report(G, "key_iff", SKIP, "not an A-group")]
     fd = fitting_data(G)
-    F = fd.fitting
+    single = collapse(G, fd.fitting)
+    failure, checked = _key_failure(G, fd, single)
+    if failure is not None:
+        note, witness, iff_note = failure
+        return [_report(G, "key", FAIL, note, witness, checked),
+                _report(G, "key_iff", SKIP, iff_note)]
+    iff_ok = G.is_abelian() == single.group.is_abelian()
+    return [_report(G, "key", PASS, "", None, checked),
+            _report(G, "key_iff", PASS if iff_ok else FAIL,
+                    "" if iff_ok else "abelianness changed under the collapse",
+                    None if iff_ok else {"F": fd.fitting.members.tolist()}, 1)]
+
+
+def _key_failure(G: GroupTable, fd, single) -> tuple[tuple[str, dict, str] | None, int]:
+    """The key check's steps: the single collapse of F, then one collapse
+    per prime of F, each on the last product, with a two-step pairing from
+    the second prime on.  Returns the first failure as (note, witness,
+    key_iff note), or None, and the number of steps checked."""
     ng = index_set(G)
-    single = collapse(G, F)
     n_single = index_set(single.group)
     checked = 1
     if n_single.sizes != ng.sizes:
-        return [_report(G, "key", FAIL, "single collapse changed the index set",
-                        {"F": F.members.tolist(),
-                         "N_G": list(ng.sizes), "N_collapse": list(n_single.sizes)},
-                        checked),
-                _report(G, "key_iff", SKIP, "index-set mismatch")]
+        return ("single collapse changed the index set",
+                {"F": fd.fitting.members.tolist(),
+                 "N_G": list(ng.sizes), "N_collapse": list(n_single.sizes)},
+                "index-set mismatch"), checked
     primes = sorted(p for p, c in fd.p_cores.items() if c.order > 1)
     cur = G
-    embed = np.arange(G.n)
+    embed = np.arange(G.n)                # element of G -> its image in cur
     acc: SubgroupHandle | None = None
-    for i, p in enumerate(primes):
+    for p in primes:
         core_members = fd.p_cores[p].members
         image = np.unique(embed[core_members])
         if len(image) != len(core_members):
-            return [_report(G, "key", FAIL, "iterated embedding collapsed a p-core",
-                            {"p": p}, checked),
-                    _report(G, "key_iff", SKIP, "iterated embedding failed")]
+            return ("iterated embedding collapsed a p-core", {"p": p},
+                    "iterated embedding failed"), checked
         try:
             ns = collapse(cur, SubgroupHandle(cur, image))
         except (PreconditionError, LemmaViolation) as exc:
-            return [_report(G, "key", FAIL,
-                            f"embedded p-core at prime {p} broke the construction: {exc}",
-                            {"p": p}, checked),
-                    _report(G, "key_iff", SKIP, "iterated collapse failed")]
+            return (f"embedded p-core at prime {p} broke the construction: {exc}", {"p": p},
+                    "iterated collapse failed"), checked
         cur = ns.group
-        embed = ns.quotient.projection[embed]
+        embed = ns.quotient.projection[embed]     # (1, xH) has index coset(x)
         checked += 1
         if index_set(cur).sizes != ng.sizes:
-            return [_report(G, "key", FAIL,
-                            f"iterated collapse at prime {p} changed the index set",
-                            {"p": p, "N_G": list(ng.sizes),
-                             "N_step": list(index_set(cur).sizes)},
-                            checked),
-                    _report(G, "key_iff", SKIP, "iterated collapse failed")]
+            return (f"iterated collapse at prime {p} changed the index set",
+                    {"p": p, "N_G": list(ng.sizes), "N_step": list(index_set(cur).sizes)},
+                    "iterated collapse failed"), checked
         if acc is not None:
             wit = two_step_collapse_witness(G, acc, fd.p_cores[p])
             checked += 1
             if not wit.ok:
-                return [_report(G, "key", FAIL, f"two-step pairing failed: {wit.detail}",
-                                {"H": acc.members.tolist(),
-                                 "N": fd.p_cores[p].members.tolist()},
-                                checked),
-                        _report(G, "key_iff", SKIP, "pairing failed")]
+                return (f"two-step pairing failed: {wit.detail}",
+                        {"H": acc.members.tolist(), "N": fd.p_cores[p].members.tolist()},
+                        "pairing failed"), checked
         acc_members = (core_members if acc is None
                        else subgroup_closure(G, np.append(acc.members, core_members)).members)
         acc = SubgroupHandle(G, acc_members)
-    key_report = _report(G, "key", PASS, "", None, checked)
-    iff_ok = G.is_abelian() == single.group.is_abelian()
-    iff_report = _report(G, "key_iff", PASS if iff_ok else FAIL,
-                         "" if iff_ok else "abelianness changed under the collapse",
-                         None if iff_ok else {"F": F.members.tolist()}, 1)
-    return [key_report, iff_report]
+    return None, checked
 
 
 # -- Fitting complements -----------------------------------------------------------

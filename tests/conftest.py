@@ -2,9 +2,11 @@
 
 The oracles here are deliberately plain Python over list-of-list tables:
 no numpy, no reuse of the library's algorithms.  Expected values frozen in
-the tests were computed with these.  The one exception is the closure
-lattice in its own section below, the reference the targeted subgroup
-queries are compared against at orders the plain oracles cannot reach.
+the tests were computed with these.  Two sections below are exceptions:
+the closure lattice, the reference the targeted subgroup queries are
+compared against at orders the plain oracles cannot reach, and the two-step
+pairing, which takes the library's coset-action products and recomputes
+only the pairing over them.
 """
 
 from __future__ import annotations
@@ -223,6 +225,48 @@ def lattice_subgroups(G) -> list:
                      lambda mem, atom: core._close_members(G.table, np.concatenate([mem, atom])))
     raw.sort(key=lambda mem: (len(mem), mem.tolist()))
     return [core.SubgroupHandle(G, mem) for mem in raw]
+
+
+# -- the two-step pairing (the library's products, plain-Python indexing) -------------
+
+
+def oracle_two_step_mapping(G, H, N) -> list[int] | None:
+    """The pairing (hn, gHN) -> ((1, nH), (h, gH)N1) of
+    ``two_step_collapse_witness``, indexed by the elements of HN |x G/HN, or
+    None if some m in HN does not factor as h*n.
+
+    The three products come from ``collapse``; the factorization (first h in
+    H's order) and the pair indices are plain loops, with (h, xK) of
+    K |x G/K at index (place of h among K's members) * |G/K| + coset(x).
+    """
+    t = table_rows(G)
+    hs, n_set = H.members.tolist(), set(N.members.tolist())
+    HN = core.subgroup_closure(G, hs + sorted(n_set))
+    factor = {}
+    for m in HN.members.tolist():
+        for h in hs:
+            n = t[oracle_inverse(t, h)][m]
+            if n in n_set:
+                factor[m] = (h, n)
+                break
+        else:
+            return None
+    G1 = cons.collapse(G, H)
+    p1 = G1.quotient.projection.tolist()
+    n1 = sorted({p1[n] for n in n_set})
+    G2 = cons.collapse(G1.group, core.SubgroupHandle(G1.group, n1))
+    p2 = G2.quotient.projection.tolist()
+    G3 = cons.collapse(G, HN)
+    hn, section3 = HN.members.tolist(), G3.quotient.section.tolist()
+    nq1, nq2, nq3 = (P.quotient.quotient.n for P in (G1, G2, G3))
+    phi = []
+    for idx in range(G.n):
+        pos3, c3 = divmod(idx, nq3)
+        h, n = factor[hn[pos3]]
+        first = n1.index(p1[n])
+        second = p2[hs.index(h) * nq1 + p1[section3[c3]]]
+        phi.append(first * nq2 + second)
+    return phi
 
 
 def cyclic_of_order(G, k: int):

@@ -2,7 +2,9 @@
 
 import gc
 import hashlib
+import sys
 import weakref
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from agroups import cli, constructions as cons, core
 from agroups.indices import index_set
+from agroups.structure import fitting_data, is_a_group
 
-from conftest import cyclic_of_order
+from conftest import cyclic_of_order, oracle_two_step_mapping
 
 
 # -- standard families ---------------------------------------------------------
@@ -182,10 +185,20 @@ def test_nsd_requires_normal(s3):
 def test_nsd_pair_bookkeeping(a4):
     v4 = next(H for H in core.normal_subgroups(a4) if H.order == 4)
     ns = cons.natural_semidirect(a4, v4)
-    for idx in range(ns.group.n):
-        pair = ns.pair_of(idx)
-        assert ns.pair_index(pair.h, pair.coset) == idx
-        assert v4.mask[pair.h]
+    h = np.repeat(v4.members, 3)                # (h, coset) in lexicographic order
+    g = np.tile(ns.quotient.section, 4)
+    assert ns.pairs(h, g).tolist() == list(range(12))
+    assert ns.pairs(0, g).tolist() == ns.quotient.projection[g].tolist()
+
+
+def test_nsd_pairs_refuse_an_element_outside_the_subgroup(a4):
+    v4 = next(H for H in core.normal_subgroups(a4) if H.order == 4)
+    ns = cons.natural_semidirect(a4, v4)
+    outside = int(np.flatnonzero(~v4.mask)[0])
+    with pytest.raises(core.InputError, match=f"element {outside} is not in the subgroup"):
+        ns.pairs(np.array([0, outside]), np.array([0, 0]))
+    with pytest.raises(core.InputError, match="not in the subgroup"):
+        ns.pairs(outside, 0)
 
 
 def test_nsd_axiom_checks_a_product_unlike_every_cached_one(monkeypatch):
@@ -219,6 +232,18 @@ def test_release_frees_a_product_built_outside_collapse():
         assert product() is None
     finally:
         gc.enable()
+
+
+def test_release_walks_a_digest_map_shared_past_the_recursion_limit():
+    G = cons.cyclic(2)
+    products = cons._product_tables(G)
+    for i in range(sys.getrecursionlimit() + 10):   # filed as natural_semidirect files them
+        P = core.GroupTable(G.table, f"p{i}")
+        P._memo[("_product_tables",)] = products
+        products[i] = P
+    tables = list(products.values())
+    core.release_memo(G)
+    assert G._memo == {} and all(P._memo == {} for P in tables)
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,6 +289,19 @@ def test_collapse_witness_a4_x_c3(a4):
     c3 = core.subgroup_closure(G, [1])
     w = cons.two_step_collapse_witness(G, v4, c3)
     assert w.ok, w.detail
+
+
+def test_collapse_witness_matches_the_scalar_pairing():
+    pairs = 0
+    for G in cons.corpus(60):
+        if not is_a_group(G):
+            continue
+        cores = [c for c in fitting_data(G).p_cores.values() if c.order > 1]
+        for H, N in permutations(cores, 2):
+            w = cons.two_step_collapse_witness(G, H, N)
+            assert w.mapping.tolist() == oracle_two_step_mapping(G, H, N), G.label
+            pairs += 1
+    assert pairs == 416
 
 
 def test_collapse_witness_requires_disjoint(s3):

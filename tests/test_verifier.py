@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import sys
+import types
 import weakref
 
 import numpy as np
@@ -540,7 +541,7 @@ def test_key_runs_iterated_construction(a4):
 @pytest.mark.parametrize("recipe, builds", [
     ("dihedral(5)", 1),                            # one nontrivial p-core
     ("dp(cyclic(5),sym(3))", 3),                   # two
-    ("dp(dp(cyclic(5),sym(3)),cyclic(7))", 6),     # three
+    ("dp(dp(cyclic(5),sym(3)),cyclic(7))", 5),     # three
 ])
 def test_key_builds_each_coset_action_product_once(recipe, builds, monkeypatch):
     G = fileio.build_recipe(recipe)
@@ -558,7 +559,7 @@ def test_key_builds_each_coset_action_product_once(recipe, builds, monkeypatch):
 @pytest.mark.parametrize("recipe, pairs", [
     ("dihedral(5)", 2),
     ("dp(cyclic(5),sym(3))", 5),
-    ("dp(dp(cyclic(5),sym(3)),cyclic(7))", 9),
+    ("dp(dp(cyclic(5),sym(3)),cyclic(7))", 8),
 ])
 def test_bingo_and_key_build_each_coset_action_product_once(recipe, pairs, monkeypatch):
     G = fileio.build_recipe(recipe)
@@ -626,17 +627,17 @@ def test_byte_identical_products_on_one_base_share_one_checked_table(monkeypatch
         shared, tables = {}, set()
         for ns, before, after in built:
             P = ns.group
-            # the list keeps every base table alive, so no two share an id()
-            assert shared.setdefault((id(ns.base), P.key()), P) is P, G.label
+            # one table per bytes, whatever the base table it was built on
+            assert shared.setdefault(P.key(), P) is P, G.label
             if id(P) in tables:
                 assert after == before
                 continue
             tables.add(id(P))
             assert verified[before:after] == [P.key()]
         checked += len(tables)
-    # the table map is per base table: 46 checked tables repeat the bytes of
-    # a product built on another base table in the same verification
-    assert (builds, checked, distinct) == (1227, 375, 329)
+    # products built on a product share the base's table map, so each
+    # distinct table is checked once per verification
+    assert (builds, checked, distinct) == (1227, 329, 329)
 
 
 def test_key_check_tables_are_freed_without_the_cyclic_collector(monkeypatch):
@@ -656,6 +657,84 @@ def test_key_check_tables_are_freed_without_the_cyclic_collector(monkeypatch):
         assert len(built) >= 5 and alive == []
     finally:
         gc.enable()
+
+
+# Each failure exit of the key check, driven on C2 x C3 x C5: its primes are
+# 2, 3 and 5, with p-cores [0, 15], [0, 5, 10] and [0, 1, 2, 3, 4], and its
+# index set is (1,).
+
+
+def _key_records(reports):
+    return [(r.lemma_id, r.status, r.hypothesis_note, r.witness, r.checked, r.skipped)
+            for r in reports]
+
+
+def _key_fail(note, witness, checked, iff_note):
+    return [("key", "FAIL", note, witness, checked, 0),
+            ("key_iff", "SKIP", iff_note, {}, 0, 0)]
+
+
+def test_key_fails_when_the_single_collapse_changes_the_index_set(monkeypatch):
+    G = cons.abelian_group((2, 3, 5))
+    real = verifier.index_set
+    monkeypatch.setattr(verifier, "index_set",
+                        lambda T: real(T) if T is G else types.SimpleNamespace(sizes=(1, 2)))
+    assert _key_records(verifier.check_key(G)) == _key_fail(
+        "single collapse changed the index set",
+        {"F": list(range(30)), "N_G": [1], "N_collapse": [1, 2]}, 1, "index-set mismatch")
+
+
+def test_key_fails_when_the_iterated_embedding_collapses_a_p_core(monkeypatch):
+    G = cons.abelian_group((2, 3, 5))
+    real = verifier.collapse
+
+    def collapsing(T, H):                # the step at p = 2 maps G onto one point
+        ns = real(T, H)
+        if T is G and H.order == 2:
+            return types.SimpleNamespace(
+                group=ns.group, quotient=types.SimpleNamespace(projection=np.zeros(G.n, int)))
+        return ns
+
+    monkeypatch.setattr(verifier, "collapse", collapsing)
+    assert _key_records(verifier.check_key(G)) == _key_fail(
+        "iterated embedding collapsed a p-core", {"p": 3}, 2, "iterated embedding failed")
+
+
+def test_key_fails_when_an_iterated_collapse_raises(monkeypatch):
+    G = cons.abelian_group((2, 3, 5))
+    real = verifier.collapse
+
+    def raising(T, H):                   # the step at p = 3 collapses a product
+        if T is not G:
+            raise core.LemmaViolation("stub", {"T": T.label})
+        return real(T, H)
+
+    monkeypatch.setattr(verifier, "collapse", raising)
+    assert _key_records(verifier.check_key(G)) == _key_fail(
+        "embedded p-core at prime 3 broke the construction: stub", {"p": 3}, 2,
+        "iterated collapse failed")
+
+
+def test_key_fails_when_an_iterated_collapse_changes_the_index_set(monkeypatch):
+    G = cons.abelian_group((2, 3, 5))
+    real, calls = verifier.index_set, []
+
+    def changed(T):                      # G, the single collapse, then the step at p = 2
+        calls.append(T)
+        return real(T) if len(calls) <= 2 else types.SimpleNamespace(sizes=(1, 3))
+
+    monkeypatch.setattr(verifier, "index_set", changed)
+    assert _key_records(verifier.check_key(G)) == _key_fail(
+        "iterated collapse at prime 2 changed the index set",
+        {"p": 2, "N_G": [1], "N_step": [1, 3]}, 2, "iterated collapse failed")
+
+
+def test_key_fails_when_a_two_step_pairing_fails(monkeypatch):
+    G = cons.abelian_group((2, 3, 5))
+    monkeypatch.setattr(verifier, "two_step_collapse_witness",
+                        lambda G, H, N: cons.IsomorphismWitness(False, "stub"))
+    assert _key_records(verifier.check_key(G)) == _key_fail(
+        "two-step pairing failed: stub", {"H": [0, 15], "N": [0, 5, 10]}, 4, "pairing failed")
 
 
 def test_key_iff_on_abelian():
