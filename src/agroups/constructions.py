@@ -529,14 +529,14 @@ _SD_CATALOGUE_ACTING = (*[(m,) for m in range(2, 13)], (2, 2))
 def _abelian_types(n: int) -> list[tuple[int, ...]]:
     """Primary decompositions of every abelian group of order n."""
 
-    def partitions(k: int):
+    def partitions(k: int, largest: int):
+        """Partitions of k into parts of at most ``largest``, largest part first."""
         if k == 0:
             yield ()
             return
-        for first in range(k, 0, -1):
-            for rest in partitions(k - first):
-                if not rest or first >= rest[0]:
-                    yield (first, *rest)
+        for first in range(min(k, largest), 0, -1):
+            for rest in partitions(k - first, first):
+                yield (first, *rest)
 
     types: list[tuple[int, ...]] = [()]
     m = n
@@ -546,7 +546,7 @@ def _abelian_types(n: int) -> list[tuple[int, ...]]:
             m //= p
             e += 1
         new = []
-        for part in partitions(e):
+        for part in partitions(e, e):
             factors = tuple(p ** x for x in part)
             new.extend(t + factors for t in types)
         types = new
@@ -636,7 +636,9 @@ def corpus(max_order: int, families=None):
 
     def abelian(typ: tuple[int, ...]) -> GroupTable:
         """``abelian_group(typ)``'s table, from the shared shorter type and
-        the last cyclic factor by the same left fold."""
+        the last cyclic factor by the same left fold; ``cyclic(1)`` for ()."""
+        if not typ:
+            return cyclic(1)
         if typ not in shared:
             label = f"abelian({','.join(map(str, typ))})"
             if len(typ) == 1:
@@ -645,53 +647,31 @@ def corpus(max_order: int, families=None):
                 shared[typ] = direct_product(abelian(typ[:-1]), abelian(typ[-1:]), label)
         return shared[typ]
 
-    base_nonabelian: list[GroupTable] = []
+    # The base families in stream order, each as its constructor calls; a
+    # call runs only when the consumer asks for the next table.
+    rows = {
+        "abelian": ((abelian, typ) for n in range(1, max_order + 1)
+                    for typ in _abelian_types(n)),
+        "dihedral": ((dihedral, n) for n in range(3, max_order // 2 + 1)),
+        "symmetric": ((symmetric, n) for n in range(3, 7)
+                      if math.factorial(n) <= max_order),
+        "alternating": ((alternating, n) for n in range(4, 7)
+                        if math.factorial(n) // 2 <= max_order),
+        "quaternion": [(quaternion8,)] if max_order >= 8 else [],
+        "frobenius": ((frobenius, p, q) for p in range(3, max_order // 2 + 1)
+                      if is_prime(p) for q in range(2, p)
+                      if (p - 1) % q == 0 and p * q <= max_order),
+    }
     abelian_tables: list[GroupTable] = []
-
-    if "abelian" in chosen:
-        for n in range(1, max_order + 1):
-            for typ in _abelian_types(n):
-                G = abelian(typ) if typ else cyclic(1)
-                abelian_tables.append(G)
-                if fresh(G):
-                    yield G
-    if "dihedral" in chosen:
-        for n in range(3, max_order // 2 + 1):
-            G = dihedral(n)
-            base_nonabelian.append(G)
+    base_nonabelian: list[GroupTable] = []
+    for family, calls in rows.items():
+        if family not in chosen:
+            continue
+        for build, *args in calls:
+            G = build(*args)
+            (abelian_tables if family == "abelian" else base_nonabelian).append(G)
             if fresh(G):
                 yield G
-    if "symmetric" in chosen:
-        for n in range(3, 7):
-            if _factorial(n) > max_order:
-                break
-            G = symmetric(n)
-            base_nonabelian.append(G)
-            if fresh(G):
-                yield G
-    if "alternating" in chosen:
-        for n in range(4, 7):
-            if _factorial(n) // 2 > max_order:
-                break
-            G = alternating(n)
-            base_nonabelian.append(G)
-            if fresh(G):
-                yield G
-    if "quaternion" in chosen and max_order >= 8:
-        G = quaternion8()
-        base_nonabelian.append(G)
-        if fresh(G):
-            yield G
-    if "frobenius" in chosen:
-        for p in range(3, max_order // 2 + 1):
-            if not is_prime(p):
-                continue
-            for q in range(2, p):
-                if (p - 1) % q == 0 and p * q <= max_order:
-                    G = frobenius(p, q)
-                    base_nonabelian.append(G)
-                    if fresh(G):
-                        yield G
     if "products" in chosen and base_nonabelian:
         factors = sorted(base_nonabelian + abelian_tables,
                          key=lambda g: (g.n, g.label))
@@ -742,10 +722,3 @@ def corpus(max_order: int, families=None):
         finally:
             for G in shared.values():
                 release_memo(G)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

@@ -42,6 +42,11 @@ def save_cayley(G: GroupTable, path) -> None:
 
 
 def load_cayley(text: str, label: str = "") -> GroupTable:
+    # the declared order meets the cap before the n^2 entries are read
+    declared = re.match(r"\s*(\d+)(?!\S)", text)
+    if declared and int(declared.group(1)) > max_order_cap():
+        raise InputError(f"group order {int(declared.group(1))} exceeds "
+                         f"the desk-scale cap {max_order_cap()}")
     tokens = text.split()
     if not tokens:
         raise InputError("empty cayley file")

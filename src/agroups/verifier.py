@@ -255,13 +255,9 @@ def check_go(G: GroupTable) -> list[VerificationReport]:
     commutators under each element of coprime order."""
     orders = G.element_orders
     checked = 0
-    for P in normal_subgroups(G):
-        if P.order == 1 or not P.is_abelian:
+    for p, P in _normal_p_subgroups(G):
+        if not P.is_abelian:
             continue
-        primes = prime_factors(P.order)
-        if len(primes) != 1:
-            continue
-        p = primes[0]
         a_list = np.flatnonzero(orders % p != 0)
         if a_list.size == 0:
             continue
@@ -343,14 +339,11 @@ def check_size(G: GroupTable) -> list[VerificationReport]:
     cg = centralizer_sizes(G)
     cj = G.conjugation_table
     checked = skipped = 0
-    for H in normal_subgroups(G):
-        if H.order == 1 or not H.is_abelian:
-            continue
-        primes = prime_factors(H.order)
-        if len(primes) != 1:
+    for p, H in _normal_p_subgroups(G):
+        if not H.is_abelian:
             continue
         hs = H.members
-        gs = np.flatnonzero(orders % primes[0] != 0)
+        gs = np.flatnonzero(orders % p != 0)
         cols = np.arange(gs.size)
         prods = G.table[np.ix_(hs, gs)]                 # [i, j] = h_i g_j
         keep = orders[prods] == orders[gs]
@@ -371,9 +364,19 @@ def check_size(G: GroupTable) -> list[VerificationReport]:
     return [_report(G, "size", PASS, note, None, checked, skipped)]
 
 
-def _normal_p_subgroups(G: GroupTable, p: int) -> list[SubgroupHandle]:
-    """All normal p-subgroups, in order: the p-power entries of ``normal_subgroups``."""
-    return [H for H in normal_subgroups(G) if p_part(H.order, p) == H.order]
+def _normal_p_subgroups(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
+    """(p, H) for every nontrivial normal p-subgroup H, in ``normal_subgroups`` order."""
+    out = []
+    for H in normal_subgroups(G):
+        primes = prime_factors(H.order)
+        if len(primes) == 1:
+            out.append((primes[0], H))
+    return out
+
+
+def _abelian_sylow_primes(G: GroupTable) -> list[int]:
+    """The primes of |G| with an abelian Sylow subgroup, in increasing order."""
+    return [p for p in prime_factors(G.n) if sylow_subgroup(G, p).is_abelian]
 
 
 def check_l4(G: GroupTable) -> list[VerificationReport]:
@@ -382,12 +385,12 @@ def check_l4(G: GroupTable) -> list[VerificationReport]:
     orders = G.element_orders
     cg = centralizer_sizes(G)
     checked = trivial = 0
-    for p in prime_factors(G.n):
-        if not sylow_subgroup(G, p).is_abelian:
-            continue
+    normal_p = _normal_p_subgroups(G)
+    for p in _abelian_sylow_primes(G):
         # an element order divides |G|, so it is a power of p iff it divides |G|_p
         p_elts = np.flatnonzero((orders > 1) & (p_part(G.n, p) % orders == 0))
-        for H in _normal_p_subgroups(G, p):
+        trivial += p_elts.size          # modulo H = 1 the coset centralizer is C(g)
+        for H in (H for q, H in normal_p if q == p):
             outside = p_elts[~H.mask[p_elts]]
             # the coset centralizer already equals C(g): trivially split
             full = coset_centralizer_orders(G, H)[outside] == cg[outside]
@@ -419,20 +422,15 @@ def bingo_compare(G: GroupTable, H: SubgroupHandle,
 
 
 def bingo_tuples(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
-    """Admissible (prime, normal p-subgroup) pairs, deduplicated across primes."""
-    tuples: list[tuple[int, SubgroupHandle]] = []
-    seen_keys: set[bytes] = set()
-    admissible_primes = [p for p in prime_factors(G.n)
-                         if sylow_subgroup(G, p).is_abelian]
-    for p in admissible_primes:
-        for H in _normal_p_subgroups(G, p):
-            if H.key() in seen_keys:
-                continue
-            seen_keys.add(H.key())
-            tuples.append((p, H))
-    if G.n == 1:
-        tuples.append((2, trivial_subgroup(G)))
-    return tuples
+    """Admissible (prime, normal p-subgroup) pairs, prime-major: the trivial
+    subgroup once, at the first admissible prime (2 when |G| = 1), then the
+    nontrivial normal p-subgroups at each admissible prime."""
+    primes = _abelian_sylow_primes(G) if G.n > 1 else [2]
+    if not primes:
+        return []
+    normal_p = _normal_p_subgroups(G)
+    return [(primes[0], trivial_subgroup(G)),
+            *((p, H) for p in primes for q, H in normal_p if q == p)]
 
 
 _BINGO_IDS = ("bingo1", "bingo2", "bingo")
@@ -455,12 +453,12 @@ def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationRepor
         gate = "H is not normal"
     else:
         primes = prime_factors(H.order)
+        admissible = _abelian_sylow_primes(G)
         if len(primes) > 1:
             gate = "H is not a p-group"
-        elif primes and not sylow_subgroup(G, primes[0]).is_abelian:
+        elif primes and primes[0] not in admissible:
             gate = f"Sylow {primes[0]}-subgroup is not abelian"
-        elif not primes and not any(sylow_subgroup(G, p).is_abelian
-                                    for p in prime_factors(G.n)) and G.n > 1:
+        elif not primes and not admissible and G.n > 1:
             gate = "no prime with an abelian Sylow subgroup"
     if gate is not None:
         return [_report(G, lemma, SKIP, gate, None, 0, 1) for lemma in _BINGO_IDS]

@@ -119,6 +119,34 @@ def is_p_power(k: int, p: int) -> bool:
     return k == 1
 
 
+def _compositions(k: int):
+    """Every composition of k, first part descending, the rest likewise."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(k, 0, -1):
+        for rest in _compositions(k - first):
+            yield (first, *rest)
+
+
+def oracle_abelian_types(n: int) -> list[tuple[int, ...]]:
+    """The abelian types of order n in ``_abelian_types`` order: at each
+    prime, in increasing order, the non-increasing compositions of its
+    exponent, with the earlier primes' choices varying fastest."""
+    types: list[tuple[int, ...]] = [()]
+    p = 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            parts = [c for c in _compositions(e) if list(c) == sorted(c, reverse=True)]
+            types = [t + tuple(p ** x for x in c) for c in parts for t in types]
+        p += 1
+    return [tuple(sorted(t)) for t in types]
+
+
 def oracle_p_core_small(t: list[list[int]], p: int) -> frozenset[int]:
     """Largest normal p-subgroup via the full subgroup lattice."""
     best = frozenset({0})

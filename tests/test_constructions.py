@@ -14,7 +14,7 @@ from agroups import cli, constructions as cons, core
 from agroups.indices import index_set
 from agroups.structure import fitting_data, is_a_group
 
-from conftest import cyclic_of_order, oracle_two_step_mapping
+from conftest import cyclic_of_order, oracle_abelian_types, oracle_two_step_mapping
 
 
 # -- standard families ---------------------------------------------------------
@@ -536,6 +536,42 @@ def test_corpus_families_selector():
     assert all(g.label.startswith("dihedral(") for g in only_dihedral)
     with pytest.raises(core.InputError, match="unknown families"):
         list(cons.corpus(20, families=("nosuch",)))
+
+
+def test_abelian_types_match_the_filtered_compositions():
+    for n in range(1, 1025):
+        assert cons._abelian_types(n) == oracle_abelian_types(n), n
+
+
+@pytest.mark.parametrize("family, count, digest", [
+    ("abelian", 102, "dd2cea6593263ad67385f545fb77c09b7a024de05e3765bf63439b45958c11ba"),
+    ("dihedral", 28, "738179845306c748d7ee9c4995104abe9b4d829095808daa2808bb9f7239ab7d"),
+    ("symmetric", 2, "a25057c3d2d467f60e44b10f1d3f9b3655abd0c6c7775bd498bac651596f6198"),
+    ("alternating", 2, "60ab6844d4eeb47577edefc424a06fc86e0e9afa1b3e21720986df1e6431e563"),
+    ("quaternion", 1, "2274d80956b1074388727c1c5d38180dc54d86c7d88a9d743655e9a01d1bb55a"),
+    ("frobenius", 16, "94bc86403fa1d3e1614e207c045d6c8ddbda1c58da4038ff02e538d51824278b"),
+])
+def test_each_base_family_is_pinned(family, count, digest):
+    groups = list(cons.corpus(60, families=(family,)))
+    assert (len(groups), _corpus_digest(groups)) == (count, digest)
+
+
+@pytest.mark.parametrize("max_order, families, labels", [
+    (7, ("quaternion",), []),
+    (8, ("quaternion",), ["quaternion8()"]),
+    (11, ("symmetric", "alternating"), ["sym(3)"]),
+    (12, ("symmetric", "alternating"), ["sym(3)", "alt(4)"]),
+    (23, ("symmetric", "alternating"), ["sym(3)", "alt(4)"]),
+    (24, ("symmetric", "alternating"), ["sym(3)", "sym(4)", "alt(4)"]),
+    (20, ("frobenius",), ["frobenius(3,2)", "frobenius(5,2)", "frobenius(5,4)",
+                          "frobenius(7,2)"]),
+    (21, ("frobenius",), ["frobenius(3,2)", "frobenius(5,2)", "frobenius(5,4)",
+                          "frobenius(7,2)", "frobenius(7,3)"]),
+    # the families come in one fixed order, whatever order the selector lists
+    (12, ("alternating", "symmetric"), ["sym(3)", "alt(4)"]),
+])
+def test_base_family_ranges_at_their_boundaries(max_order, families, labels):
+    assert [G.label for G in cons.corpus(max_order, families)] == labels
 
 
 def test_fingerprint_matches_the_class_partition():

@@ -14,6 +14,7 @@ from agroups.fileio import build_recipe
 
 from conftest import (
     cyclic_of_order,
+    is_p_power,
     lattice_subgroups,
     oracle_assoc_violation,
     oracle_centralizer,
@@ -638,9 +639,9 @@ def test_abelian_walk_matches_lattice(monkeypatch):
     """The join walk yields each subgroup exactly once, with nothing
     deduplicated after it, for the normal and the abelian queries; on
     abelian groups ``subgroups_of`` (the joins of prime-power cyclic atoms)
-    equals the closure lattice, in order; and at every prime the normal
-    p-subgroups are the lattice's normal subgroups of p-power order, in
-    order."""
+    equals the closure lattice, in order; and the nontrivial normal
+    p-subgroups, with their primes, are the lattice's nontrivial normal
+    subgroups of prime-power order, in order."""
     walks = []                                      # (atoms, joins) of each walk
     real = core._closed_joins
 
@@ -658,10 +659,9 @@ def test_abelian_walk_matches_lattice(monkeypatch):
         else:
             core.normal_subgroups(G)
             core.abelian_subgroups(G)
-        for p in core.prime_factors(G.n):
-            normal_p = [H.key() for H in lattice
-                        if H.is_normal and core.p_part(H.order, p) == H.order]
-            assert [H.key() for H in verifier._normal_p_subgroups(G, p)] == normal_p
+        normal_p = [(p, H.key()) for H in lattice for p in core.prime_factors(G.n)
+                    if H.is_normal and H.order > 1 and is_p_power(H.order, p)]
+        assert [(p, H.key()) for p, H in verifier._normal_p_subgroups(G)] == normal_p
     assert len(core.subgroups_of(cons.abelian_group((2,) * 6))) == 2825
     assert walks[-1][0] == 63
     assert [H.order for H in core.subgroups_of(cons.cyclic(1))] == [1]

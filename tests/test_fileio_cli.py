@@ -137,6 +137,21 @@ def test_perm_loader_respects_cap(tmp_path):
         core.set_max_order_cap(old)
 
 
+def test_cayley_loader_refuses_a_declared_order_past_the_cap():
+    # the declared order alone is refused, before any entry is read
+    full = "11\n" + "\n".join(" ".join(str((a + b) % 11) for b in range(11))
+                              for a in range(11)) + "\n"
+    old = core.max_order_cap()
+    core.set_max_order_cap(10)
+    try:
+        for text in ("11\n", full, "11 x\n"):
+            with pytest.raises(core.InputError,
+                               match=r"^group order 11 exceeds the desk-scale cap 10$"):
+                fileio.load_cayley(text)
+    finally:
+        core.set_max_order_cap(old)
+
+
 # -- recipes -------------------------------------------------------------------------
 
 

@@ -737,6 +737,61 @@ def test_key_fails_when_a_two_step_pairing_fails(monkeypatch):
         "two-step pairing failed: stub", {"H": [0, 15], "N": [0, 5, 10]}, 4, "pairing failed")
 
 
+# The failure exits of the checks that walk the normal p-subgroups.
+
+
+def test_go_fails_with_the_first_split_it_cannot_make(monkeypatch):
+    monkeypatch.setattr(verifier, "_coprime_split_ok", lambda G, P, a_list: 0)
+    assert _key_records(verifier.check_go(cons.alternating(4))) == [
+        ("go", "FAIL", "no splitting", {"P": [0, 3, 8, 11], "a": 0}, 0, 0)]
+
+
+def test_l4_fails_at_the_first_strict_case(monkeypatch):
+    # C3 x S3 has 4 strict (g, H) cases and 19 trivially split ones
+    G = cons.direct_product(cons.cyclic(3), cons.symmetric(3))
+    assert _key_records(verifier.check_l4(G)) == [
+        ("l4", "PASS", "19 tuples with C(g) already full are trivially split", {}, 23, 0)]
+
+    def violated(G, H, g):
+        raise core.LemmaViolation("stub", {"u": 7})
+
+    monkeypatch.setattr(verifier, "l4_decompose", violated)
+    assert _key_records(verifier.check_l4(G)) == [
+        ("l4", "FAIL", "stub", {"H": [0, 3, 4], "g": 9, "u": 7}, 1, 0)]
+
+
+def test_bingo_fails_on_an_untwisted_product(monkeypatch, s3):
+    # the product of A3 in S3 replaced by A3 x S3/A3, as in
+    # test_bingo_comparator_detects_untwisted_product
+    a3 = next(H for H in core.normal_subgroups(s3) if H.order == 3)
+    sub, _ = core.subgroup_as_table(s3, a3)
+    untwisted = cons.direct_product(sub, core.quotient_group(s3, a3).quotient)
+    real = verifier.collapse
+    monkeypatch.setattr(verifier, "collapse", lambda G, H: (
+        types.SimpleNamespace(group=untwisted) if H.order == 3 else real(G, H)))
+    witness = {"p": 3, "H": [0, 3, 4], "missing": [2, 3]}
+    assert _key_records(verifier.check_bingo(s3)) == [
+        ("bingo1", "FAIL", "class size of G missing from the product", witness, 2, 0),
+        ("bingo2", "PASS", "", {}, 2, 0),
+        ("bingo", "FAIL", "index sets differ", witness, 2, 0)]
+
+
+@pytest.mark.parametrize("build, tuples", [
+    (lambda: cons.cyclic(1), [(2, [0])]),
+    (cons.quaternion8, []),
+    (lambda: cons.symmetric(4), [(3, [0])]),
+    (lambda: cons.alternating(4), [(2, [0]), (2, [0, 3, 8, 11])]),
+    (lambda: cons.abelian_group((2, 3)), [(2, [0]), (2, [0, 3]), (3, [0, 1, 2])]),
+])
+def test_bingo_tuples_list_the_trivial_subgroup_once(build, tuples):
+    G = build()
+    assert [(p, H.members.tolist()) for p, H in verifier.bingo_tuples(G)] == tuples
+    if not tuples:
+        note = "no prime with an abelian Sylow subgroup"
+        assert _key_records(verifier.check_bingo(G)) == [
+            (lemma, "SKIP", note, {}, 0, 0) for lemma in ("bingo1", "bingo2", "bingo")]
+
+
 def test_key_iff_on_abelian():
     reports = verifier.check_key(cons.abelian_group((4, 3)))
     st = {r.lemma_id: r.status for r in reports}
