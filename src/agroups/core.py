@@ -22,7 +22,8 @@ commute in G/K iff [x, y] lies in K, so ``coset_commute_matrix`` pulls the
 commute relation of every G/K back to G with one gather.
 
 Every other derivation worth keeping -- subgroup lists, Sylow subgroups,
-p-cores, quotients, index sets, the derived series, the Fitting data, the
+p-cores, quotients, index sets, the derived series, the Fitting data,
+the product-rule matrix that the basic, centre and ca checks read, the
 commutators [F, y] of the Fitting splitting, the automorphisms -- goes
 through one decorator, ``memoized``, into one dict on the table; so do the
 coset-action products, one per (G, H), which the bingo and key checks
@@ -496,6 +497,28 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
 def centralizer_sizes(G: GroupTable) -> np.ndarray:
     """|C_G(x)| for every x at once (column sums of the commuting matrix)."""
     return G.commute_matrix.sum(axis=0)
+
+
+_PRODUCT_RULE_BLOCK = 1 << 20   # bytes of packed columns one block of product_rule_matrix gathers
+
+
+@memoized
+def product_rule_matrix(G: GroupTable) -> np.ndarray:
+    """Boolean matrix: entry [x, y] iff C(xy) = C(x) n C(y), where C(z) is
+    column z of the commute matrix.  The columns are packed into 64-bit
+    words, zero-padded, and the rows x are compared in blocks whose gathered
+    words stay under ``_PRODUCT_RULE_BLOCK`` bytes."""
+    n, words = G.n, -(-G.n // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(G.commute_matrix.T, axis=1)
+    cols = packed.view(np.uint64)                   # row z: column z of cm
+    rule = np.empty((n, n), dtype=bool)
+    step = max(1, _PRODUCT_RULE_BLOCK // (n * packed.shape[1]))
+    for lo in range(0, n, step):
+        xs = slice(lo, lo + step)
+        rule[xs] = (cols[G.table[xs]] == (cols[xs, None] & cols)).all(axis=2)
+    rule.setflags(write=False)
+    return rule
 
 
 def coset_commute_matrix(G: GroupTable, K: SubgroupHandle) -> np.ndarray:

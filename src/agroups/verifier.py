@@ -30,6 +30,7 @@ from .core import (
     normal_subgroups,
     p_part,
     prime_factors,
+    product_rule_matrix,
     release_memo,
     subgroup_closure,
     trivial_subgroup,
@@ -91,15 +92,6 @@ def _report(G: GroupTable, lemma: str, status: str, note: str = "",
 # -- basic divisibility and centralizer facts ----------------------------------
 
 
-def _product_rule_break(G: GroupTable, xs: np.ndarray, y: int) -> int | None:
-    """Index of the first x in xs with C(xy) != C(x) n C(y), or None."""
-    cm = G.commute_matrix
-    good = cm[:, G.table[xs, y]] == (cm[:, xs] & cm[:, y, None])
-    if good.all():
-        return None
-    return int(np.argmax(~good.all(axis=0)))
-
-
 def check_basic(G: GroupTable) -> list[VerificationReport]:
     """Divisibility of orbit sizes under normal subgroups and quotients,
     centralizers of commuting coprime products, and centralizer images
@@ -143,25 +135,21 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
                              "quotient_centralizer": int(qc[x])},
                             checked)]
         checked += 1
-    # commuting coprime pairs: C(xy) = C(x) n C(y)
-    coprime_pairs = np.gcd.outer(orders, orders) == 1
-    for x in range(n):
-        ys = np.flatnonzero(cm[x, :] & coprime_pairs[x] & (np.arange(n) > x))
-        if ys.size == 0:
-            continue
-        # x and y commute, so xy = yx
-        bad = _product_rule_break(G, ys, x)
-        if bad is not None:
-            return [_report(G, "basic", FAIL,
-                            "centralizer of commuting coprime product",
-                            {"x": x, "y": int(ys[bad])}, checked)]
-        checked += ys.size
-    return [_report(G, "basic", PASS, "", None, checked)]
+    # commuting coprime pairs x < y: C(yx) = C(y) n C(x)
+    pairs = np.triu(cm & (np.gcd.outer(orders, orders) == 1), 1)
+    broken = pairs & ~product_rule_matrix(G).T
+    if broken.any():
+        x, y = divmod(int(np.argmax(broken)), n)
+        return [_report(G, "basic", FAIL,
+                        "centralizer of commuting coprime product",
+                        {"x": x, "y": y}, checked + int(pairs[:x].sum()))]
+    return [_report(G, "basic", PASS, "", None, checked + int(pairs.sum()))]
 
 
 def replay_basic_pair(G: GroupTable, x: int, y: int) -> bool:
     G._check_index(x, y)
-    return _product_rule_break(G, np.array([x]), y) is None
+    cm = G.commute_matrix
+    return bool(np.array_equal(cm[:, G.table[x, y]], cm[:, x] & cm[:, y]))
 
 
 # -- regular orbits of coprime faithful abelian actions --------------------------
@@ -289,39 +277,27 @@ def replay_go(G: GroupTable, P_members: list[int], a: int) -> bool:
 # -- centralizer product rules in the presence of an abelian normal subgroup ------
 
 
-_CENTRE_BLOCK = 1 << 20   # booleans in one n x |H| x k comparison of check_centre
-
-
 def check_centre(G: GroupTable) -> list[VerificationReport]:
     """When the centralizer of g covers the coset centralizer of gH exactly,
-    centralizers multiply: C(hg) = C(h) n C(g) for every h in H.
-
-    The admissible g of one H are compared in blocks of k at once, with k
-    chosen so that the n x |H| x k comparison stays under ``_CENTRE_BLOCK``.
-    """
-    T, cm = G.table, G.commute_matrix
+    centralizers multiply: C(hg) = C(h) n C(g) for every h in H."""
+    cm, rule = G.commute_matrix, product_rule_matrix(G)
     cg = centralizer_sizes(G)
     checked = skipped = 0
     for H in normal_subgroups(G):
         if not H.is_abelian:
             continue
         hs = H.members
-        cm_h = cm[:, hs]
-        central = cm_h.all(axis=1)                      # g with H <= C_G(g)
+        central = cm[:, hs].all(axis=1)                 # g with H <= C_G(g)
         cond = central & (cg == coset_centralizer_orders(G, H))
         gs = np.flatnonzero(cond)
-        step = max(1, _CENTRE_BLOCK // (G.n * H.order))
-        for lo in range(0, gs.size, step):
-            blk = gs[lo:lo + step]
-            good = cm[:, T[np.ix_(hs, blk)]] == (cm_h[:, :, None] & cm[:, blk][:, None, :])
-            if not good.all():
-                ok = good.all(axis=0)                   # [h, g]
-                j = int(np.argmax(~ok.all(axis=0)))
-                h = int(hs[int(np.argmax(~ok[:, j]))])
-                return [_report(G, "centre", FAIL, "centralizer product rule",
-                                {"H": hs.tolist(), "g": int(blk[j]), "h": h},
-                                checked + j + 1, skipped)]
-            checked += blk.size
+        good = rule[np.ix_(hs, gs)]                     # [h, g]
+        if not good.all():
+            j = int(np.argmax(~good.all(axis=0)))
+            h = int(hs[int(np.argmax(~good[:, j]))])
+            return [_report(G, "centre", FAIL, "centralizer product rule",
+                            {"H": hs.tolist(), "g": int(gs[j]), "h": h},
+                            checked + j + 1, skipped)]
+        checked += gs.size
         skipped += int(central.sum() - cond.sum())
     note = "skipped g where C(g)/H falls short of the coset centralizer" if skipped else ""
     return [_report(G, "centre", PASS, note, None, checked, skipped)]
@@ -597,18 +573,17 @@ def check_ca(G: GroupTable) -> list[VerificationReport]:
                             checked)]
         checked += 1
     # (iii) commuting pairs multiply centralizers
+    rule = product_rule_matrix(G)
     for y in T.members:
         xs = F.members[cm[F.members, y]]
-        if xs.size == 0:
-            continue
-        bad = _product_rule_break(G, xs, y)
-        if bad is not None:
+        good = rule[xs, y]
+        if not good.all():
             return [_report(G, "ca", FAIL, "centralizer product rule for (F,T) pair",
-                            {"x": int(xs[bad]), "y": int(y)}, checked)]
-        xy = G.table[xs, y]
-        inter = (cm[:, xs] & cm[:, y][:, None]).sum(axis=0)
-        covers = cg[xs] * cg[y] // inter == G.n
-        lhs = G.n // cg[xy]
+                            {"x": int(xs[int(np.argmax(~good))]), "y": int(y)}, checked)]
+        # so |C(x) n C(y)| = |C(xy)|
+        cxy = cg[G.table[xs, y]]
+        covers = cg[xs] * cg[y] // cxy == G.n
+        lhs = G.n // cxy
         rhs = (G.n // cg[xs]) * (G.n // cg[y])
         if np.any(covers & (lhs != rhs)):
             x = int(xs[int(np.argmax(covers & (lhs != rhs)))])

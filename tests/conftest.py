@@ -58,6 +58,15 @@ def oracle_centralizer(t: list[list[int]], xs) -> list[int]:
             if all(t[g][x] == t[x][g] for x in xs)]
 
 
+def oracle_product_rule(t: list[list[int]], cm: list[list[bool]]) -> list[list[bool]]:
+    """Entry [x][y] iff column t[x][y] of the commute matrix cm is the
+    entrywise AND of columns x and y: C(xy) = C(x) n C(y)."""
+    n = len(t)
+    col = [[cm[z][x] for z in range(n)] for x in range(n)]
+    return [[col[t[x][y]] == [a and b for a, b in zip(col[x], col[y])]
+             for y in range(n)] for x in range(n)]
+
+
 def oracle_class_of(t: list[list[int]], x: int) -> set[int]:
     return {oracle_conj(t, x, g) for g in range(len(t))}
 

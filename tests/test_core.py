@@ -23,6 +23,7 @@ from conftest import (
     oracle_closure,
     oracle_conj,
     oracle_order,
+    oracle_product_rule,
     oracle_subgroups,
     oracle_is_normal,
     perm_mul,
@@ -210,6 +211,34 @@ def test_centralizer_of_3cycle_in_s3(s3):
     got = core.centralizer(s3, [cycle])
     assert got.order == 3
     assert got.members.tolist() == oracle_centralizer(t, [cycle])
+
+
+def test_product_rule_matrix_matches_the_oracle(monkeypatch):
+    # n above 64 and not a multiple of it, so the padded words show
+    groups = [*cons.corpus(32), cons.dihedral(50),
+              cons.direct_product(cons.symmetric(4), cons.abelian_group((2, 2))),
+              cons.symmetric(5)]
+    for G in groups:
+        want = oracle_product_rule(table_rows(G), G.commute_matrix.tolist())
+        assert core.product_rule_matrix(G).tolist() == want, G.label
+        with monkeypatch.context() as m:    # one row of x per block
+            m.setattr(core, "_PRODUCT_RULE_BLOCK", 1)
+            core.release_memo(G)
+            assert core.product_rule_matrix(G).tolist() == want, G.label
+        core.release_memo(G)
+
+
+def test_product_rule_matrix_reads_the_instance_commute_matrix():
+    G = cons.direct_product(cons.symmetric(3), cons.cyclic(2))
+    intact = core.product_rule_matrix(G).copy()
+    cm = G.commute_matrix.copy()
+    cm[0, 2] = ~cm[0, 2]
+    cm.setflags(write=False)
+    G.__dict__["commute_matrix"] = cm
+    core.release_memo(G)
+    got = core.product_rule_matrix(G)
+    assert got.tolist() == oracle_product_rule(table_rows(G), cm.tolist())
+    assert not np.array_equal(got, intact)
 
 
 def test_center_examples(s3):

@@ -165,10 +165,12 @@ def _centre_per_g(G):
         cond = central & (cg == H.order * qc[q.projection])
         for g in np.flatnonzero(cond):
             checked += 1
-            bad = verifier._product_rule_break(G, H.members, g)
-            if bad is not None:
+            hg = G.table[H.members, g]
+            good = (cm[:, hg] == (cm[:, H.members] & cm[:, g, None])).all(axis=0)
+            if not good.all():
                 return ("FAIL", {"H": H.members.tolist(), "g": int(g),
-                                 "h": int(H.members[bad])}, checked, skipped)
+                                 "h": int(H.members[int(np.argmax(~good))])},
+                        checked, skipped)
         skipped += int(central.sum() - cond.sum())
     return ("PASS", None, checked, skipped)
 
@@ -182,21 +184,23 @@ def test_batched_centre_matches_per_g_loop(monkeypatch):
     groups = list(cons.corpus(32))
     for G in groups:
         assert _centre_record(G) == _centre_per_g(G), G.label
-    for block in (1, 2000):                     # one g, then a few, per block
-        monkeypatch.setattr(verifier, "_CENTRE_BLOCK", block)
+    for block in (1, 2000):                     # one row, then a few, per block
+        monkeypatch.setattr(core, "_PRODUCT_RULE_BLOCK", block)
         for G in groups[::7]:
+            core.release_memo(G)
             assert _centre_record(G) == _centre_per_g(G), (block, G.label)
 
 
 @pytest.mark.parametrize("block", [None, 1])
 def test_batched_centre_fail_matches_per_g_loop(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(verifier, "_CENTRE_BLOCK", block)
+        monkeypatch.setattr(core, "_PRODUCT_RULE_BLOCK", block)
     G = cons.direct_product(cons.symmetric(3), cons.cyclic(2))
     cm = G.commute_matrix.copy()
     cm[0, 2] = ~cm[0, 2]                   # a broken table the rule must catch
     cm.setflags(write=False)
     G.__dict__["commute_matrix"] = cm
+    core.release_memo(G)
     got = _centre_record(G)
     assert got[0] == "FAIL" and got[1]["g"] == 3
     assert got == _centre_per_g(G)
@@ -774,6 +778,39 @@ def test_bingo_fails_on_an_untwisted_product(monkeypatch, s3):
         ("bingo1", "FAIL", "class size of G missing from the product", witness, 2, 0),
         ("bingo2", "PASS", "", {}, 2, 0),
         ("bingo", "FAIL", "index sets differ", witness, 2, 0)]
+
+
+def _flip_commute(G, x, y):
+    """Flip entry [x, y] of G's commute matrix: a broken table to catch."""
+    cm = G.commute_matrix.copy()
+    cm[x, y] = ~cm[x, y]
+    cm.setflags(write=False)
+    G.__dict__["commute_matrix"] = cm
+
+
+def test_basic_fails_at_the_first_broken_coprime_product(monkeypatch):
+    # C6 with 1 dropped from C(5): the pair (2, 3), whose product is 5, breaks
+    # C(xy) = C(x) n C(y) after the five coprime pairs (0, y) pass
+    G = cons.cyclic(6)
+    _flip_commute(G, 1, 5)
+    monkeypatch.setattr(verifier, "normal_subgroups", lambda G: [])
+    assert _key_records(verifier.check_basic(G)) == [
+        ("basic", "FAIL", "centralizer of commuting coprime product",
+         {"x": 2, "y": 3}, 5, 0)]
+    assert not verifier.replay_basic_pair(G, 2, 3)
+
+
+def test_ca_fails_at_the_first_broken_product_rule():
+    # S3 = A3 |x <1>, with the Fitting data found on the true table and then
+    # 1 dropped from C(0): the pair (0, 1) breaks C(xy) = C(x) n C(y) after
+    # T.order + n = 8 checks of steps (i) and (ii) and the 3 pairs at y = 0
+    G = cons.symmetric(3)
+    F = fitting_data(G).fitting
+    assert structure.is_a_group(G) and complement_search(G, F) is not None
+    _flip_commute(G, 1, 0)
+    assert _key_records(verifier.check_ca(G)) == [
+        ("ca", "FAIL", "centralizer product rule for (F,T) pair",
+         {"x": 0, "y": 1}, 11, 0)]
 
 
 @pytest.mark.parametrize("build, tuples", [
