@@ -1,7 +1,6 @@
 """Finite-group computation on Cayley tables plus a class-size verification harness."""
 
 from .core import (
-    ClassPartition,
     DerivedSeries,
     GroupTable,
     InputError,
@@ -13,16 +12,14 @@ from .core import (
     center,
     centralizer,
     commutator_with_element,
-    conjugacy_classes,
     derived_series,
     normal_subgroups,
     normalizer,
-    pp_decomposition,
     quotient_group,
     subgroup_closure,
     subgroups_of,
 )
-from .indices import IndexSet, Norms, hypothesis_check, ind, ind_rel, index_set, norms
+from .indices import IndexSet, Norms, hypothesis_check, ind_rel, index_set, norms
 from .structure import (
     FittingData,
     ca_decompose,
@@ -56,7 +53,6 @@ from .constructions import (
 from .verifier import (
     VerificationReport,
     check_bingo_pair,
-    check_cl2_action,
     scan,
     theorem_scan,
     verify_group,

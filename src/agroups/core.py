@@ -17,9 +17,9 @@ place, until the set stops growing.
 
 Per-element tables (inverses, orders, commuting, conjugation and commutator
 tables, a generating set) are cached properties.  Coset centralizers are
-read from the commutator table rather than from a quotient: xK and yK
-commute in G/K iff [x, y] lies in K, so ``coset_commute_matrix`` pulls the
-commute relation of every G/K back to G with one gather.
+read without a quotient: ``coset_centralizer_orders`` counts, for every x,
+the members of its class that lie in Kx, from the least member of each
+class (``_class_minima``, the one class reader).
 
 Every other derivation worth keeping -- subgroup lists, Sylow subgroups,
 p-cores, quotients, index sets, the derived series, the Fitting data,
@@ -226,17 +226,6 @@ class GroupTable:
         """Conjugate a^b = b^-1 * a * b."""
         self._check_index(a, b)
         return int(self.conjugation_table[a, b])
-
-    def power(self, a: int, k: int) -> int:
-        self._check_index(a)
-        k %= self.order_of(a)
-        result, base = 0, int(a)
-        while k:
-            if k & 1:
-                result = int(self.table[result, base])
-            base = int(self.table[base, base])
-            k >>= 1
-        return result
 
     def order_of(self, a: int) -> int:
         self._check_index(a)
@@ -466,32 +455,11 @@ def normalizer(G: GroupTable, H: SubgroupHandle) -> SubgroupHandle:
 # -- conjugacy classes -------------------------------------------------------
 
 
-@dataclass
-class ClassPartition:
-    """Conjugacy classes, ordered by their minimal element."""
-
-    classes: list[np.ndarray]
-    class_of: np.ndarray
-
-    @property
-    def sizes(self) -> list[int]:
-        return [len(c) for c in self.classes]
-
-
 @memoized
 def _class_minima(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """The least member of each element's class, and |C_G(x)| = n / |cl(x)|."""
     rep = G.conjugation_table.min(axis=1)
     return rep, G.n // np.bincount(rep, minlength=G.n)[rep]
-
-
-def conjugacy_classes(G: GroupTable) -> ClassPartition:
-    """The classes of ``_class_minima``, each member list sorted."""
-    rep, _ = _class_minima(G)
-    _, class_of = np.unique(rep, return_inverse=True)
-    by_class = np.argsort(class_of, kind="stable")
-    classes = np.split(by_class, np.cumsum(np.bincount(class_of))[:-1])
-    return ClassPartition(classes, class_of)
 
 
 def centralizer_sizes(G: GroupTable) -> np.ndarray:
@@ -521,21 +489,10 @@ def product_rule_matrix(G: GroupTable) -> np.ndarray:
     return rule
 
 
-def coset_commute_matrix(G: GroupTable, K: SubgroupHandle) -> np.ndarray:
-    """The commute relation of G/K pulled back to G: entry [x, y] iff xK and
-    yK commute, that is iff [x, y] lies in K.  K must be normal.
-
-    Its column sums are |K| * |C_{G/K}(xK)|, so the coset centralizers of
-    every x come from one gather, with no quotient table built.
-    """
-    require_normal(K)
-    return K.mask[G.commutator_table]
-
-
 def coset_centralizer_orders(G: GroupTable, K: SubgroupHandle) -> np.ndarray:
-    """|K| |C_{G/K}(xK)| for every x, the column sums of
-    ``coset_commute_matrix(G, K)`` read from n x |K| entries: the y with
-    [x, y] in K are those with x^y in Kx, |C_G(x)| |cl(x) n Kx| of them."""
+    """|K| |C_{G/K}(xK)| for every x, the number of y with [x, y] in K, read
+    from n x |K| entries: those y have x^y in Kx, and there are
+    |C_G(x)| |cl(x) n Kx| of them."""
     require_normal(K)
     rep, class_centralizer = _class_minima(G)
     return class_centralizer * (rep[G.table[K.members]] == rep).sum(axis=0)
@@ -595,18 +552,6 @@ def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
                              {"kernel": N.members.tolist()})
     quotient = GroupTable(qtable, label=f"{G.label}/N{N.order}", trusted=True)
     return QuotientMap(N, quotient, projection.astype(np.int64), reps.astype(np.int64))
-
-
-def subgroup_as_table(G: GroupTable, H: SubgroupHandle) -> tuple[GroupTable, np.ndarray]:
-    """Relabel a subgroup as a standalone GroupTable.
-
-    Returns the table and the member list mapping new indices back to G.
-    """
-    m = H.members
-    pos = np.full(G.n, -1, dtype=np.int64)
-    pos[m] = np.arange(len(m))
-    sub = pos[G.table[np.ix_(m, m)]]
-    return GroupTable(sub, label=f"{G.label}|sub{H.order}", trusted=True), m
 
 
 # -- derived series and solvability -------------------------------------------
@@ -676,29 +621,6 @@ def p_part(n: int, p: int) -> int:
         out *= p
         n //= p
     return out
-
-
-def pp_decomposition(G: GroupTable, g: int, p: int) -> tuple[int, int]:
-    """Split g = u*v = v*u into its p-part u and p'-part v.
-
-    Writes |g| = p^k * m and takes u = g^a, v = g^(1-a) where a = 1 mod p^k
-    and a = 0 mod m; the decomposition is unique so there is nothing to
-    tie-break.
-    """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    G._check_index(g)
-    o = G.order_of(g)
-    pk = p_part(o, p)
-    m = o // pk
-    if pk == 1:
-        return 0, g
-    if m == 1:
-        return g, 0
-    a = (m * pow(m, -1, pk)) % o
-    u = G.power(g, a)
-    v = G.power(g, (1 - a) % o)
-    return u, v
 
 
 @memoized

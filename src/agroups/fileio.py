@@ -41,29 +41,62 @@ def save_cayley(G: GroupTable, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_OTHER, _SEPARATOR, _DIGIT, _SIGN = range(4)
+_BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_KIND[list(b" \t\n\r\v\f")] = _SEPARATOR
+_BYTE_KIND[list(b"0123456789")] = _DIGIT
+_BYTE_KIND[list(b"+-")] = _SIGN
+
+
+def _cayley_values(text: str) -> np.ndarray:
+    """The tokens of a cayley file as one int64 array, read by numpy.
+
+    Tokens are separated by ASCII whitespace, and each is an optional sign
+    followed by decimal digits; InputError names the first token that is
+    not.  The read saturates a value past int64, so an error message takes
+    the exact value from the token (``_token``).
+    """
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    kind = np.pad(_BYTE_KIND[raw], 1, constant_values=_SEPARATOR)
+    signs = np.flatnonzero(kind == _SIGN)
+    misplaced = signs[(kind[signs - 1] != _SEPARATOR) | (kind[signs + 1] != _DIGIT)]
+    bad = np.concatenate([np.flatnonzero(kind == _OTHER)[:1], misplaced[:1]])
+    if bad.size:
+        at = int(bad.min())                       # kind[i] is raw[i - 1]
+        start = int(np.flatnonzero(kind[:at] == _SEPARATOR)[-1])
+        end = at + int(np.argmax(kind[at:] == _SEPARATOR))
+        token = raw[start:end - 1].tobytes().decode()
+        raise InputError("cayley file has a non-integer token: "
+                         f"invalid literal for int() with base 10: {token!r}")
+    if (kind == _SEPARATOR).all():                # no token; numpy would read a 0
+        return np.empty(0, dtype=np.int64)
+    return np.fromstring(text, dtype=np.int64, sep=" ")
+
+
+def _token(text: str, i: int) -> int:
+    """Token i of a cayley file, as an exact Python int."""
+    return int(text.split(maxsplit=i + 1)[i])
+
+
 def load_cayley(text: str, label: str = "") -> GroupTable:
     # the declared order meets the cap before the n^2 entries are read
     declared = re.match(r"\s*(\d+)(?!\S)", text)
     if declared and int(declared.group(1)) > max_order_cap():
         raise InputError(f"group order {int(declared.group(1))} exceeds "
                          f"the desk-scale cap {max_order_cap()}")
-    tokens = text.split()
-    if not tokens:
+    values = _cayley_values(text)
+    if not values.size:
         raise InputError("empty cayley file")
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise InputError(f"cayley file has a non-integer token: {exc}") from None
-    n = values[0]
-    if n < 1 or len(values) != 1 + n * n:
-        raise InputError(f"cayley file declares n={n} but carries {len(values) - 1} entries")
-    # range-checked as Python ints, so an entry past int64 is an input error too
-    bad = next((i for i, v in enumerate(values[1:]) if not 0 <= v < n), None)
-    if bad is not None:
-        a, b = divmod(bad, n)
-        raise InputError(
-            f"closure violated at ({a},{b}): entry {values[1 + bad]} not in [0,{n})")
-    table = np.array(values[1:], dtype=np.int64).reshape(n, n)
+    n = int(values[0])
+    if n < 1 or values.size != 1 + n * n:
+        raise InputError(f"cayley file declares n={_token(text, 0)} "
+                         f"but carries {values.size - 1} entries")
+    table = values[1:].reshape(n, n)
+    outside = (table < 0) | (table >= n)
+    if outside.any():
+        a, b = map(int, np.argwhere(outside)[0])
+        raise InputError(f"closure violated at ({a},{b}): "
+                         f"entry {_token(text, 1 + a * n + b)} not in [0,{n})")
     e = find_identity(table)
     if e is None:
         raise InputError("identity violated: no two-sided identity element")

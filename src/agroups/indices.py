@@ -44,12 +44,6 @@ class Norms:
     total: int
 
 
-def ind(G: GroupTable, x: int) -> int:
-    """Conjugacy class size of x, via |G| / |C_G(x)|."""
-    G._check_index(x)
-    return G.n // int(G.commute_matrix[:, x].sum())
-
-
 def ind_rel(G: GroupTable, K: SubgroupHandle, x: int) -> int:
     """Size of the K-conjugacy orbit of x: |K| / |C_K(x)|, for any x in G."""
     G._check_index(x)

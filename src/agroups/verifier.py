@@ -25,7 +25,6 @@ from .core import (
     abelian_subgroups,
     centralizer_sizes,
     coset_centralizer_orders,
-    coset_commute_matrix,
     derived_series,
     normal_subgroups,
     p_part,
@@ -95,21 +94,31 @@ def _report(G: GroupTable, lemma: str, status: str, note: str = "",
 def check_basic(G: GroupTable) -> list[VerificationReport]:
     """Divisibility of orbit sizes under normal subgroups and quotients,
     centralizers of commuting coprime products, and centralizer images
-    in quotients (with equality in the coprime case)."""
+    in quotients (with equality in the coprime case).
+
+    For each normal K, |K| |C_{G/K}(xK)| comes from
+    ``coset_centralizer_orders``.  The image of C_G(x) lies in C_{G/K}(xK)
+    when every commuting u, x have [u, x] in K; the identity lies in every
+    K, so only the commuting pairs whose commutator is not the identity,
+    listed once in row-major order, are read against each K.
+    """
     n = G.n
     cm = G.commute_matrix
     cg = centralizer_sizes(G)
     ind_g = n // cg
     orders = G.element_orders
+    comm = G.commutator_table
+    nontrivial = cm & (comm != 0)
+    comm_pairs, comm_values = np.argwhere(nontrivial), comm[nontrivial]
     checked = 0
     for K in normal_subgroups(G):
-        rel = coset_commute_matrix(G, K)                # xK and yK commute
-        cq = rel.sum(axis=0)                            # |K| |C_{G/K}(xK)|
+        cq = coset_centralizer_orders(G, K)             # |K| |C_{G/K}(xK)|
         ck = cm[K.members, :].sum(axis=0)
         ind_k = K.order // ck
         ind_q = n // cq
-        if np.any(ind_g % ind_k) or np.any(ind_g % ind_q):
-            x = int(np.argmax((ind_g % ind_k) + (ind_g % ind_q)))
+        undivided = (ind_g % ind_k) + (ind_g % ind_q)
+        if undivided.any():
+            x = int(np.argmax(undivided))
             return [_report(G, "basic", FAIL,
                             "orbit size fails to divide",
                             {"K": K.members.tolist(), "x": x,
@@ -117,9 +126,9 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
                              "ind_G": int(ind_g[x])},
                             checked)]
         # image of C_G(x) in G/K sits inside the centralizer of xK ...
-        img_ok = ~cm | rel
-        if not img_ok.all():
-            u, x = map(int, np.argwhere(~img_ok)[0])
+        escaped = ~K.mask[comm_values]
+        if escaped.any():
+            u, x = map(int, comm_pairs[int(np.argmax(escaped))])
             return [_report(G, "basic", FAIL, "centralizer image escapes",
                             {"K": K.members.tolist(), "x": x, "u": u},
                             checked)]
@@ -127,8 +136,9 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
         coprime = np.gcd(orders, K.order) == 1
         img_size = cg // ck
         qc = cq // K.order
-        if np.any(coprime & (img_size != qc)):
-            x = int(np.argmax(coprime & (img_size != qc)))
+        short = coprime & (img_size != qc)
+        if short.any():
+            x = int(np.argmax(short))
             return [_report(G, "basic", FAIL, "coprime centralizer image too small",
                             {"K": K.members.tolist(), "x": x,
                              "image": int(img_size[x]),
@@ -158,38 +168,6 @@ def replay_basic_pair(G: GroupTable, x: int, y: int) -> bool:
 def regular_orbit_exists(G: GroupTable, V: SubgroupHandle, A: SubgroupHandle) -> bool:
     stab_sizes = G.commute_matrix[np.ix_(A.members, V.members)].sum(axis=0)
     return bool((stab_sizes == 1).any())
-
-
-def check_cl2_action(spec) -> VerificationReport:
-    """Regular-orbit check for one explicit action.
-
-    Gated on the three hypotheses: abelian acting group, faithful action,
-    coprime orders.  Any unmet hypothesis yields SKIP with its name.
-    """
-    label = f"{spec.acting.label} acting on {spec.acted.label}"
-    order = spec.acted.n
-
-    def rep(status, note="", witness=None, checked=0, skipped=0):
-        return VerificationReport(label, order, "cl2", status, note,
-                                  witness or {}, checked, skipped)
-
-    spec.validate()
-    if not spec.acting.is_abelian():
-        return rep(SKIP, "acting group is not abelian", skipped=1)
-    from math import gcd
-
-    if gcd(spec.acting.n, spec.acted.n) != 1:
-        return rep(SKIP, "orders are not coprime", skipped=1)
-    act = np.asarray(spec.action)
-    trivial_columns = (act == np.arange(spec.acted.n)[:, None]).all(axis=0)
-    if trivial_columns.sum() != 1:
-        return rep(SKIP, "action is not faithful", skipped=1)
-    stab_sizes = (act == np.arange(spec.acted.n)[:, None]).sum(axis=1)
-    regular = np.flatnonzero(stab_sizes == 1)
-    if regular.size:
-        return rep(PASS, f"regular orbit at element {int(regular[0])}", checked=1)
-    return rep(FAIL, "no regular orbit",
-               {"stabilizer_sizes": stab_sizes.tolist()}, checked=1)
 
 
 def check_cl2(G: GroupTable) -> list[VerificationReport]:

@@ -117,6 +117,15 @@ def oracle_subgroups(t: list[list[int]]) -> set[frozenset[int]]:
     return found
 
 
+def subgroup_table(G, H):
+    """H relabelled as a standalone group: member i of H becomes element i.
+    The axioms are verified again on the relabelled table."""
+    t, members = table_rows(G), H.members.tolist()
+    pos = {g: i for i, g in enumerate(members)}
+    return core.GroupTable([[pos[t[a][b]] for b in members] for a in members],
+                           label=f"{G.label}|sub{len(members)}")
+
+
 def oracle_is_normal(t: list[list[int]], members) -> bool:
     ms = set(members)
     return all(oracle_conj(t, h, g) in ms for h in ms for g in range(len(t)))

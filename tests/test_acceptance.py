@@ -108,9 +108,9 @@ def _oracle_p_core(G, p: int) -> frozenset:
 def test_criterion_2_oracle_equivalence(corpus_200, corpus_100):
     """ind == orbit size everywhere <= 200; p-core == brute force <= 100."""
     for G in corpus_200:
-        part = core.conjugacy_classes(G)
         sizes = G.n // core.centralizer_sizes(G)
-        orbit_sizes = np.array([len(part.classes[c]) for c in part.class_of])
+        conjugates = np.sort(G.conjugation_table, axis=1)     # row x: the x^g
+        orbit_sizes = 1 + (conjugates[:, 1:] != conjugates[:, :-1]).sum(axis=1)
         assert np.array_equal(sizes, orbit_sizes), G.label
     for G in corpus_100:
         for p in core.prime_factors(G.n):

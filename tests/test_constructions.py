@@ -14,7 +14,14 @@ from agroups import cli, constructions as cons, core
 from agroups.indices import index_set
 from agroups.structure import fitting_data, is_a_group
 
-from conftest import cyclic_of_order, oracle_abelian_types, oracle_two_step_mapping
+from conftest import (
+    cyclic_of_order,
+    oracle_abelian_types,
+    oracle_class_sizes,
+    oracle_two_step_mapping,
+    subgroup_table,
+    table_rows,
+)
 
 
 # -- standard families ---------------------------------------------------------
@@ -255,7 +262,7 @@ def test_nsd_order_preserved_and_matches_action_spec(small_pool, data):
     ns = cons.natural_semidirect(G, H)
     assert ns.group.n == G.n
     # against the generic pair product with the conjugation action
-    sub, members = core.subgroup_as_table(G, H)
+    sub, members = subgroup_table(G, H), H.members
     q = ns.quotient
     pos = np.full(G.n, -1, dtype=np.int64)
     pos[members] = np.arange(len(members))
@@ -575,9 +582,9 @@ def test_base_family_ranges_at_their_boundaries(max_order, families, labels):
 
 
 def test_fingerprint_matches_the_class_partition():
-    # the class sizes from centralizer orders equal those of the explicit classes
+    # the class sizes from centralizer orders equal those of the oracle's classes
     for G in cons.corpus(48):
-        want = (G.n, tuple(sorted(core.conjugacy_classes(G).sizes)),
+        want = (G.n, tuple(oracle_class_sizes(table_rows(G))),
                 tuple(sorted(int(o) for o in G.element_orders)))
         assert cons._fingerprint(G) == want, G.label
 

@@ -182,16 +182,6 @@ def test_index_out_of_range_is_input_error(s3):
         s3.order_of(-1)
 
 
-def test_power_matches_iteration(small_pool):
-    for G in small_pool:
-        t = table_rows(G)
-        for x in (0, 1 % G.n, G.n - 1):
-            acc = 0
-            for k in range(1, 2 * G.n):
-                acc = t[acc][x]
-                assert G.power(x, k) == acc
-
-
 # -- centralizers and center ---------------------------------------------------------
 
 
@@ -252,30 +242,34 @@ def test_center_examples(s3):
 # -- conjugacy classes ---------------------------------------------------------------
 
 
+def _class_sizes(G) -> list[int]:
+    """The class sizes that ``_class_minima`` gives, one per class."""
+    rep, _ = core._class_minima(G)
+    return np.bincount(rep)[np.unique(rep)].tolist()
+
+
 def test_abelian_classes_are_singletons():
     G = cons.abelian_group((3, 4))
-    part = core.conjugacy_classes(G)
-    assert part.sizes == [1] * 12
+    assert _class_sizes(G) == [1] * 12
 
 
 def test_class_sizes_s3_a4(s3, a4):
-    assert sorted(core.conjugacy_classes(s3).sizes) == [1, 2, 3]
-    assert sorted(core.conjugacy_classes(a4).sizes) == [1, 3, 4, 4]
+    assert sorted(_class_sizes(s3)) == [1, 2, 3]
+    assert sorted(_class_sizes(a4)) == [1, 3, 4, 4]
 
 
 def test_class_partition_consistency(small_pool):
+    # each element's class minimum and centralizer order, against the oracle
     for G in small_pool:
-        part = core.conjugacy_classes(G)
+        rep, class_centralizer = core._class_minima(G)
         t = table_rows(G)
-        assert sum(part.sizes) == G.n
-        for cid, cls in enumerate(part.classes):
+        assert sum(_class_sizes(G)) == G.n
+        for x in range(G.n):
+            cls = oracle_class_of(t, x)
             assert G.n % len(cls) == 0
-            assert cls.tolist() == sorted(oracle_class_of(t, int(cls[0])))
-            for x in cls:
-                assert part.class_of[x] == cid
-        minima = [int(cls[0]) for cls in part.classes]
-        assert minima == sorted(minima)
-        assert sorted(part.sizes) == oracle_class_sizes(t)
+            assert rep[x] == min(cls)
+            assert class_centralizer[x] * len(cls) == G.n
+        assert sorted(_class_sizes(G)) == oracle_class_sizes(t)
 
 
 # -- subgroup closure -----------------------------------------------------------------
@@ -362,7 +356,6 @@ def test_quotient_by_non_normal_raises_with_witness(s3):
 
 
 @pytest.mark.parametrize("coset_read", [
-    core.coset_commute_matrix,
     lambda G, H: structure.coset_centralizer_preimage(G, H, 1),
     core.coset_centralizer_orders])
 def test_coset_reads_reject_a_non_normal_subgroup(s3, coset_read):
@@ -387,18 +380,19 @@ def test_commutator_table_matches_the_oracle(small_pool):
 
 def test_coset_commute_matrix_matches_the_quotient():
     """[x, y] lies in K exactly when xK and yK commute in G/K, for every
-    normal K; the column sums are |K| |C_{G/K}(xK)|."""
+    normal K; the column sums of that matrix, |K| |C_{G/K}(xK)|, are what
+    ``coset_centralizer_orders`` reads from the classes."""
     groups = [*cons.corpus(48),
               cons.direct_product(cons.abelian_group((2, 2, 2)), cons.symmetric(3))]
     for G in groups:
         for K in core.normal_subgroups(G):
             q = core.quotient_group(G, K)
-            rel = core.coset_commute_matrix(G, K)
+            rel = K.mask[G.commutator_table]
             pulled = q.quotient.commute_matrix[np.ix_(q.projection, q.projection)]
             assert np.array_equal(rel, pulled), (G.label, K.members.tolist())
-            assert np.array_equal(
-                rel.sum(axis=0),
-                K.order * core.centralizer_sizes(q.quotient)[q.projection])
+            sums = K.order * core.centralizer_sizes(q.quotient)[q.projection]
+            assert np.array_equal(rel.sum(axis=0), sums)
+            assert np.array_equal(core.coset_centralizer_orders(G, K), sums)
         core.release_memo(G)
 
 
@@ -423,38 +417,6 @@ def test_a5_not_solvable():
     ds = core.derived_series(A5)
     assert not ds.is_solvable
     assert ds.series[-1].order == 60
-
-
-# -- coprime power decomposition -------------------------------------------------------
-
-
-def test_pp_decomposition_c6():
-    G = cons.cyclic(6)
-    u, v = core.pp_decomposition(G, 1, 2)
-    assert (u, v) == (3, 4)
-
-
-def test_pp_decomposition_pure_cases():
-    G = cons.cyclic(8)
-    assert core.pp_decomposition(G, 1, 2) == (1, 0)   # g a 2-element
-    assert core.pp_decomposition(G, 1, 3) == (0, 1)   # g a 3'-free element
-    with pytest.raises(core.InputError, match="not prime"):
-        core.pp_decomposition(G, 1, 6)
-
-
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_pp_decomposition_properties(small_pool, data):
-    G = data.draw(st.sampled_from(small_pool))
-    g = data.draw(st.integers(0, G.n - 1))
-    p = data.draw(st.sampled_from([2, 3, 5, 7]))
-    u, v = core.pp_decomposition(G, g, p)
-    assert G.mul(u, v) == g
-    assert G.mul(v, u) == g
-    ou, ov = G.order_of(u), G.order_of(v)
-    assert ou * ov == G.order_of(g)
-    assert core.p_part(ou, p) == ou
-    assert core.p_part(ov, p) == 1
 
 
 # -- relative commutator subgroup -------------------------------------------------------
@@ -574,12 +536,14 @@ def test_normal_atoms_close_one_class_per_cyclic_generator_class(monkeypatch):
     rep = G.conjugation_table.min(axis=1)
     least = set()
     for x in range(1, G.n):
-        o = G.order_of(x)
-        primes = core.prime_factors(o)
+        powers = [x]                            # x^1, ..., x^(o-1)
+        while (y := int(G.table[powers[-1], x])) != 0:
+            powers.append(y)
+        primes = core.prime_factors(len(powers) + 1)
         if len(primes) == 1:
-            least.add(int(rep[min(G.power(x, k) for k in range(1, o) if k % primes[0])]))
+            least.add(int(rep[min(y for k, y in enumerate(powers, 1) if k % primes[0])]))
     assert len(calls) == len(least) == 24
-    assert len(core.conjugacy_classes(G).classes[1:]) == 399
+    assert len(np.unique(rep)) - 1 == 399
 
 
 def test_subgroup_queries_sort_members_as_integers():

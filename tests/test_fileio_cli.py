@@ -1,6 +1,11 @@
 """File formats, recipes, report files, and the CLI surface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +155,52 @@ def test_cayley_loader_refuses_a_declared_order_past_the_cap():
                 fileio.load_cayley(text)
     finally:
         core.set_max_order_cap(old)
+
+
+def test_cayley_loader_accepts_any_whitespace_layout(s3):
+    tokens = [str(s3.n), *map(str, s3.table.ravel().tolist())]
+    seps = [" ", "\t", "\n", "\r\n", "\v", "\f", "  \n\t"]
+    text = "".join(t + seps[i % len(seps)] for i, t in enumerate(tokens))
+    assert np.array_equal(fileio.load_cayley(text).table, s3.table)
+    assert np.array_equal(fileio.load_cayley("\n +" + text.replace(" 1", " +01")).table,
+                          s3.table)
+
+
+_NON_INTEGER = "cayley file has a non-integer token: invalid literal for int() with base 10: "
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2 0 1 1-0", _NON_INTEGER + "'1-0'"),
+    ("2 0 1 1 -", _NON_INTEGER + "'-'"),
+    ("2 0 1 +-1 0", _NON_INTEGER + "'+-1'"),
+    ("2 0 x1 1 0.5", _NON_INTEGER + "'x1'"),
+    (" \n\t", "empty cayley file"),
+    ("+99999999999999999999 0",
+     "cayley file declares n=99999999999999999999 but carries 1 entries"),
+    ("2 0 1 1 -1", "closure violated at (1,1): entry -1 not in [0,2)"),
+    ("2 0 1 -99999999999999999999 0",
+     "closure violated at (1,0): entry -99999999999999999999 not in [0,2)"),
+])
+def test_cayley_loader_messages(text, message):
+    with pytest.raises(core.InputError, match=f"^{re.escape(message)}$"):
+        fileio.load_cayley(text)
+
+
+def test_cayley_loader_reads_a_table_at_the_cap_in_bounded_memory(tmp_path):
+    # the 4,000,001 tokens of a 2000 x 2000 table go into one int64 array (a
+    # list of Python ints peaked at about 550 MB).  On Linux a child starts
+    # with its parent's peak RSS as ru_maxrss (KiB), so the loader runs in a
+    # grandchild spawned from a small intermediate process.
+    path = tmp_path / "c2000.grp"
+    fileio.save_cayley(cons.cyclic(2000), path)
+    load = ("import resource, sys; from agroups import fileio; "
+            "assert fileio.load_group(sys.argv[1]).n == 2000; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    env = {**os.environ, "PYTHONPATH": str(Path(fileio.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", load, str(path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert int(out.stdout) < 250 * 1024
 
 
 # -- recipes -------------------------------------------------------------------------

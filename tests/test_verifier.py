@@ -12,7 +12,7 @@ import pytest
 from agroups import constructions as cons, core, fileio, structure, verifier
 from agroups.structure import complement_search, fitting_data, p_core
 
-from conftest import cyclic_of_order, lattice_subgroups
+from conftest import cyclic_of_order, lattice_subgroups, subgroup_table
 
 
 def _statuses(reports):
@@ -127,8 +127,7 @@ def test_bingo_comparator_detects_untwisted_product(s3):
     # sets drift apart; the comparator must see it in both directions
     a3 = next(H for H in core.normal_subgroups(s3) if H.order == 3)
     q = core.quotient_group(s3, a3)
-    sub, _ = core.subgroup_as_table(s3, a3)
-    untwisted = cons.direct_product(sub, q.quotient)
+    untwisted = cons.direct_product(subgroup_table(s3, a3), q.quotient)
     missing, extra = verifier.bingo_compare(s3, a3, untwisted)
     assert missing == [2, 3] and extra == []
     assert verifier.replay_bingo(s3, a3.members.tolist())
@@ -211,7 +210,7 @@ def test_centre_reads_coset_centralizers_from_classes():
               cons.direct_product(cons.abelian_group((2, 2, 2)), cons.symmetric(3))]
     for G in groups:
         for H in core.normal_subgroups(G):
-            sums = core.coset_commute_matrix(G, H).sum(axis=0)
+            sums = H.mask[G.commutator_table].sum(axis=0)  # y with [y, x] in H
             assert np.array_equal(core.coset_centralizer_orders(G, H), sums), (
                 G.label, H.members.tolist())
 
@@ -219,7 +218,7 @@ def test_centre_reads_coset_centralizers_from_classes():
 def test_centre_fail_on_a_tampered_conjugation_table():
     # 1^g = 5 for a single g, each g in turn: the normal walk then returns
     # the non-normal {0, 1, 4, 5}, whose product rule breaks.  The record is
-    # the one the gathered coset_commute_matrix column sums gave.
+    # the one the commutator-table column sums gave.
     base = cons.direct_product(cons.symmetric(3), cons.cyclic(2))
     for g in range(base.n):
         G = core.GroupTable(base.table, base.label, trusted=True)
@@ -330,30 +329,25 @@ def test_fail_reports_carry_witnesses():
 # -- single-action and single-pair surfaces --------------------------------------------------
 
 
+def _action_orbit_is_regular(spec) -> bool:
+    """regular_orbit_exists for one action, read inside its semidirect
+    product, where the pair (a, b) is a * |acting| + b."""
+    G = cons.semidirect_product(spec)
+    V = core.SubgroupHandle(G, np.arange(spec.acted.n) * spec.acting.n)
+    A = core.SubgroupHandle(G, np.arange(spec.acting.n))
+    return verifier.regular_orbit_exists(G, V, A)
+
+
 def test_cl2_action_faithful_pass():
     homs = cons.action_homs(cons.cyclic(5), cons.cyclic(4))
     spec = cons.ActionSpec(acting=cons.cyclic(4), acted=cons.cyclic(5), action=homs[1])
-    r = verifier.check_cl2_action(spec)
-    assert r.status == "PASS" and "regular orbit" in r.hypothesis_note
+    assert _action_orbit_is_regular(spec)
 
 
 def test_cl2_action_trivial_acting_group():
     spec = cons.ActionSpec(acting=cons.cyclic(1), acted=cons.cyclic(5),
                            action=np.arange(5)[:, None])
-    assert verifier.check_cl2_action(spec).status == "PASS"
-
-
-def test_cl2_action_gates():
-    homs = cons.action_homs(cons.cyclic(5), cons.cyclic(4))
-    unfaithful = cons.ActionSpec(acting=cons.cyclic(4), acted=cons.cyclic(5),
-                                 action=homs[0])
-    r = verifier.check_cl2_action(unfaithful)
-    assert r.status == "SKIP" and "faithful" in r.hypothesis_note
-    noncoprime = cons.ActionSpec(acting=cons.cyclic(2), acted=cons.cyclic(4),
-                                 action=np.stack([np.arange(4), (-np.arange(4)) % 4],
-                                                 axis=1))
-    r = verifier.check_cl2_action(noncoprime)
-    assert r.status == "SKIP" and "coprime" in r.hypothesis_note
+    assert _action_orbit_is_regular(spec)
 
 
 def test_bingo_pair_surface(a4, s3):
@@ -768,8 +762,8 @@ def test_bingo_fails_on_an_untwisted_product(monkeypatch, s3):
     # the product of A3 in S3 replaced by A3 x S3/A3, as in
     # test_bingo_comparator_detects_untwisted_product
     a3 = next(H for H in core.normal_subgroups(s3) if H.order == 3)
-    sub, _ = core.subgroup_as_table(s3, a3)
-    untwisted = cons.direct_product(sub, core.quotient_group(s3, a3).quotient)
+    untwisted = cons.direct_product(subgroup_table(s3, a3),
+                                    core.quotient_group(s3, a3).quotient)
     real = verifier.collapse
     monkeypatch.setattr(verifier, "collapse", lambda G, H: (
         types.SimpleNamespace(group=untwisted) if H.order == 3 else real(G, H)))
@@ -798,6 +792,61 @@ def test_basic_fails_at_the_first_broken_coprime_product(monkeypatch):
         ("basic", "FAIL", "centralizer of commuting coprime product",
          {"x": 2, "y": 3}, 5, 0)]
     assert not verifier.replay_basic_pair(G, 2, 3)
+
+
+def _set_commutator(G, x, y, value):
+    """Overwrite entry [x, y] of G's commutator table: a broken table to catch."""
+    comm = G.commutator_table.copy()
+    comm[x, y] = value
+    comm.setflags(write=False)
+    G.__dict__["commutator_table"] = comm
+
+
+def _assert_basic_witness_in_range(G, report):
+    w = report.witness
+    assert w["K"] and all(0 <= k < G.n for k in w["K"])
+    assert all(0 <= w[key] < G.n for key in ("x", "u") if key in w)
+
+
+def test_basic_fails_when_an_orbit_size_fails_to_divide():
+    # S3 with transposition 2 added to C(1): |C(1)| reads 3, so Ind(G, 1)
+    # reads 2, which Ind(G/1, 1) = 3 does not divide; caught at K = 1
+    G = cons.symmetric(3)
+    _flip_commute(G, 2, 1)
+    [report] = verifier.check_basic(G)
+    assert _key_records([report]) == [
+        ("basic", "FAIL", "orbit size fails to divide",
+         {"K": [0], "x": 1, "ind_K": 1, "ind_Q": 3, "ind_G": 2}, 0, 0)]
+    _assert_basic_witness_in_range(G, report)
+
+
+def test_basic_fails_when_a_centralizer_image_escapes(monkeypatch):
+    # C6 with [1, 4] = 3 and [2, 3] = 3: both commutators lie in {0, 3},
+    # which passes, and the first commuting pair whose commutator leaves
+    # {0, 2, 4}, in row-major order, is (1, 4)
+    G = cons.cyclic(6)
+    _set_commutator(G, 1, 4, 3)
+    _set_commutator(G, 2, 3, 3)
+    real = verifier.normal_subgroups
+    monkeypatch.setattr(verifier, "normal_subgroups", lambda G: real(G)[1:])
+    [report] = verifier.check_basic(G)
+    assert _key_records([report]) == [
+        ("basic", "FAIL", "centralizer image escapes",
+         {"K": [0, 2, 4], "x": 4, "u": 1}, 1, 0)]
+    _assert_basic_witness_in_range(G, report)
+
+
+def test_basic_fails_when_a_coprime_centralizer_image_is_too_small():
+    # S3 with transposition 1 dropped from its own centralizer: |C(1)| reads
+    # 1, and Ind(G, 1) = 6 is still a multiple of 3, but modulo K = 1 the
+    # image of C(1) falls short of the centralizer of 1K, of order 2
+    G = cons.symmetric(3)
+    _flip_commute(G, 1, 1)
+    [report] = verifier.check_basic(G)
+    assert _key_records([report]) == [
+        ("basic", "FAIL", "coprime centralizer image too small",
+         {"K": [0], "x": 1, "image": 1, "quotient_centralizer": 2}, 0, 0)]
+    _assert_basic_witness_in_range(G, report)
 
 
 def test_ca_fails_at_the_first_broken_product_rule():
