@@ -263,14 +263,16 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
     than trusted.
 
     Each distinct product table is built and axiom-checked once per
-    verification.  G's memo maps the SHA-256 digest of each product's bytes
-    to the first ``GroupTable`` built from them, and each new product holds
-    the same map in its own memo, so products built on a product join it.
-    A later product with the same digest gets that table object back, label
-    included, so its derived tables and memo are shared too.  Two distinct
+    verification.  G's memo maps the SHA-256 digest of G's bytes to G, and
+    that of each product's bytes to the first ``GroupTable`` built from
+    them; each new product holds the same map in its own memo, so products
+    built on a product join it.  A later product with a digest in the map
+    gets that table object back, label included, so its derived tables and
+    memo are shared too; a product with G's bytes is G itself, which was
+    checked when it was built (or is trusted by contract).  Two distinct
     tables share a digest only on a SHA-256 collision, with the bound given
     in ``corpus``'s docstring, so every product is either checked or
-    byte-identical to one checked before.  The preconditions, the
+    byte-identical to a table checked before.  The preconditions, the
     representative check, the range check of ``_as_table`` and the cap check
     run on every call; ``collapse`` is the memoized entry point.
     """
@@ -282,10 +284,15 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
     products = _product_tables(G)
     digest = hashlib.sha256(table.tobytes()).digest()
     if digest not in products:
-        P = GroupTable(table, f"nsd({G.label},H{H.order})")
+        P = GroupTable(table, product_label(G, H))
         P._memo[("_product_tables",)] = products
         products[digest] = P
     return NaturalSemidirect(products[digest], G, H, q)
+
+
+def product_label(G: GroupTable, H: SubgroupHandle) -> str:
+    """The label of a new coset-action product H |x G/H."""
+    return f"nsd({G.label},H{H.order})"
 
 
 def _coset_action_table(G: GroupTable, H: SubgroupHandle, q: QuotientMap) -> np.ndarray:
@@ -310,8 +317,10 @@ def _coset_action_table(G: GroupTable, H: SubgroupHandle, q: QuotientMap) -> np.
 def _product_tables(G: GroupTable) -> dict[bytes, GroupTable]:
     """Digest -> the axiom-checked table of each distinct coset-action
     product of G and of the products built on it; ``natural_semidirect``
-    fills it."""
-    return {}
+    fills it.  G enters first, under its own digest: it was checked when it
+    was built (or is trusted by contract), so a product byte-identical to G
+    is G itself."""
+    return {hashlib.sha256(G.key()).digest(): G}
 
 
 @memoized

@@ -24,12 +24,12 @@ class (``_class_minima``, the one class reader).
 Every other derivation worth keeping -- subgroup lists, Sylow subgroups,
 p-cores, quotients, index sets, the derived series, the Fitting data,
 the product-rule matrix that the basic, centre and ca checks read, the
-commutators [F, y] of the Fitting splitting, the automorphisms -- goes
-through one decorator, ``memoized``, into one dict on the table; so do the
-coset-action products, one per (G, H), which the bingo and key checks
-share, and the map from digest to each distinct product table, which
-every product built from the table shares, so that each one is built and
-axiom-checked once per verification.
+automorphisms -- goes through one decorator, ``memoized``, into one dict
+on the table; so do the coset-action products, one per (G, H), which the
+bingo and key checks share, and the map from digest to each distinct
+product table, which holds the table itself and which every product built
+from the table shares, so that each one is built and axiom-checked once
+per verification, and a product with the table's own bytes is the table.
 Its handles point back at the table, so ``release_memo`` empties it, and
 the memo of every table it held, once a caller is done with the group,
 and the tables are freed without waiting for the cyclic garbage collector.
@@ -539,19 +539,43 @@ def require_abelian(H: SubgroupHandle) -> None:
 
 @memoized
 def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
+    """G -> G/N on the left cosets xN, numbered by their least members r_a,
+    with the coset table Q[a, b] = pi(r_a r_b).
+
+    pi(xy) = Q[pi(x), pi(y)] for all x and y makes pi a surjective table
+    homomorphism with pi(0) = 0, which forces every group axiom on Q, so the
+    quotient needs no axiom sweep of its own.  That condition is read for
+    the generators g of G alone, pi(xg) = Q[pi(x), pi(g)] for every x, in
+    n |gens| entries (``_projects_homomorphically``); this is Light's
+    argument applied to the projection.  pi is constant on each coset zN and
+    r_pi(y) lies in yN, both by construction, so Q[a, pi(y)] = pi(r_a y).
+    Write P(y) for: pi(xy) = pi(r_pi(x) y) for every x.  P(0) holds, as
+    r_pi(x) lies in xN.  If P(y) holds, then for a generator g
+    pi(xyg) = Q[pi(xy), pi(g)] = Q[pi(r_pi(x) y), pi(g)] = pi(r_pi(x) yg),
+    the generator condition read at xy and then at r_pi(x) y; so P holds for
+    every word in the generators, that is, for every y.  Then
+    pi(xy) = pi(r_pi(x) y) = Q[pi(x), pi(y)].
+    """
     require_normal(N)
     coset_min = G.table[:, N.members].min(axis=1)     # min of each left coset xN
     reps = np.unique(coset_min)
     projection = np.searchsorted(reps, coset_min)
     qtable = projection[G.table[np.ix_(reps, reps)]]
-    # pi(xy) == pi(x) pi(y) everywhere: a surjective table homomorphism with
-    # pi(0) = 0 forces every group axiom on the coset table, so the quotient
-    # needs no separate axiom sweep.
-    if not np.array_equal(projection[G.table], qtable[np.ix_(projection, projection)]):
+    if not _projects_homomorphically(G, projection, qtable):
         raise LemmaViolation("coset projection failed to be a homomorphism",
                              {"kernel": N.members.tolist()})
     quotient = GroupTable(qtable, label=f"{G.label}/N{N.order}", trusted=True)
     return QuotientMap(N, quotient, projection.astype(np.int64), reps.astype(np.int64))
+
+
+def _projects_homomorphically(G: GroupTable, projection: np.ndarray,
+                              qtable: np.ndarray) -> bool:
+    """pi(xg) = Q[pi(x), pi(g)] for every x and every generator g of G, which
+    ``quotient_group`` shows to be enough.  The generators are an int64 array,
+    empty for the trivial group."""
+    gens = np.array(G.generators, dtype=np.int64)
+    return np.array_equal(projection[G.table[:, gens]],
+                          qtable[np.ix_(projection, projection[gens])])
 
 
 # -- derived series and solvability -------------------------------------------
@@ -623,13 +647,12 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
-@memoized
 def commutator_with_element(G: GroupTable, H: SubgroupHandle, g: int) -> SubgroupHandle:
     """[H, g] for an abelian H normalized by g.
 
     In that situation the raw commutator set {h^-1 * h^g : h in H} is already
-    a subgroup, which is asserted rather than re-closed.  Memoized: the
-    Fitting splitting asks for [F, y] once per element of each coset of F.
+    a subgroup, which is asserted rather than re-closed.  The Fitting
+    splitting asks for [F, y] once per coset of F.
     """
     G._check_index(g)
     require_abelian(H)

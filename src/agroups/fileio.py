@@ -36,9 +36,11 @@ from .verifier import VerificationReport
 
 
 def save_cayley(G: GroupTable, path) -> None:
-    lines = [str(G.n)]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in G.table)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The order, then one line per row, each entry gathered from one table
+    of the element indices as decimal strings."""
+    names = np.arange(G.n).astype(str)
+    rows = "\n".join(map(" ".join, names[G.table].tolist()))
+    Path(path).write_text(f"{G.n}\n{rows}\n")
 
 
 _OTHER, _SEPARATOR, _DIGIT, _SIGN = range(4)
@@ -221,8 +223,9 @@ def build_recipe(expr: str) -> GroupTable:
         G = _subexpr(args[0])
         gens = [as_int(a) for a in args[1:]]
         H = subgroup_closure(G, gens)
-        ns = cons.natural_semidirect(G, H)
-        return ns.group
+        # a product byte-identical to G is G itself; the recipe keeps its label
+        product = cons.natural_semidirect(G, H).group
+        return GroupTable(product.table, cons.product_label(G, H), trusted=True)
     raise InputError(f"unknown recipe constructor {name!r}")
 
 

@@ -252,56 +252,99 @@ def l4_decompose(G: GroupTable, H: SubgroupHandle, g: int) -> SplitOffCentral:
 
 @dataclass
 class FittingSplit:
-    """Result of ca_decompose: g^k = x*y with x in F, y in T commuting."""
+    """Result of ca_decompose, indexed by element: g^k[g] = x[g] * y[g], with
+    x[g] in F and y[g] in T commuting."""
 
-    k: int
-    x: int
-    y: int
+    k: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
 
 
-def ca_decompose(G: GroupTable, F: SubgroupHandle, T: SubgroupHandle,
-                 g: int) -> FittingSplit:
-    """Conjugate g into a commuting (Fitting, complement) product.
+def ca_decompose(G: GroupTable, F: SubgroupHandle, T: SubgroupHandle) -> FittingSplit:
+    """Conjugate every element into a commuting (Fitting, complement) product.
 
-    F must be normal: the coset gF is read off the memoized quotient G/F.
-    Writes g = w*y with w in F and y the unique member of T in the coset gF,
-    splits w = u*v across F = C_F(y) x [F,y], and finds k in F conjugating
-    v*y back to y; then g^k = u*y with u and y commuting.
+    F must be normal: its cosets are read off the memoized quotient G/F, and
+    T must meet each of them once.  One coset F*y, y in T, is split at a
+    time, its elements g = w*y with w in F: w = u*v across
+    F = C_F(y) x [F,y] is read from one product map of the two factors, the
+    least u by the row-major first occurrence; k is the first member of F
+    with k y k^-1 = v*y; then g^k = u*y = y*u is checked in one gather.
+
+    The first failing element in index order raises its exception, with its
+    index as the exception's ``element``.  Cosets are numbered by their least
+    element, so the walk stops at the first coset that starts past a failure.
     """
-    G._check_index(g)
-    inv = G.inverse_table
-    projection = quotient_group(G, F).projection
-    same_coset = np.flatnonzero(T.mask & (projection == projection[g]))
-    if same_coset.size != 1:
-        raise PreconditionError("T is not a transversal of F",
-                                {"coset_members": same_coset.tolist()})
-    y = int(same_coset[0])
-    w = int(G.table[g, inv[y]])
-    if not F.mask[w]:
-        raise PreconditionError("g does not factor as F * T", {"g": g, "y": y, "w": w})
-
-    cf_y = F.mask & G.commute_matrix[:, y]
-    Fy = commutator_with_element(G, F, y)
-    u = v = -1
-    for cand in np.flatnonzero(cf_y):
-        rest = int(G.table[inv[cand], w])
-        if Fy.mask[rest]:
-            u, v = int(cand), rest
+    q = quotient_group(G, F)
+    t_cosets = q.projection[T.members]
+    t_per_coset = np.bincount(t_cosets, minlength=q.quotient.n)
+    ys = np.zeros(q.quotient.n, dtype=np.int64)
+    ys[t_cosets] = T.members
+    split = FittingSplit(np.zeros(G.n, dtype=np.int64), np.zeros(G.n, dtype=np.int64),
+                         ys[q.projection])
+    failure = None                          # (element, exception), the least so far
+    for c in range(q.quotient.n):
+        coset = np.flatnonzero(q.projection == c)
+        if failure is not None and failure[0] < coset[0]:
             break
-    if u < 0:
-        raise LemmaViolation("F failed to split as C_F(y) x [F,y]",
-                             {"y": y, "w": w, "F": F.order})
+        if t_per_coset[c] != 1:
+            members = T.members[t_cosets == c].tolist()
+            found = int(coset[0]), PreconditionError("T is not a transversal of F",
+                                                     {"coset_members": members})
+        else:
+            found = _split_coset(G, F, int(ys[c]), coset, split)
+        if found is not None and (failure is None or found[0] < failure[0]):
+            failure = found
+    if failure is not None:
+        element, exc = failure
+        exc.element = element
+        raise exc
+    return split
 
-    # k in F with v*y = k y k^-1
-    target = int(G.table[v, y])
-    conj_y = G.table[G.table[F.members, y], inv[F.members]]
-    hits = np.flatnonzero(conj_y == target)
-    if hits.size == 0:
-        raise LemmaViolation("no conjugator for v*y inside F", {"v": v, "y": y})
-    k = int(F.members[hits[0]])
 
-    gk = G.conj(g, k)
-    if gk != G.mul(u, y) or G.mul(u, y) != G.mul(y, u):
-        raise LemmaViolation("conjugated factorization failed",
-                             {"g": g, "k": k, "x": u, "y": y})
-    return FittingSplit(k, u, y)
+def _split_coset(G: GroupTable, F: SubgroupHandle, y: int, coset: np.ndarray,
+                 split: FittingSplit) -> tuple[int, Exception] | None:
+    """Fill ``split`` on the coset F*y (its elements ascending), or return its
+    first failing element with that element's exception.  [F, y] is asked
+    for once the least element factors, as the per-element order does; if it
+    does not, that element is the first failure."""
+    inv = G.inverse_table
+    w = G.table[coset, inv[y]]
+    factors = ok = F.mask[w]
+    if factors[0]:
+        try:
+            fy = commutator_with_element(G, F, y).members
+        except (PreconditionError, LemmaViolation) as exc:
+            return int(coset[0]), exc
+        cf = F.members[G.commute_matrix[F.members, y]]
+        found, at = _first_occurrences(G.table[np.ix_(cf, fy)], w)
+        splits = factors & found
+        u, v = cf[at // fy.size], fy[at % fy.size]
+        # k in F with v*y = k y k^-1
+        found, at = _first_occurrences(G.table[G.table[F.members, y], inv[F.members]],
+                                       G.table[v, y])
+        conjugates = splits & found
+        k = F.members[at]
+        uy = G.table[u, y]
+        ok = conjugates & (G.conjugation_table[coset, k] == uy) & (uy == G.table[y, u])
+        if ok.all():
+            split.k[coset], split.x[coset] = k, u
+            return None
+    i = int(np.argmax(~ok))
+    g, wi = int(coset[i]), int(w[i])
+    if not factors[i]:
+        return g, PreconditionError("g does not factor as F * T", {"g": g, "y": y, "w": wi})
+    if not splits[i]:
+        return g, LemmaViolation("F failed to split as C_F(y) x [F,y]",
+                                 {"y": y, "w": wi, "F": F.order})
+    if not conjugates[i]:
+        return g, LemmaViolation("no conjugator for v*y inside F", {"v": int(v[i]), "y": y})
+    return g, LemmaViolation("conjugated factorization failed",
+                             {"g": g, "k": int(k[i]), "x": int(u[i]), "y": y})
+
+
+def _first_occurrences(candidates: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each key, whether the candidates hold it, and the flat position
+    of its first occurrence there (some valid position where they do not)."""
+    values, first = np.unique(candidates, return_index=True)
+    at = np.minimum(np.searchsorted(values, keys), values.size - 1)
+    return values[at] == keys, first[at]

@@ -522,9 +522,12 @@ def _key_failure(G: GroupTable, fd, single) -> tuple[tuple[str, dict, str] | Non
 
 
 def check_ca(G: GroupTable) -> list[VerificationReport]:
-    """Fitting-complement splittings: fixed-point factorization of F under
-    complement elements, conjugation into commuting (F, T) pairs, and the
-    centralizer product rule with its index consequence."""
+    """Fitting-complement splittings: (i) fixed-point factorization of F
+    under each complement element, (ii) conjugation of every element into a
+    commuting (F, T) pair, split in one ``ca_decompose`` call, and (iii) the
+    centralizer product rule with its index consequence.  A FAIL in (ii)
+    names the first failing element in index order, as g, after the checks
+    of (i) and one per element before it."""
     if not is_a_group(G):
         return [_report(G, "ca", SKIP, "not an A-group")]
     F = fitting_data(G).fitting
@@ -543,13 +546,12 @@ def check_ca(G: GroupTable) -> list[VerificationReport]:
                         checked)]
     checked += T.order
     # (ii) every element conjugates into a commuting pair
-    for g in range(G.n):
-        try:
-            ca_decompose(G, F, T, g)
-        except LemmaViolation as exc:
-            return [_report(G, "ca", FAIL, str(exc), {"g": g, **exc.witness},
-                            checked)]
-        checked += 1
+    try:
+        ca_decompose(G, F, T)
+    except LemmaViolation as exc:
+        return [_report(G, "ca", FAIL, str(exc), {"g": exc.element, **exc.witness},
+                        checked + exc.element)]
+    checked += G.n
     # (iii) commuting pairs multiply centralizers
     rule = product_rule_matrix(G)
     for y in T.members:

@@ -2,11 +2,13 @@
 
 The oracles here are deliberately plain Python over list-of-list tables:
 no numpy, no reuse of the library's algorithms.  Expected values frozen in
-the tests were computed with these.  Two sections below are exceptions:
+the tests were computed with these.  Three sections below are exceptions:
 the closure lattice, the reference the targeted subgroup queries are
-compared against at orders the plain oracles cannot reach, and the two-step
+compared against at orders the plain oracles cannot reach; the two-step
 pairing, which takes the library's coset-action products and recomputes
-only the pairing over them.
+only the pairing over them; and the forms the library replaced, the n^2
+homomorphism sweep of a quotient and the per-element Fitting splitting,
+over the library's cached tables.
 """
 
 from __future__ import annotations
@@ -313,6 +315,49 @@ def oracle_two_step_mapping(G, H, N) -> list[int] | None:
         second = p2[hs.index(h) * nq1 + p1[section3[c3]]]
         phi.append(first * nq2 + second)
     return phi
+
+
+# -- the forms the library replaced (numpy, the library's tables) -----------------
+
+
+def oracle_projection_sweep(G, projection, qtable) -> bool:
+    """pi(xy) = Q[pi(x), pi(y)] over all n^2 pairs (x, y): the full
+    homomorphism sweep that ``core.quotient_group`` reads for generators only."""
+    return np.array_equal(projection[G.table], qtable[np.ix_(projection, projection)])
+
+
+def oracle_ca_split(G, F, T, g: int) -> tuple[int, int, int]:
+    """(k, x, y) with g^k = x*y, x in F, y in T commuting, found for g alone:
+    y is the member of T in gF, w = g y^-1 splits as u*v across
+    C_F(y) x [F, y] with the least u, and k is the first member of F with
+    k y k^-1 = v*y.  Raises what ``structure.ca_decompose`` raises for g."""
+    inv = G.inverse_table
+    projection = core.quotient_group(G, F).projection
+    same_coset = np.flatnonzero(T.mask & (projection == projection[g]))
+    if same_coset.size != 1:
+        raise core.PreconditionError("T is not a transversal of F",
+                                     {"coset_members": same_coset.tolist()})
+    y = int(same_coset[0])
+    w = int(G.table[g, inv[y]])
+    if not F.mask[w]:
+        raise core.PreconditionError("g does not factor as F * T", {"g": g, "y": y, "w": w})
+    Fy = core.commutator_with_element(G, F, y)
+    for u in np.flatnonzero(F.mask & G.commute_matrix[:, y]):
+        v = int(G.table[inv[u], w])
+        if Fy.mask[v]:
+            break
+    else:
+        raise core.LemmaViolation("F failed to split as C_F(y) x [F,y]",
+                                  {"y": y, "w": w, "F": F.order})
+    conj_y = G.table[G.table[F.members, y], inv[F.members]]
+    hits = np.flatnonzero(conj_y == G.table[v, y])
+    if hits.size == 0:
+        raise core.LemmaViolation("no conjugator for v*y inside F", {"v": v, "y": y})
+    k = int(F.members[hits[0]])
+    if G.conj(g, k) != G.mul(u, y) or G.mul(u, y) != G.mul(y, u):
+        raise core.LemmaViolation("conjugated factorization failed",
+                                  {"g": g, "k": k, "x": int(u), "y": y})
+    return k, int(u), y
 
 
 def cyclic_of_order(G, k: int):

@@ -24,6 +24,7 @@ from conftest import (
     oracle_conj,
     oracle_order,
     oracle_product_rule,
+    oracle_projection_sweep,
     oracle_subgroups,
     oracle_is_normal,
     perm_mul,
@@ -350,6 +351,29 @@ def test_quotient_by_non_normal_raises_with_witness(s3):
     w = exc.value.witness
     conj = s3.conj(w["h"], w["g"])
     assert conj == w["conjugate"] and conj not in H
+
+
+def test_generator_homomorphism_test_equals_the_full_sweep():
+    # every quotient of corpus(60) passes both; below order 25, every
+    # projection with one entry moved to the next coset, its coset table
+    # rebuilt from it, gets the same verdict from both
+    tampered = refused = 0
+    for G in cons.corpus(60):
+        for N in core.normal_subgroups(G):
+            q = core.quotient_group(G, N)
+            assert core._projects_homomorphically(G, q.projection, q.quotient.table)
+            assert oracle_projection_sweep(G, q.projection, q.quotient.table)
+            if G.n > 24 or q.quotient.n == 1:
+                continue
+            for z in range(G.n):
+                projection = q.projection.copy()
+                projection[z] = (projection[z] + 1) % q.quotient.n
+                qtable = projection[G.table[np.ix_(q.section, q.section)]]
+                verdict = oracle_projection_sweep(G, projection, qtable)
+                assert core._projects_homomorphically(G, projection, qtable) == verdict
+                tampered += 1
+                refused += not verdict
+    assert refused > 0.99 * tampered > 10_000
 
 
 # -- coset centralizers from the commutator table -----------------------------------

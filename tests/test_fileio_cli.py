@@ -35,6 +35,15 @@ def test_sym3_round_trip(tmp_path, s3):
     assert (tmp_path / "s3.grp").read_text() == (tmp_path / "s3b.grp").read_text()
 
 
+def test_saved_cayley_bytes_are_pinned(tmp_path, s3):
+    path = tmp_path / "s3.grp"
+    fileio.save_cayley(s3, path)
+    assert path.read_bytes() == (b"6\n0 1 2 3 4 5\n1 0 3 2 5 4\n2 4 0 5 1 3\n"
+                                 b"3 5 1 4 0 2\n4 2 5 0 3 1\n5 3 4 1 2 0\n")
+    fileio.save_cayley(cons.cyclic(1), path)
+    assert path.read_bytes() == b"1\n0\n"
+
+
 def test_identity_relabelled_to_zero(tmp_path):
     # C3 written with the identity at position 2
     perm = [1, 2, 0]  # new = perm-relabel of Z3
@@ -228,6 +237,13 @@ def test_recipe_nsd(tmp_path, a4):
     two = [x for x in range(12) if a4.order_of(x) == 2]
     G = fileio.build_recipe(f"nsd({path},{two[0]},{two[1]})")
     assert G.n == 12
+
+
+def test_recipe_nsd_over_a_trivial_subgroup_keeps_its_label():
+    # 1 |x C4/1 has C4's own bytes, so the product is C4 itself
+    G = fileio.build_recipe("nsd(cyclic(4),0)")
+    assert G.label == "nsd(cyclic(4),H1)"
+    assert G.key() == cons.cyclic(4).key()
 
 
 def test_recipe_errors():

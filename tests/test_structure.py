@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from agroups import constructions as cons, core, structure
+from agroups import constructions as cons, core, fileio, structure
 
 from conftest import (
     cyclic_of_order,
     lattice_subgroups,
+    oracle_ca_split,
     oracle_p_core_closures,
     oracle_p_core_small,
     table_rows,
@@ -268,18 +269,17 @@ def test_l4_rejects_bad_inputs(a4):
 def test_ca_decompose_trivial_cases(a4):
     F = structure.fitting_data(a4).fitting
     T = structure.complement_search(a4, F)
+    split = structure.ca_decompose(a4, F, T)
     g_f = int(F.members[1])
-    split = structure.ca_decompose(a4, F, T, g_f)
-    assert (split.k, split.x, split.y) == (0, g_f, 0)
+    assert (split.k[g_f], split.x[g_f], split.y[g_f]) == (0, g_f, 0)
     g_t = int(T.members[1])
-    split = structure.ca_decompose(a4, F, T, g_t)
-    assert split.x == 0 and split.y == g_t
+    assert split.x[g_t] == 0 and split.y[g_t] == g_t
 
 
 def test_ca_decompose_requires_normal_f(s3):
     H = core.subgroup_closure(s3, [1])   # a transposition: not normal
     with pytest.raises(core.PreconditionError, match="not normal"):
-        structure.ca_decompose(s3, H, core.full_subgroup(s3), 0)
+        structure.ca_decompose(s3, H, core.full_subgroup(s3))
 
 
 @pytest.mark.parametrize("build", [
@@ -293,9 +293,37 @@ def test_ca_decompose_postconditions_everywhere(build):
     F = structure.fitting_data(G).fitting
     T = structure.complement_search(G, F)
     assert T is not None
+    split = structure.ca_decompose(G, F, T)
     for g in range(G.n):
-        split = structure.ca_decompose(G, F, T, g)
-        assert F.mask[split.x] and T.mask[split.y]
-        xy = G.mul(split.x, split.y)
-        assert G.conj(g, split.k) == xy
-        assert xy == G.mul(split.y, split.x)
+        x, y = int(split.x[g]), int(split.y[g])
+        assert F.mask[x] and T.mask[y]
+        xy = G.mul(x, y)
+        assert G.conj(g, int(split.k[g])) == xy
+        assert xy == G.mul(y, x)
+
+
+def _splittable(G):
+    """(F, T) when ca reaches its step (ii) on G, else None."""
+    if not structure.is_a_group(G):
+        return None
+    F = structure.fitting_data(G).fitting
+    T = structure.complement_search(G, F)
+    return None if T is None else (F, T)
+
+
+def test_ca_decompose_equals_the_per_element_oracle():
+    named = [fileio.build_recipe(r) for r in ("dp(alt(4),cyclic(15))",
+                                               "dp(frobenius(7,3),abelian(2,2))",
+                                               "sd(abelian(5,5),cyclic(2),1)")]
+    reached = 0
+    for G in [*cons.corpus(32), *named]:
+        found = _splittable(G)
+        if found is None:
+            assert G not in named, G.label
+            continue
+        F, T = found
+        split = structure.ca_decompose(G, F, T)
+        got = list(zip(split.k.tolist(), split.x.tolist(), split.y.tolist()))
+        assert got == [oracle_ca_split(G, F, T, g) for g in range(G.n)], G.label
+        reached += 1
+    assert reached > len(named)

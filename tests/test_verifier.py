@@ -610,8 +610,11 @@ def test_bingo_axiom_checks_each_distinct_product_once(monkeypatch):
     verifier.check_bingo(G)
     products = [ns.group.key() for ns, _, _ in built]
     assert len(products) == 374
-    assert sorted(verified) == sorted(set(products))
+    # G's bytes count as checked before the verification: G was checked when
+    # it was built, and here every product is byte-identical to it
+    assert sorted([G.key(), *verified]) == sorted(set(products) | {G.key()})
     assert len(set(products)) < len(products)
+    assert set(products) == {G.key()}
 
 
 def test_byte_identical_products_on_one_base_share_one_checked_table(monkeypatch):
@@ -622,7 +625,8 @@ def test_byte_identical_products_on_one_base_share_one_checked_table(monkeypatch
         verifier.verify_group(G, ("all",))
         builds += len(built)
         distinct += len({ns.group.key() for ns, _, _ in built})
-        shared, tables = {}, set()
+        # G's bytes count as checked before the verification
+        shared, tables = {G.key(): G}, {id(G)}
         for ns, before, after in built:
             P = ns.group
             # one table per bytes, whatever the base table it was built on
@@ -632,10 +636,10 @@ def test_byte_identical_products_on_one_base_share_one_checked_table(monkeypatch
                 continue
             tables.add(id(P))
             assert verified[before:after] == [P.key()]
-        checked += len(tables)
+        checked += len(tables) - 1
     # products built on a product share the base's table map, so each
-    # distinct table is checked once per verification
-    assert (builds, checked, distinct) == (1227, 329, 329)
+    # distinct table is checked once per verification, and G not again
+    assert (builds, checked, distinct) == (1200, 224, 329)
 
 
 def test_key_check_tables_are_freed_without_the_cyclic_collector(monkeypatch):
@@ -674,9 +678,13 @@ def _key_fail(note, witness, checked, iff_note):
 
 def test_key_fails_when_the_single_collapse_changes_the_index_set(monkeypatch):
     G = cons.abelian_group((2, 3, 5))
-    real = verifier.index_set
-    monkeypatch.setattr(verifier, "index_set",
-                        lambda T: real(T) if T is G else types.SimpleNamespace(sizes=(1, 2)))
+    real, calls = verifier.index_set, []
+
+    def changed(T):                      # G, then the single collapse (G's own bytes)
+        calls.append(T)
+        return real(T) if len(calls) == 1 else types.SimpleNamespace(sizes=(1, 2))
+
+    monkeypatch.setattr(verifier, "index_set", changed)
     assert _key_records(verifier.check_key(G)) == _key_fail(
         "single collapse changed the index set",
         {"F": list(range(30)), "N_G": [1], "N_collapse": [1, 2]}, 1, "index-set mismatch")
@@ -700,10 +708,11 @@ def test_key_fails_when_the_iterated_embedding_collapses_a_p_core(monkeypatch):
 
 def test_key_fails_when_an_iterated_collapse_raises(monkeypatch):
     G = cons.abelian_group((2, 3, 5))
-    real = verifier.collapse
+    real, calls = verifier.collapse, []
 
-    def raising(T, H):                   # the step at p = 3 collapses a product
-        if T is not G:
+    def raising(T, H):                   # the single collapse, the step at p = 2, then p = 3
+        calls.append(T)
+        if len(calls) == 3:
             raise core.LemmaViolation("stub", {"T": T.label})
         return real(T, H)
 
@@ -860,6 +869,105 @@ def test_ca_fails_at_the_first_broken_product_rule():
     assert _key_records(verifier.check_ca(G)) == [
         ("ca", "FAIL", "centralizer product rule for (F,T) pair",
          {"x": 0, "y": 1}, 11, 0)]
+
+
+# The other exits of ca.  S3 has F = [0, 3, 4] and T = [0, 1], with cosets
+# F and [1, 2, 5]; dp(sym(3),cyclic(2)) has F = [0, 1, 6, 7, 8, 9], T = [0, 2]
+# and C_F(2) = [0, 1].  Step (ii) runs over the elements in index order and
+# counts T.order checks of step (i) before them.
+
+
+def _assert_ca_witness_in_range(G, witness):
+    for key, value in witness.items():
+        if key == "F" and isinstance(value, int):
+            assert value == fitting_data(G).fitting.order     # the order of F
+            continue
+        for x in value if isinstance(value, list) else [value]:
+            assert 0 <= x < G.n, (key, value)
+
+
+def _ca_fail(G, note, witness, checked):
+    [report] = verifier.check_ca(G)
+    assert _key_records([report]) == [("ca", "FAIL", note, witness, checked, 0)]
+    _assert_ca_witness_in_range(G, report.witness)
+
+
+def _ca_raises(G, note, witness):
+    with pytest.raises(core.PreconditionError) as info:
+        verifier.check_ca(G)
+    assert (str(info.value), info.value.witness) == (note, witness)
+    _assert_ca_witness_in_range(G, info.value.witness)
+
+
+def _warm_ca(G):
+    """Run ca once on the true tables, so that every derivation it memoizes
+    is built before a cached table is tampered with."""
+    assert _key_records(verifier.check_ca(G))[0][1] == "PASS"
+
+
+def test_ca_fails_when_step_i_finds_no_fixed_point_splitting(monkeypatch):
+    G = cons.symmetric(3)
+    monkeypatch.setattr(verifier, "_coprime_split_ok", lambda G, P, a_list: 1)
+    _ca_fail(G, "no fixed-point splitting of F", {"F": [0, 3, 4], "y": 1}, 0)
+
+
+def test_ca_raises_when_t_is_not_a_transversal(monkeypatch):
+    # with T trivial, element 0 splits and its successor 1 has no T member
+    G = cons.symmetric(3)
+    monkeypatch.setattr(verifier, "complement_search", lambda G, F: core.trivial_subgroup(G))
+    _ca_raises(G, "T is not a transversal of F", {"coset_members": []})
+
+
+def test_ca_raises_when_an_element_does_not_factor():
+    # 1^-1 read as 0: element 1 of the coset of y = 1 gives w = 1, outside F
+    G = cons.symmetric(3)
+    _warm_ca(G)
+    inv = G.inverse_table.copy()
+    inv[1] = 0
+    G.__dict__["inverse_table"] = inv
+    _ca_raises(G, "g does not factor as F * T", {"g": 1, "y": 1, "w": 1})
+
+
+def test_ca_fails_when_f_does_not_split_across_y(monkeypatch):
+    # [F, y] read as trivial: element 2 = w * 1 with w = 4 outside C_F(1) = [0]
+    G = cons.symmetric(3)
+    monkeypatch.setattr(structure, "commutator_with_element",
+                        lambda G, H, y: core.trivial_subgroup(G))
+    _ca_fail(G, "F failed to split as C_F(y) x [F,y]", {"g": 2, "y": 1, "w": 4, "F": 3}, 4)
+
+
+def test_ca_fails_when_no_conjugator_lies_in_f(monkeypatch):
+    # [F, y] read as F: every w splits as 1 * w; the coset of 1 then passes,
+    # and element 3 of F asks for k with k 0 k^-1 = 3
+    G = cons.symmetric(3)
+    monkeypatch.setattr(structure, "commutator_with_element", lambda G, H, y: H)
+    _ca_fail(G, "no conjugator for v*y inside F", {"g": 3, "v": 3, "y": 0}, 5)
+
+
+def test_ca_fails_when_the_conjugated_factorization_fails():
+    # 1^0 read as 2: element 1 splits as k = 0, x = 0, y = 1 and breaks there
+    G = cons.symmetric(3)
+    _warm_ca(G)
+    cj = G.conjugation_table.copy()
+    cj[1, 0] = 2
+    G.__dict__["conjugation_table"] = cj
+    _ca_fail(G, "conjugated factorization failed", {"g": 1, "k": 0, "x": 0, "y": 1}, 3)
+
+
+def test_ca_fails_when_the_index_does_not_multiply(monkeypatch):
+    # centralizer sizes 5, 5 and 2 for x = 1, y = 2 and xy = 3: the sizes
+    # cover G (5 * 5 // 2 = 12) but 12 // 2 != (12 // 5)^2; the 6 pairs at
+    # y = 0 pass first
+    G = fileio.build_recipe("dp(sym(3),cyclic(2))")
+    real = verifier.centralizer_sizes
+
+    def tampered(G):
+        cg = real(G).copy()
+        cg[[1, 2, 3]] = 5, 5, 2
+        return cg
+
+    monkeypatch.setattr(verifier, "centralizer_sizes", tampered)
+    _ca_fail(G, "index does not multiply", {"x": 1, "y": 2}, 2 + 12 + 6)
 
 
 @pytest.mark.parametrize("build, tuples", [
