@@ -301,15 +301,15 @@ def _coset_action_table(G: GroupTable, H: SubgroupHandle, q: QuotientMap) -> np.
     pos[H.members] = np.arange(H.order)
     cj = G.conjugation_table
     inv = G.inverse_table
-    # twist[c, i] = position of h_i^(rep(c)^-1); representative independence check
-    twist = pos[cj[np.ix_(H.members, inv[q.section])]].T
-    per_element = pos[cj[np.ix_(H.members, inv)]].T      # [g, i] = pos of h_i^(g^-1)
+    per_element = pos[cj[H.members[:, None], inv]].T    # [g, i] = pos of h_i^(g^-1)
+    twist = per_element[q.section]                      # [c, i]: the same at rep(c)
+    # representative independence check
     if not np.array_equal(per_element, twist[q.projection]):
         g = int(np.argmax((per_element != twist[q.projection]).any(axis=1)))
         raise LemmaViolation(
             "coset action depends on the representative despite abelian H",
             {"element": g, "coset": int(q.projection[g])})
-    ht = pos[G.table[np.ix_(H.members, H.members)]]
+    ht = pos[G.table[H.members[:, None], H.members]]
     return _pair_table(ht, q.quotient.table, twist)
 
 

@@ -17,9 +17,15 @@ place, until the set stops growing.
 
 Per-element tables (inverses, orders, commuting, conjugation and commutator
 tables, a generating set) are cached properties.  Coset centralizers are
-read without a quotient: ``coset_centralizer_orders`` counts, for every x,
-the members of its class that lie in Kx, from the least member of each
-class (``_class_minima``, the one class reader).
+read without a quotient: ``coset_centralizer_orders`` counts, for every x
+and every K of a list, the members of its class that lie in Kx, from the
+least member of each class (``_class_minima``, the one class reader).
+
+Questions about many subgroups at once go through one counting kernel,
+``member_counts``: |{y in H_i : B[y, x]}| for stacked subgroup masks and a
+boolean relation B, both packed into 64-bit words by one packer,
+``pack_rows``, and counted with ``np.bitwise_count`` in blocks under one
+byte budget, ``_PACKED_BLOCK``.
 
 Every other derivation worth keeping -- subgroup lists, Sylow subgroups,
 p-cores, quotients, index sets, the derived series, the Fitting data,
@@ -467,21 +473,62 @@ def centralizer_sizes(G: GroupTable) -> np.ndarray:
     return G.commute_matrix.sum(axis=0)
 
 
-_PRODUCT_RULE_BLOCK = 1 << 20   # bytes of packed columns one block of product_rule_matrix gathers
+_PACKED_BLOCK = 1 << 20   # bytes one block of a packed-word or stacked-subgroup computation forms
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes each that one block holds under ``_PACKED_BLOCK``."""
+    return max(1, _PACKED_BLOCK // max(1, row_bytes))
+
+
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a boolean matrix as zero-padded 64-bit words, one bit per
+    entry: the one packing behind ``product_rule_matrix`` and ``member_counts``."""
+    count, width = rows.shape
+    packed = np.zeros((count, 8 * -(-width // 64)), dtype=np.uint8)
+    packed[:, :-(-width // 8)] = np.packbits(rows, axis=1)
+    return packed.view(np.uint64)
+
+
+def member_counts(words: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """[i, x] = |{y in H_i : B[y, x]}|, for subgroup masks packed by
+    ``pack_rows`` (row i: H_i) and a boolean relation B packed by columns,
+    ``pack_rows(B.T)``.  Exact: each entry is the popcount of the AND of two
+    rows of words, formed in blocks of rows under ``_PACKED_BLOCK`` bytes.
+    No matrix product: a BLAS call would start threads of its own."""
+    out = np.empty((len(words), len(columns)), dtype=np.int64)
+    step = block_rows(columns.nbytes)
+    for lo in range(0, len(words), step):
+        out[lo:lo + step] = np.bitwise_count(words[lo:lo + step, None] & columns).sum(
+            axis=2, dtype=np.int64)
+    return out
+
+
+def stacked_masks(G: GroupTable, subgroups: list[SubgroupHandle]) -> np.ndarray:
+    """The membership masks of ``subgroups``, one row each (s x n)."""
+    return np.array([H.mask for H in subgroups], dtype=bool).reshape(len(subgroups), G.n)
+
+
+def subgroup_blocks(G: GroupTable, subgroups: list[SubgroupHandle]):
+    """Consecutive runs of ``subgroups``, each with its start and its stacked
+    masks, short enough that the run's packed words against n packed
+    columns form one ``member_counts`` block."""
+    step = block_rows(8 * -(-G.n // 64) * G.n)
+    for lo in range(0, len(subgroups), step):
+        run = subgroups[lo:lo + step]
+        yield lo, run, stacked_masks(G, run)
 
 
 @memoized
 def product_rule_matrix(G: GroupTable) -> np.ndarray:
     """Boolean matrix: entry [x, y] iff C(xy) = C(x) n C(y), where C(z) is
     column z of the commute matrix.  The columns are packed into 64-bit
-    words, zero-padded, and the rows x are compared in blocks whose gathered
-    words stay under ``_PRODUCT_RULE_BLOCK`` bytes."""
-    n, words = G.n, -(-G.n // 64)
-    packed = np.zeros((n, 8 * words), dtype=np.uint8)
-    packed[:, :-(-n // 8)] = np.packbits(G.commute_matrix.T, axis=1)
-    cols = packed.view(np.uint64)                   # row z: column z of cm
+    words (``pack_rows``), and the rows x are compared in blocks whose
+    gathered words stay under ``_PACKED_BLOCK`` bytes."""
+    n = G.n
+    cols = pack_rows(G.commute_matrix.T)            # row z: column z of cm
     rule = np.empty((n, n), dtype=bool)
-    step = max(1, _PRODUCT_RULE_BLOCK // (n * packed.shape[1]))
+    step = block_rows(cols.nbytes)
     for lo in range(0, n, step):
         xs = slice(lo, lo + step)
         rule[xs] = (cols[G.table[xs]] == (cols[xs, None] & cols)).all(axis=2)
@@ -489,13 +536,25 @@ def product_rule_matrix(G: GroupTable) -> np.ndarray:
     return rule
 
 
-def coset_centralizer_orders(G: GroupTable, K: SubgroupHandle) -> np.ndarray:
-    """|K| |C_{G/K}(xK)| for every x, the number of y with [x, y] in K, read
-    from n x |K| entries: those y have x^y in Kx, and there are
-    |C_G(x)| |cl(x) n Kx| of them."""
-    require_normal(K)
-    rep, class_centralizer = _class_minima(G)
-    return class_centralizer * (rep[G.table[K.members]] == rep).sum(axis=0)
+@memoized
+def _coset_columns(G: GroupTable) -> np.ndarray:
+    """The relation [y, x] iff yx has the class minimum of x, its columns
+    packed for ``member_counts``."""
+    rep, _ = _class_minima(G)
+    return pack_rows(rep[G.table.T] == rep[:, None])
+
+
+def coset_centralizer_orders(G: GroupTable, Ks: list[SubgroupHandle]) -> np.ndarray:
+    """|K| |C_{G/K}(xK)| for every normal K in ``Ks`` (one row each) and
+    every x: the number of y with [x, y] in K.  Those y have x^y in Kx, and
+    there are |C_G(x)| |cl(x) n Kx| of them; |cl(x) n Kx| counts the k in K
+    whose kx has the class minimum of x, which ``member_counts`` reads for
+    all of ``Ks`` at once."""
+    for K in Ks:
+        require_normal(K)
+    _, class_centralizer = _class_minima(G)
+    return class_centralizer * member_counts(pack_rows(stacked_masks(G, Ks)),
+                                             _coset_columns(G))
 
 
 # -- quotients ---------------------------------------------------------------
@@ -542,6 +601,12 @@ def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
     """G -> G/N on the left cosets xN, numbered by their least members r_a,
     with the coset table Q[a, b] = pi(r_a r_b).
 
+    The representatives are the x that are their own coset minimum, and
+    pi(x) is the rank of x's minimum among them (a running count).  That
+    set equals the set of minima exactly when the minima are idempotent,
+    m(m(x)) = m(x), which is checked first: a table that breaks it raises
+    ``LemmaViolation`` with the first such x.
+
     pi(xy) = Q[pi(x), pi(y)] for all x and y makes pi a surjective table
     homomorphism with pi(0) = 0, which forces every group axiom on Q, so the
     quotient needs no axiom sweep of its own.  That condition is read for
@@ -558,14 +623,21 @@ def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
     """
     require_normal(N)
     coset_min = G.table[:, N.members].min(axis=1)     # min of each left coset xN
-    reps = np.unique(coset_min)
-    projection = np.searchsorted(reps, coset_min)
-    qtable = projection[G.table[np.ix_(reps, reps)]]
+    stray = coset_min[coset_min] != coset_min
+    if stray.any():
+        x = int(np.argmax(stray))
+        raise LemmaViolation("a coset minimum is not the minimum of its own coset",
+                             {"kernel": N.members.tolist(), "x": x,
+                              "minimum": int(coset_min[x])})
+    is_rep = coset_min == np.arange(G.n)
+    reps = np.flatnonzero(is_rep)
+    projection = (np.cumsum(is_rep) - 1)[coset_min]
+    qtable = projection[G.table[reps[:, None], reps]]
     if not _projects_homomorphically(G, projection, qtable):
         raise LemmaViolation("coset projection failed to be a homomorphism",
                              {"kernel": N.members.tolist()})
     quotient = GroupTable(qtable, label=f"{G.label}/N{N.order}", trusted=True)
-    return QuotientMap(N, quotient, projection.astype(np.int64), reps.astype(np.int64))
+    return QuotientMap(N, quotient, projection, reps)
 
 
 def _projects_homomorphically(G: GroupTable, projection: np.ndarray,
@@ -575,7 +647,7 @@ def _projects_homomorphically(G: GroupTable, projection: np.ndarray,
     empty for the trivial group."""
     gens = np.array(G.generators, dtype=np.int64)
     return np.array_equal(projection[G.table[:, gens]],
-                          qtable[np.ix_(projection, projection[gens])])
+                          qtable[projection[:, None], projection[gens]])
 
 
 # -- derived series and solvability -------------------------------------------

@@ -23,14 +23,19 @@ from .core import (
     SubgroupHandle,
     _close_members,
     abelian_subgroups,
+    block_rows,
     centralizer_sizes,
     coset_centralizer_orders,
     derived_series,
     normal_subgroups,
+    member_counts,
     p_part,
+    pack_rows,
     prime_factors,
     product_rule_matrix,
     release_memo,
+    stacked_masks,
+    subgroup_blocks,
     subgroup_closure,
     trivial_subgroup,
 )
@@ -96,11 +101,14 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
     centralizers of commuting coprime products, and centralizer images
     in quotients (with equality in the coprime case).
 
-    For each normal K, |K| |C_{G/K}(xK)| comes from
-    ``coset_centralizer_orders``.  The image of C_G(x) lies in C_{G/K}(xK)
-    when every commuting u, x have [u, x] in K; the identity lies in every
-    K, so only the commuting pairs whose commutator is not the identity,
-    listed once in row-major order, are read against each K.
+    The normal subgroups K are read in runs (``subgroup_blocks``), each as
+    s x n arrays: |C_K(x)| from ``member_counts`` against the commute
+    matrix, |K| |C_{G/K}(xK)| from ``coset_centralizer_orders``.  The image
+    of C_G(x) lies in C_{G/K}(xK) when every commuting u, x have [u, x] in
+    K; the identity lies in every K, so only the commuting pairs whose
+    commutator is not the identity, listed once in row-major order, are
+    read against the run.  The first failing K decides a FAIL, and within
+    it the three tests keep this order.
     """
     n = G.n
     cm = G.commute_matrix
@@ -110,41 +118,43 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
     comm = G.commutator_table
     nontrivial = cm & (comm != 0)
     comm_pairs, comm_values = np.argwhere(nontrivial), comm[nontrivial]
-    checked = 0
-    for K in normal_subgroups(G):
-        cq = coset_centralizer_orders(G, K)             # |K| |C_{G/K}(xK)|
-        ck = cm[K.members, :].sum(axis=0)
-        ind_k = K.order // ck
+    cm_columns = pack_rows(cm.T)
+    normals = normal_subgroups(G)
+    for lo, Ks, masks in subgroup_blocks(G, normals):
+        k_orders = masks.sum(axis=1)[:, None]
+        cq = coset_centralizer_orders(G, Ks)            # |K| |C_{G/K}(xK)|
+        ck = member_counts(pack_rows(masks), cm_columns)  # |C_K(x)|
+        ind_k = k_orders // ck
         ind_q = n // cq
         undivided = (ind_g % ind_k) + (ind_g % ind_q)
-        if undivided.any():
-            x = int(np.argmax(undivided))
-            return [_report(G, "basic", FAIL,
-                            "orbit size fails to divide",
-                            {"K": K.members.tolist(), "x": x,
-                             "ind_K": int(ind_k[x]), "ind_Q": int(ind_q[x]),
-                             "ind_G": int(ind_g[x])},
-                            checked)]
         # image of C_G(x) in G/K sits inside the centralizer of xK ...
-        escaped = ~K.mask[comm_values]
-        if escaped.any():
-            u, x = map(int, comm_pairs[int(np.argmax(escaped))])
-            return [_report(G, "basic", FAIL, "centralizer image escapes",
-                            {"K": K.members.tolist(), "x": x, "u": u},
-                            checked)]
+        escaped = ~masks[:, comm_values]
         # ... with equality when the element order is coprime to |K|
-        coprime = np.gcd(orders, K.order) == 1
+        coprime = np.gcd(orders, k_orders) == 1
         img_size = cg // ck
-        qc = cq // K.order
+        qc = cq // k_orders
         short = coprime & (img_size != qc)
-        if short.any():
-            x = int(np.argmax(short))
-            return [_report(G, "basic", FAIL, "coprime centralizer image too small",
-                            {"K": K.members.tolist(), "x": x,
-                             "image": int(img_size[x]),
-                             "quotient_centralizer": int(qc[x])},
+        failed = undivided.any(axis=1) | escaped.any(axis=1) | short.any(axis=1)
+        if not failed.any():
+            continue
+        r = int(np.argmax(failed))
+        K, checked = Ks[r].members.tolist(), lo + r
+        if undivided[r].any():
+            x = int(np.argmax(undivided[r]))
+            return [_report(G, "basic", FAIL, "orbit size fails to divide",
+                            {"K": K, "x": x, "ind_K": int(ind_k[r, x]),
+                             "ind_Q": int(ind_q[r, x]), "ind_G": int(ind_g[x])},
                             checked)]
-        checked += 1
+        if escaped[r].any():
+            u, x = map(int, comm_pairs[int(np.argmax(escaped[r]))])
+            return [_report(G, "basic", FAIL, "centralizer image escapes",
+                            {"K": K, "x": x, "u": u}, checked)]
+        x = int(np.argmax(short[r]))
+        return [_report(G, "basic", FAIL, "coprime centralizer image too small",
+                        {"K": K, "x": x, "image": int(img_size[r, x]),
+                         "quotient_centralizer": int(qc[r, x])},
+                        checked)]
+    checked = len(normals)
     # commuting coprime pairs x < y: C(yx) = C(y) n C(x)
     pairs = np.triu(cm & (np.gcd.outer(orders, orders) == 1), 1)
     broken = pairs & ~product_rule_matrix(G).T
@@ -165,75 +175,136 @@ def replay_basic_pair(G: GroupTable, x: int, y: int) -> bool:
 # -- regular orbits of coprime faithful abelian actions --------------------------
 
 
-def regular_orbit_exists(G: GroupTable, V: SubgroupHandle, A: SubgroupHandle) -> bool:
-    stab_sizes = G.commute_matrix[np.ix_(A.members, V.members)].sum(axis=0)
-    return bool((stab_sizes == 1).any())
-
-
 def check_cl2(G: GroupTable) -> list[VerificationReport]:
     """Faithful coprime action of an abelian group on an abelian normal
-    subgroup (by conjugation) always has a regular orbit."""
+    subgroup (by conjugation) always has a regular orbit.
+
+    Two packed tables come first, each from ``member_counts``: per V, the g
+    that centralize V, and per A, the v with |C_A(v)| = 1.  Then A acts
+    faithfully on V when one of its members centralizes V, and it has a
+    regular orbit when V holds such a v.  Only the coprime pairs are
+    formed, one order class of A at a time against the V of coprime order;
+    the other A are skipped by count.  The first V in list order with a
+    faithful A that has no regular orbit decides a FAIL, at its first such
+    A; every non-coprime A of that V counts as skipped, as do the
+    unfaithful coprime A before it.
+    """
     cm = G.commute_matrix
     normals = [V for V in normal_subgroups(G) if V.is_abelian]
     abelians = abelian_subgroups(G)
-    a_orders = np.array([A.order for A in abelians])
-    checked = skipped = 0
-    for V in normals:
-        coprime = np.gcd(a_orders, V.order) == 1
-        skipped += int((~coprime).sum())
-        cent_v = cm[:, V.members].all(axis=1)
-        for idx in np.flatnonzero(coprime):
-            A = abelians[idx]
-            if cent_v[A.members].sum() != 1:
-                skipped += 1  # kernel of the action is nontrivial
-                continue
-            checked += 1
-            if not regular_orbit_exists(G, V, A):
-                return [_report(G, "cl2", FAIL, "no regular orbit",
-                                {"V": V.members.tolist(), "A": A.members.tolist()},
-                                checked, skipped)]
-    note = "skipped tuples miss faithfulness or coprimality" if skipped else ""
-    return [_report(G, "cl2", PASS, note, None, checked, skipped)]
+    v_orders = np.array([V.order for V in normals], dtype=np.int64)
+    a_orders = np.array([A.order for A in abelians], dtype=np.int64)
+    v_words = pack_rows(stacked_masks(G, normals))
+    a_words = pack_rows(stacked_masks(G, abelians))
+    central = _rows_where(v_words, pack_rows(~cm), 0)   # [V, g]: g centralizes V
+    lone = _rows_where(a_words, pack_rows(cm.T), 1)     # [A, v]: |C_A(v)| = 1
+    sizes, counts = np.unique(a_orders, return_counts=True)
+    noncoprime = ((np.gcd.outer(v_orders, sizes) > 1) * counts).sum(axis=1)
+    checked = np.zeros(len(normals), dtype=np.int64)
+    unfaithful = np.zeros(len(normals), dtype=np.int64)
+    first = np.full(len(normals), len(abelians))    # first A without a regular orbit
+    for size in sizes:
+        a_idx = np.flatnonzero(a_orders == size)
+        v_idx = np.flatnonzero(np.gcd(v_orders, size) == 1)
+        a_class, lone_class = a_words[a_idx], lone[a_idx]
+        step = block_rows(a_class.nbytes)
+        for lo in range(0, v_idx.size, step):
+            rows = v_idx[lo:lo + step]
+            faithful = member_counts(central[rows], a_class) == 1      # [V, A]
+            bare = faithful & (member_counts(v_words[rows], lone_class) == 0)
+            checked[rows] += faithful.sum(axis=1)
+            unfaithful[rows] += (~faithful).sum(axis=1)
+            hit = bare.any(axis=1)
+            first[rows[hit]] = np.minimum(first[rows[hit]], a_idx[np.argmax(bare[hit], axis=1)])
+    skipped = noncoprime + unfaithful
+    failed = first < len(abelians)
+    if failed.any():
+        v = int(np.argmax(failed))
+        a = int(first[v])
+        through = np.flatnonzero(np.gcd(a_orders[:a + 1], v_orders[v]) == 1)
+        faithful = member_counts(central[v:v + 1], a_words[through])[0] == 1
+        return [_report(G, "cl2", FAIL, "no regular orbit",
+                        {"V": normals[v].members.tolist(), "A": abelians[a].members.tolist()},
+                        int(checked[:v].sum() + faithful.sum()),
+                        int(skipped[:v].sum() + noncoprime[v] + (~faithful).sum()))]
+    note = "skipped tuples miss faithfulness or coprimality" if skipped.any() else ""
+    return [_report(G, "cl2", PASS, note, None, int(checked.sum()), int(skipped.sum()))]
+
+
+def _rows_where(words: np.ndarray, columns: np.ndarray, count: int) -> np.ndarray:
+    """``pack_rows(member_counts(words, columns) == count)``, formed one block
+    of rows at a time."""
+    step = block_rows(columns.nbytes)
+    return np.concatenate([pack_rows(member_counts(words[lo:lo + step], columns) == count)
+                           for lo in range(0, len(words), step)])
 
 
 # -- coprime action splitting -----------------------------------------------------
 
 
+def _split_failures(G: GroupTable, members: np.ndarray, a_list: np.ndarray) -> np.ndarray:
+    """[i, j]: C_P(a_j) x [P, a_j] = P fails for the abelian P whose sorted
+    members are row i (all rows of one order), read from the |P| x |a_list|
+    commutators of each row, in blocks of rows under the packed block budget."""
+    cm, comm = G.commute_matrix, G.commutator_table
+    order = members.shape[1]
+    out = np.empty((len(members), a_list.size), dtype=bool)
+    step = block_rows(8 * order * a_list.size)
+    for lo in range(0, len(members), step):
+        hs = members[lo:lo + step, :, None]
+        cent_sizes = cm[hs, a_list].sum(axis=1)
+        raw = comm[hs, a_list]                          # [i, h, j] = [h, a_j]
+        srt = np.sort(raw, axis=1)
+        comm_sizes = 1 + (srt[:, 1:] != srt[:, :-1]).sum(axis=1)
+        cover = cent_sizes * comm_sizes == order
+        disjoint = ~((raw != 0) & cm[raw, a_list]).any(axis=1)
+        out[lo:lo + step] = ~(cover & disjoint)
+    return out
+
+
 def _coprime_split_ok(G: GroupTable, P: SubgroupHandle, a_list: np.ndarray):
     """Check C_P(a) x [P,a] = P for each a; returns index of first failure."""
-    cm = G.commute_matrix
-    m = P.members
-    cent_sizes = cm[np.ix_(m, a_list)].sum(axis=0)
-    raw = G.commutator_table[np.ix_(m, a_list)]                # [i, j] = [h_i, a_j]
-    srt = np.sort(raw, axis=0)
-    comm_sizes = 1 + (srt[1:] != srt[:-1]).sum(axis=0)
-    cover = cent_sizes * comm_sizes == P.order
-    nontriv = (raw != 0) & cm[raw, a_list[None, :]]
-    disjoint = ~nontriv.any(axis=0)
-    ok = cover & disjoint
-    if ok.all():
-        return None
-    return int(np.argmax(~ok))
+    bad = _split_failures(G, P.members[None], a_list)[0]
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _abelian_p_classes(G: GroupTable):
+    """The (p, H) of ``_normal_p_subgroups`` with H abelian, and their
+    positions in that list grouped by (p, |H|), with each class's members
+    stacked, so that a check reads one class in one array."""
+    tuples = [(p, H) for p, H in _normal_p_subgroups(G) if H.is_abelian]
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i, (p, H) in enumerate(tuples):
+        classes.setdefault((p, H.order), []).append(i)
+    return tuples, [(p, np.array(idx), np.array([tuples[i][1].members for i in idx]))
+                    for (p, _), idx in classes.items()]
 
 
 def check_go(G: GroupTable) -> list[VerificationReport]:
     """Every abelian normal p-subgroup splits as fixed points times
-    commutators under each element of coprime order."""
+    commutators under each element of coprime order.
+
+    The subgroups of one (p, |P|) class are split at once
+    (``_split_failures``); the first P in list order that fails decides a
+    FAIL, at its first failing a."""
     orders = G.element_orders
-    checked = 0
-    for p, P in _normal_p_subgroups(G):
-        if not P.is_abelian:
-            continue
-        a_list = np.flatnonzero(orders % p != 0)
+    tuples, classes = _abelian_p_classes(G)
+    a_lists = {p: np.flatnonzero(orders % p != 0) for p in {p for p, _ in tuples}}
+    first = None                                    # (position, a)
+    for p, idx, members in classes:
+        a_list = a_lists[p]
         if a_list.size == 0:
             continue
-        bad = _coprime_split_ok(G, P, a_list)
-        if bad is not None:
-            a = int(a_list[bad])
-            return [_report(G, "go", FAIL, "no splitting",
-                            {"P": P.members.tolist(), "a": a}, checked)]
-        checked += a_list.size
-    return [_report(G, "go", PASS, "", None, checked)]
+        bad = _split_failures(G, members, a_list)
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size and (first is None or idx[rows[0]] < first[0]):
+            first = (int(idx[rows[0]]), int(a_list[np.argmax(bad[rows[0]])]))
+    weights = [a_lists[p].size for p, _ in tuples]
+    if first is not None:
+        i, a = first
+        return [_report(G, "go", FAIL, "no splitting",
+                        {"P": tuples[i][1].members.tolist(), "a": a}, sum(weights[:i]))]
+    return [_report(G, "go", PASS, "", None, sum(weights))]
 
 
 def _replayed_subgroup(G: GroupTable, members: list[int]) -> SubgroupHandle:
@@ -257,25 +328,33 @@ def replay_go(G: GroupTable, P_members: list[int], a: int) -> bool:
 
 def check_centre(G: GroupTable) -> list[VerificationReport]:
     """When the centralizer of g covers the coset centralizer of gH exactly,
-    centralizers multiply: C(hg) = C(h) n C(g) for every h in H."""
+    centralizers multiply: C(hg) = C(h) n C(g) for every h in H.
+
+    The abelian normal H are read in runs, each as s x n arrays from
+    ``member_counts``: g is central to H when no h fails to commute with
+    it, and the product rule breaks at g when some h has ~rule[h, g].  The
+    first H in list order that breaks decides a FAIL, at its first g."""
     cm, rule = G.commute_matrix, product_rule_matrix(G)
     cg = centralizer_sizes(G)
+    moving, broken = pack_rows(~cm), pack_rows(~rule.T)
     checked = skipped = 0
-    for H in normal_subgroups(G):
-        if not H.is_abelian:
-            continue
-        hs = H.members
-        central = cm[:, hs].all(axis=1)                 # g with H <= C_G(g)
-        cond = central & (cg == coset_centralizer_orders(G, H))
-        gs = np.flatnonzero(cond)
-        good = rule[np.ix_(hs, gs)]                     # [h, g]
-        if not good.all():
-            j = int(np.argmax(~good.all(axis=0)))
-            h = int(hs[int(np.argmax(~good[:, j]))])
+    abelian = [H for H in normal_subgroups(G) if H.is_abelian]
+    for lo, Hs, masks in subgroup_blocks(G, abelian):
+        words = pack_rows(masks)
+        central = member_counts(words, moving) == 0     # g with H <= C_G(g)
+        cond = central & (cg == coset_centralizer_orders(G, Hs))
+        bad = cond & (member_counts(words, broken) > 0)
+        failed = bad.any(axis=1)
+        if failed.any():
+            r = int(np.argmax(failed))
+            g = int(np.argmax(bad[r]))
+            hs = Hs[r].members
+            h = int(hs[int(np.argmax(~rule[hs, g]))])
             return [_report(G, "centre", FAIL, "centralizer product rule",
-                            {"H": hs.tolist(), "g": int(gs[j]), "h": h},
-                            checked + j + 1, skipped)]
-        checked += gs.size
+                            {"H": hs.tolist(), "g": g, "h": h},
+                            checked + int(cond[:r].sum() + cond[r, :g].sum()) + 1,
+                            skipped + int(central[:r].sum() - cond[:r].sum()))]
+        checked += int(cond.sum())
         skipped += int(central.sum() - cond.sum())
     note = "skipped g where C(g)/H falls short of the coset centralizer" if skipped else ""
     return [_report(G, "centre", PASS, note, None, checked, skipped)]
@@ -285,37 +364,49 @@ def check_size(G: GroupTable) -> list[VerificationReport]:
     """An order-preserving translate hg of a coprime element g by the abelian
     normal p-subgroup H is an H-conjugate of g, with |C(hg)| = |C(g)|.
 
-    All p' elements g of one H are compared at once: the translates form
-    an |H| x k array, and the H-conjugates of each g a column of an n x k
-    mask.
+    The subgroups of one (p, |H|) class are compared at once: the
+    translates h g_j form an s x |H| x k array, and the H-conjugates of
+    each g_j one row of n flags per (H, g_j), in blocks of subgroups under
+    the packed block budget.  The first H in list order with a bad
+    translate decides a FAIL, at its first g.
     """
-    orders = G.element_orders
+    n, orders = G.n, G.element_orders
     cg = centralizer_sizes(G)
     cj = G.conjugation_table
-    checked = skipped = 0
-    for p, H in _normal_p_subgroups(G):
-        if not H.is_abelian:
-            continue
-        hs = H.members
+    tuples, classes = _abelian_p_classes(G)
+    kept = np.zeros(len(tuples), dtype=np.int64)
+    formed = np.zeros(len(tuples), dtype=np.int64)
+    first = None                                    # (position, gs, keep, bad)
+    for p, idx, members in classes:
         gs = np.flatnonzero(orders % p != 0)
-        cols = np.arange(gs.size)
-        prods = G.table[np.ix_(hs, gs)]                 # [i, j] = h_i g_j
-        keep = orders[prods] == orders[gs]
-        conjugates = np.zeros((G.n, gs.size), dtype=bool)
-        conjugates[cj[np.ix_(gs, hs)], cols[:, None]] = True
-        bad = keep & ~(conjugates[prods, cols] & (cg[prods] == cg[gs]))
-        if bad.any():
-            j = int(np.argmax(bad.any(axis=0)))
-            through = keep[:, :j + 1]
-            h = int(hs[int(np.argmax(bad[:, j]))])
-            return [_report(G, "size", FAIL, "translate is not an H-conjugate",
-                            {"H": hs.tolist(), "g": int(gs[j]), "h": h},
-                            checked + int(through.sum()),
-                            skipped + int((~through).sum()))]
-        checked += int(keep.sum())
-        skipped += int((~keep).sum())
+        k = gs.size
+        step = block_rows(k * (n + 16 * members.shape[1]))   # flags, then gathers per H
+        for lo in range(0, len(members), step):
+            hs = members[lo:lo + step, :, None]
+            prods = G.table[hs, gs]                     # [i, h, j] = h g_j
+            keep = orders[prods] == orders[gs]
+            offsets = (np.arange(len(hs))[:, None] * k + np.arange(k)) * n
+            conjugates = np.zeros(len(hs) * k * n, dtype=bool)
+            conjugates[offsets[:, None] + cj[gs, hs]] = True
+            bad = keep & ~(conjugates[offsets[:, None] + prods] & (cg[prods] == cg[gs]))
+            at = idx[lo:lo + step]
+            kept[at] = keep.sum(axis=(1, 2))
+            formed[at] = keep[0].size
+            rows = np.flatnonzero(bad.any(axis=(1, 2)))
+            if rows.size and (first is None or at[rows[0]] < first[0]):
+                first = (int(at[rows[0]]), gs, keep[rows[0]], bad[rows[0]])
+    if first is not None:
+        i, gs, keep, bad = first
+        j = int(np.argmax(bad.any(axis=0)))
+        hs = tuples[i][1].members
+        through = keep[:, :j + 1]
+        return [_report(G, "size", FAIL, "translate is not an H-conjugate",
+                        {"H": hs.tolist(), "g": int(gs[j]), "h": int(hs[int(np.argmax(bad[:, j]))])},
+                        int(kept[:i].sum() + through.sum()),
+                        int((formed - kept)[:i].sum() + (~through).sum()))]
+    skipped = int((formed - kept).sum())
     note = "skipped h with |hg| != |g|" if skipped else ""
-    return [_report(G, "size", PASS, note, None, checked, skipped)]
+    return [_report(G, "size", PASS, note, None, int(kept.sum()), skipped)]
 
 
 def _normal_p_subgroups(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
@@ -342,23 +433,24 @@ def check_l4(G: GroupTable) -> list[VerificationReport]:
     normal_p = _normal_p_subgroups(G)
     for p in _abelian_sylow_primes(G):
         # an element order divides |G|, so it is a power of p iff it divides |G|_p
-        p_elts = np.flatnonzero((orders > 1) & (p_part(G.n, p) % orders == 0))
-        trivial += p_elts.size          # modulo H = 1 the coset centralizer is C(g)
-        for H in (H for q, H in normal_p if q == p):
-            outside = p_elts[~H.mask[p_elts]]
+        p_elts = (orders > 1) & (p_part(G.n, p) % orders == 0)
+        trivial += int(p_elts.sum())    # modulo H = 1 the coset centralizer is C(g)
+        for _, Hs, masks in subgroup_blocks(G, [H for q, H in normal_p if q == p]):
+            outside = p_elts & ~masks
             # the coset centralizer already equals C(g): trivially split
-            full = coset_centralizer_orders(G, H)[outside] == cg[outside]
-            trivial += int(full.sum())
-            for g in outside[~full]:
-                checked += 1
-                try:
-                    split = l4_decompose(G, H, int(g))
-                except LemmaViolation as exc:
-                    return [_report(G, "l4", FAIL, str(exc),
-                                    {"H": H.members.tolist(), "g": int(g),
-                                     **exc.witness},
-                                    checked)]
-                assert not split.trivial_case
+            full = coset_centralizer_orders(G, Hs) == cg
+            trivial += int((outside & full).sum())
+            for H, strict in zip(Hs, outside & ~full):
+                for g in np.flatnonzero(strict):
+                    checked += 1
+                    try:
+                        split = l4_decompose(G, H, int(g))
+                    except LemmaViolation as exc:
+                        return [_report(G, "l4", FAIL, str(exc),
+                                        {"H": H.members.tolist(), "g": int(g),
+                                         **exc.witness},
+                                        checked)]
+                    assert not split.trivial_case
     note = f"{trivial} tuples with C(g) already full are trivially split"
     return [_report(G, "l4", PASS, note if trivial else "", None,
                     checked + trivial)]
@@ -647,7 +739,7 @@ def explore_minimal_lemmas(G: GroupTable) -> list[VerificationReport]:
         return [_report(G, lemma, SKIP, f"exploratory; {gate}") for lemma in EXPLORE_IDS]
     F, F2 = fd.fitting, fd.second_fitting
     cg = centralizer_sizes(G)
-    cq = coset_centralizer_orders(G, F)                 # |F| |C_{G/F}(gF)|
+    cq = coset_centralizer_orders(G, [F])[0]           # |F| |C_{G/F}(gF)|
 
     evaluated = holds = 0
     for g in F2.members:

@@ -7,8 +7,10 @@ the closure lattice, the reference the targeted subgroup queries are
 compared against at orders the plain oracles cannot reach; the two-step
 pairing, which takes the library's coset-action products and recomputes
 only the pairing over them; and the forms the library replaced, the n^2
-homomorphism sweep of a quotient and the per-element Fitting splitting,
-over the library's cached tables.
+homomorphism sweep and the coset numbering of a quotient, the
+per-element Fitting splitting and
+the lattice checks with one loop pass per subgroup, over the library's
+cached tables.
 """
 
 from __future__ import annotations
@@ -326,6 +328,16 @@ def oracle_projection_sweep(G, projection, qtable) -> bool:
     return np.array_equal(projection[G.table], qtable[np.ix_(projection, projection)])
 
 
+def oracle_quotient_parts(G, N):
+    """(section, projection, coset table) of G -> G/N in the form
+    ``core.quotient_group`` replaced: the distinct coset minima by
+    ``np.unique``, each element's coset found by ``np.searchsorted``."""
+    coset_min = G.table[:, N.members].min(axis=1)
+    reps = np.unique(coset_min)
+    projection = np.searchsorted(reps, coset_min)
+    return reps, projection, projection[G.table[np.ix_(reps, reps)]]
+
+
 def oracle_ca_split(G, F, T, g: int) -> tuple[int, int, int]:
     """(k, x, y) with g^k = x*y, x in F, y in T commuting, found for g alone:
     y is the member of T in gF, w = g y^-1 splits as u*v across
@@ -358,6 +370,185 @@ def oracle_ca_split(G, F, T, g: int) -> tuple[int, int, int]:
         raise core.LemmaViolation("conjugated factorization failed",
                                   {"g": g, "k": k, "x": int(u), "y": y})
     return k, int(u), y
+
+
+def _coset_centralizer_orders(G, K):
+    """|K| |C_{G/K}(xK)| for every x, for one normal K, from n x |K| entries."""
+    rep, class_centralizer = core._class_minima(G)
+    return class_centralizer * (rep[G.table[K.members]] == rep).sum(axis=0)
+
+
+def _normal_p_subgroups(G):
+    return [(core.prime_factors(H.order)[0], H) for H in core.normal_subgroups(G)
+            if len(core.prime_factors(H.order)) == 1]
+
+
+def oracle_basic(G):
+    """``check_basic`` with one pass per normal K, as (lemma, status, note,
+    witness, checked, skipped)."""
+    n = G.n
+    cm = G.commute_matrix
+    cg = core.centralizer_sizes(G)
+    ind_g = n // cg
+    orders = G.element_orders
+    comm = G.commutator_table
+    nontrivial = cm & (comm != 0)
+    comm_pairs, comm_values = np.argwhere(nontrivial), comm[nontrivial]
+    checked = 0
+    for K in core.normal_subgroups(G):
+        cq = _coset_centralizer_orders(G, K)
+        ck = cm[K.members, :].sum(axis=0)
+        ind_k = K.order // ck
+        ind_q = n // cq
+        undivided = (ind_g % ind_k) + (ind_g % ind_q)
+        if undivided.any():
+            x = int(np.argmax(undivided))
+            return ("basic", "FAIL", "orbit size fails to divide",
+                    {"K": K.members.tolist(), "x": x, "ind_K": int(ind_k[x]),
+                     "ind_Q": int(ind_q[x]), "ind_G": int(ind_g[x])}, checked, 0)
+        escaped = ~K.mask[comm_values]
+        if escaped.any():
+            u, x = map(int, comm_pairs[int(np.argmax(escaped))])
+            return ("basic", "FAIL", "centralizer image escapes",
+                    {"K": K.members.tolist(), "x": x, "u": u}, checked, 0)
+        coprime = np.gcd(orders, K.order) == 1
+        img_size = cg // ck
+        qc = cq // K.order
+        short = coprime & (img_size != qc)
+        if short.any():
+            x = int(np.argmax(short))
+            return ("basic", "FAIL", "coprime centralizer image too small",
+                    {"K": K.members.tolist(), "x": x, "image": int(img_size[x]),
+                     "quotient_centralizer": int(qc[x])}, checked, 0)
+        checked += 1
+    pairs = np.triu(cm & (np.gcd.outer(orders, orders) == 1), 1)
+    broken = pairs & ~core.product_rule_matrix(G).T
+    if broken.any():
+        x, y = divmod(int(np.argmax(broken)), n)
+        return ("basic", "FAIL", "centralizer of commuting coprime product",
+                {"x": x, "y": y}, checked + int(pairs[:x].sum()), 0)
+    return ("basic", "PASS", "", {}, checked + int(pairs.sum()), 0)
+
+
+def oracle_regular_orbit_exists(G, V, A) -> bool:
+    """Some v in V has a trivial stabilizer in A: |C_A(v)| = 1."""
+    stab_sizes = G.commute_matrix[np.ix_(A.members, V.members)].sum(axis=0)
+    return bool((stab_sizes == 1).any())
+
+
+def oracle_cl2(G):
+    """``check_cl2`` with one pass per (V, A) pair."""
+    cm = G.commute_matrix
+    normals = [V for V in core.normal_subgroups(G) if V.is_abelian]
+    abelians = core.abelian_subgroups(G)
+    a_orders = np.array([A.order for A in abelians])
+    checked = skipped = 0
+    for V in normals:
+        coprime = np.gcd(a_orders, V.order) == 1
+        skipped += int((~coprime).sum())
+        cent_v = cm[:, V.members].all(axis=1)
+        for idx in np.flatnonzero(coprime):
+            A = abelians[idx]
+            if cent_v[A.members].sum() != 1:
+                skipped += 1
+                continue
+            checked += 1
+            if not oracle_regular_orbit_exists(G, V, A):
+                return ("cl2", "FAIL", "no regular orbit",
+                        {"V": V.members.tolist(), "A": A.members.tolist()}, checked, skipped)
+    note = "skipped tuples miss faithfulness or coprimality" if skipped else ""
+    return ("cl2", "PASS", note, {}, checked, skipped)
+
+
+def oracle_coprime_split_ok(G, P, a_list):
+    """C_P(a) x [P, a] = P for each a of ``a_list``, for one P: the index of
+    the first failure, or None."""
+    cm = G.commute_matrix
+    m = P.members
+    cent_sizes = cm[np.ix_(m, a_list)].sum(axis=0)
+    raw = G.commutator_table[np.ix_(m, a_list)]
+    srt = np.sort(raw, axis=0)
+    comm_sizes = 1 + (srt[1:] != srt[:-1]).sum(axis=0)
+    cover = cent_sizes * comm_sizes == P.order
+    nontriv = (raw != 0) & cm[raw, a_list[None, :]]
+    ok = cover & ~nontriv.any(axis=0)
+    return None if ok.all() else int(np.argmax(~ok))
+
+
+def oracle_go(G):
+    """``check_go`` with one pass per abelian normal p-subgroup P."""
+    orders = G.element_orders
+    checked = 0
+    for p, P in _normal_p_subgroups(G):
+        if not P.is_abelian:
+            continue
+        a_list = np.flatnonzero(orders % p != 0)
+        if a_list.size == 0:
+            continue
+        bad = oracle_coprime_split_ok(G, P, a_list)
+        if bad is not None:
+            return ("go", "FAIL", "no splitting",
+                    {"P": P.members.tolist(), "a": int(a_list[bad])}, checked, 0)
+        checked += a_list.size
+    return ("go", "PASS", "", {}, checked, 0)
+
+
+def oracle_centre(G):
+    """``check_centre`` with one pass per abelian normal H."""
+    cm, rule = G.commute_matrix, core.product_rule_matrix(G)
+    cg = core.centralizer_sizes(G)
+    checked = skipped = 0
+    for H in core.normal_subgroups(G):
+        if not H.is_abelian:
+            continue
+        hs = H.members
+        central = cm[:, hs].all(axis=1)
+        cond = central & (cg == _coset_centralizer_orders(G, H))
+        gs = np.flatnonzero(cond)
+        good = rule[np.ix_(hs, gs)]
+        if not good.all():
+            j = int(np.argmax(~good.all(axis=0)))
+            h = int(hs[int(np.argmax(~good[:, j]))])
+            return ("centre", "FAIL", "centralizer product rule",
+                    {"H": hs.tolist(), "g": int(gs[j]), "h": h}, checked + j + 1, skipped)
+        checked += gs.size
+        skipped += int(central.sum() - cond.sum())
+    note = "skipped g where C(g)/H falls short of the coset centralizer" if skipped else ""
+    return ("centre", "PASS", note, {}, checked, skipped)
+
+
+def oracle_size(G):
+    """``check_size`` with one pass per abelian normal p-subgroup H."""
+    orders = G.element_orders
+    cg = core.centralizer_sizes(G)
+    cj = G.conjugation_table
+    checked = skipped = 0
+    for p, H in _normal_p_subgroups(G):
+        if not H.is_abelian:
+            continue
+        hs = H.members
+        gs = np.flatnonzero(orders % p != 0)
+        cols = np.arange(gs.size)
+        prods = G.table[np.ix_(hs, gs)]
+        keep = orders[prods] == orders[gs]
+        conjugates = np.zeros((G.n, gs.size), dtype=bool)
+        conjugates[cj[np.ix_(gs, hs)], cols[:, None]] = True
+        bad = keep & ~(conjugates[prods, cols] & (cg[prods] == cg[gs]))
+        if bad.any():
+            j = int(np.argmax(bad.any(axis=0)))
+            through = keep[:, :j + 1]
+            h = int(hs[int(np.argmax(bad[:, j]))])
+            return ("size", "FAIL", "translate is not an H-conjugate",
+                    {"H": hs.tolist(), "g": int(gs[j]), "h": h},
+                    checked + int(through.sum()), skipped + int((~through).sum()))
+        checked += int(keep.sum())
+        skipped += int((~keep).sum())
+    note = "skipped h with |hg| != |g|" if skipped else ""
+    return ("size", "PASS", note, {}, checked, skipped)
+
+
+ORACLE_LATTICE_CHECKS = {"basic": oracle_basic, "cl2": oracle_cl2, "go": oracle_go,
+                         "centre": oracle_centre, "size": oracle_size}
 
 
 def cyclic_of_order(G, k: int):

@@ -25,6 +25,7 @@ from conftest import (
     oracle_order,
     oracle_product_rule,
     oracle_projection_sweep,
+    oracle_quotient_parts,
     oracle_subgroups,
     oracle_is_normal,
     perm_mul,
@@ -213,7 +214,7 @@ def test_product_rule_matrix_matches_the_oracle(monkeypatch):
         want = oracle_product_rule(table_rows(G), G.commute_matrix.tolist())
         assert core.product_rule_matrix(G).tolist() == want, G.label
         with monkeypatch.context() as m:    # one row of x per block
-            m.setattr(core, "_PRODUCT_RULE_BLOCK", 1)
+            m.setattr(core, "_PACKED_BLOCK", 1)
             core.release_memo(G)
             assert core.product_rule_matrix(G).tolist() == want, G.label
         core.release_memo(G)
@@ -353,6 +354,33 @@ def test_quotient_by_non_normal_raises_with_witness(s3):
     assert conj == w["conjugate"] and conj not in H
 
 
+def test_quotient_numbering_equals_the_unique_and_searchsorted_form():
+    # every quotient of corpus(60): the representatives read as the elements
+    # that are their own coset minimum, and the projection read as their
+    # running count, are the distinct minima and their searchsorted ranks
+    quotients = 0
+    for G in cons.corpus(60):
+        for N in core.normal_subgroups(G):
+            q = core.quotient_group(G, N)
+            reps, projection, qtable = oracle_quotient_parts(G, N)
+            assert np.array_equal(q.section, reps) and np.array_equal(q.projection, projection)
+            assert np.array_equal(q.quotient.table, qtable), (G.label, N.members.tolist())
+            quotients += 1
+        core.release_memo(G)
+    assert quotients == 5341
+
+
+def test_quotient_rejects_coset_minima_that_are_not_their_own_minimum():
+    # a trusted 4 x 4 table that is no group: with N = {0, 1} the coset
+    # minima read [0, 0, 1, 2], so the minimum 1 of 2N has the minimum 0
+    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 1, 3, 0], [3, 2, 0, 1]]
+    G = core.GroupTable(table, "broken", trusted=True)
+    N = core.SubgroupHandle(G, [0, 1], is_normal=True)
+    with pytest.raises(core.LemmaViolation, match="not the minimum of its own coset") as exc:
+        core.quotient_group(G, N)
+    assert exc.value.witness == {"kernel": [0, 1], "x": 2, "minimum": 1}
+
+
 def test_generator_homomorphism_test_equals_the_full_sweep():
     # every quotient of corpus(60) passes both; below order 25, every
     # projection with one entry moved to the next coset, its coset table
@@ -381,7 +409,8 @@ def test_generator_homomorphism_test_equals_the_full_sweep():
 
 @pytest.mark.parametrize("coset_read", [
     lambda G, H: structure.coset_centralizer_preimage(G, H, 1),
-    core.coset_centralizer_orders])
+    pytest.param(lambda G, H: core.coset_centralizer_orders(G, [H]),
+                 id="coset_centralizer_orders")])
 def test_coset_reads_reject_a_non_normal_subgroup(s3, coset_read):
     H = cyclic_of_order(s3, 2)
     with pytest.raises(core.PreconditionError, match="not normal") as exc:
@@ -416,7 +445,7 @@ def test_coset_commute_matrix_matches_the_quotient():
             assert np.array_equal(rel, pulled), (G.label, K.members.tolist())
             sums = K.order * core.centralizer_sizes(q.quotient)[q.projection]
             assert np.array_equal(rel.sum(axis=0), sums)
-            assert np.array_equal(core.coset_centralizer_orders(G, K), sums)
+            assert np.array_equal(core.coset_centralizer_orders(G, [K])[0], sums)
         core.release_memo(G)
 
 

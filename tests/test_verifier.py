@@ -2,9 +2,12 @@
 
 import gc
 import hashlib
+import os
+import subprocess
 import sys
 import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,13 @@ import pytest
 from agroups import constructions as cons, core, fileio, structure, verifier
 from agroups.structure import complement_search, fitting_data, p_core
 
-from conftest import cyclic_of_order, lattice_subgroups, subgroup_table
+from conftest import (
+    ORACLE_LATTICE_CHECKS,
+    cyclic_of_order,
+    lattice_subgroups,
+    oracle_regular_orbit_exists,
+    subgroup_table,
+)
 
 
 def _statuses(reports):
@@ -146,7 +155,7 @@ def test_regular_orbit_fails_without_faithfulness():
     V = next(H for H in core.normal_subgroups(G) if H.order == 3)
     A = next(H for H in lattice_subgroups(G)
              if H.order == 4 and H.is_abelian)
-    assert not verifier.regular_orbit_exists(G, V, A)
+    assert not oracle_regular_orbit_exists(G, V, A)
 
 
 def _centre_per_g(G):
@@ -184,7 +193,7 @@ def test_batched_centre_matches_per_g_loop(monkeypatch):
     for G in groups:
         assert _centre_record(G) == _centre_per_g(G), G.label
     for block in (1, 2000):                     # one row, then a few, per block
-        monkeypatch.setattr(core, "_PRODUCT_RULE_BLOCK", block)
+        monkeypatch.setattr(core, "_PACKED_BLOCK", block)
         for G in groups[::7]:
             core.release_memo(G)
             assert _centre_record(G) == _centre_per_g(G), (block, G.label)
@@ -193,7 +202,7 @@ def test_batched_centre_matches_per_g_loop(monkeypatch):
 @pytest.mark.parametrize("block", [None, 1])
 def test_batched_centre_fail_matches_per_g_loop(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(core, "_PRODUCT_RULE_BLOCK", block)
+        monkeypatch.setattr(core, "_PACKED_BLOCK", block)
     G = cons.direct_product(cons.symmetric(3), cons.cyclic(2))
     cm = G.commute_matrix.copy()
     cm[0, 2] = ~cm[0, 2]                   # a broken table the rule must catch
@@ -209,10 +218,10 @@ def test_centre_reads_coset_centralizers_from_classes():
     groups = [*cons.corpus(32),
               cons.direct_product(cons.abelian_group((2, 2, 2)), cons.symmetric(3))]
     for G in groups:
-        for H in core.normal_subgroups(G):
+        normals = core.normal_subgroups(G)
+        for H, row in zip(normals, core.coset_centralizer_orders(G, normals), strict=True):
             sums = H.mask[G.commutator_table].sum(axis=0)  # y with [y, x] in H
-            assert np.array_equal(core.coset_centralizer_orders(G, H), sums), (
-                G.label, H.members.tolist())
+            assert np.array_equal(row, sums), (G.label, H.members.tolist())
 
 
 def test_centre_fail_on_a_tampered_conjugation_table():
@@ -284,6 +293,99 @@ def test_batched_size_fail_matches_per_g_loop():
     assert got == _size_per_g(G)
 
 
+def _lattice_records(G):
+    return [_key_records(verifier._CHECKS[lemma](G))[0] for lemma in ORACLE_LATTICE_CHECKS]
+
+
+def _oracle_records(G):
+    return [oracle(G) for oracle in ORACLE_LATTICE_CHECKS.values()]
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_lattice_checks_match_their_per_subgroup_loops(monkeypatch, block):
+    # the five checks read stacked subgroups; the conftest oracles walk them
+    # one at a time.  At block 1 every run holds a single subgroup.
+    if block is not None:
+        monkeypatch.setattr(core, "_PACKED_BLOCK", block)
+    groups = [*cons.corpus(32), *list(cons.corpus(60))[::5],
+              fileio.build_recipe("dp(sym(4),abelian(2,2))")]
+    for G in groups:
+        assert _lattice_records(G) == _oracle_records(G), G.label
+        core.release_memo(G)
+
+
+def _tampered_copies(base, rng):
+    """Copies of ``base`` with broken cached tables, each built fresh and
+    with its subgroup lists cached first: one commute-matrix entry flipped
+    away from the identity; two commuting pairs given a nontrivial
+    commutator; and, with every derivation the checks read cached first,
+    extra commuting pairs (a, v) across coprime abelian A and abelian
+    normal V."""
+    x, y = map(int, rng.choice(np.arange(1, base.n), size=2, replace=False))
+    G = core.GroupTable(base.table, base.label, trusted=True)
+    core.abelian_subgroups(G)
+    _flip_commute(G, x, y)
+    yield G
+    G = core.GroupTable(base.table, base.label, trusted=True)
+    core.abelian_subgroups(G)
+    for x, y in np.argwhere(G.commute_matrix & ~np.eye(G.n, dtype=bool))[[1, -1]]:
+        _set_commutator(G, x, y, int(rng.integers(1, G.n)))
+    yield G
+    G = core.GroupTable(base.table, base.label, trusted=True)
+    _oracle_records(G)
+    cm = G.commute_matrix.copy()
+    for V in core.normal_subgroups(G):
+        for A in core.abelian_subgroups(G):
+            if V.is_abelian and np.gcd(V.order, A.order) == 1:
+                cm[np.ix_(A.members[1:], V.members[1:])] |= rng.random((A.order - 1, V.order - 1)) < 0.6
+    cm.setflags(write=False)
+    G.__dict__["commute_matrix"] = cm
+    yield G
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_lattice_checks_fail_like_their_per_subgroup_loops(monkeypatch, block):
+    # the first failing subgroup, the witness and the counts must be the
+    # loop's, at every exit some tampered table reaches
+    if block is not None:
+        monkeypatch.setattr(core, "_PACKED_BLOCK", block)
+    rng = np.random.default_rng(24)
+    exits = set()
+    for base in [G for G in cons.corpus(32) if G.n > 3][::2]:
+        for G in _tampered_copies(base, rng):
+            got = _lattice_records(G)
+            assert got == _oracle_records(G), G.label
+            exits |= {(lemma, note) for lemma, status, note, *_ in got if status == "FAIL"}
+    assert exits == {("basic", "orbit size fails to divide"),
+                     ("basic", "centralizer image escapes"),
+                     ("basic", "coprime centralizer image too small"),
+                     ("cl2", "no regular orbit"), ("go", "no splitting"),
+                     ("centre", "centralizer product rule"),
+                     ("size", "translate is not an H-conjugate")}
+
+
+def test_lattice_checks_on_c2_to_the_7_stay_in_bounded_memory():
+    # 29,212 subgroups.  The counts are formed in blocks, so the peak stays
+    # near that of the per-subgroup loops they replaced, 58,428 KiB (Linux
+    # x86-64, numpy 2.4); the bound is that peak plus 25 %.  On Linux a child
+    # starts with its parent's peak RSS as ru_maxrss (KiB), so the checks run
+    # in a grandchild spawned from a small intermediate process.
+    run = ("import resource; from agroups import constructions as cons, verifier; "
+           "G = cons.abelian_group((2,) * 7); "
+           "print([(r.lemma_id, r.status, r.checked, r.skipped) for lemma in "
+           "('basic', 'centre', 'cl2', 'go', 'size') for r in verifier._CHECKS[lemma](G)]); "
+           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    env = {**os.environ, "PYTHONPATH": str(Path(verifier.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", run],
+                         capture_output=True, text=True, env=env, check=True)
+    records, peak = out.stdout.splitlines()
+    assert records == str([("basic", "PASS", 29339, 0), ("centre", "PASS", 3739136, 0),
+                           ("cl2", "PASS", 29212, 853311732), ("go", "PASS", 29211, 0),
+                           ("size", "PASS", 29211, 358775)])
+    assert int(peak) < 73_000
+
+
 def test_basic_centre_and_l4_build_no_quotient_table(monkeypatch):
     built = []
     init = core.GroupTable.__init__
@@ -330,12 +432,12 @@ def test_fail_reports_carry_witnesses():
 
 
 def _action_orbit_is_regular(spec) -> bool:
-    """regular_orbit_exists for one action, read inside its semidirect
+    """oracle_regular_orbit_exists for one action, read inside its semidirect
     product, where the pair (a, b) is a * |acting| + b."""
     G = cons.semidirect_product(spec)
     V = core.SubgroupHandle(G, np.arange(spec.acted.n) * spec.acting.n)
     A = core.SubgroupHandle(G, np.arange(spec.acting.n))
-    return verifier.regular_orbit_exists(G, V, A)
+    return oracle_regular_orbit_exists(G, V, A)
 
 
 def test_cl2_action_faithful_pass():
@@ -748,7 +850,8 @@ def test_key_fails_when_a_two_step_pairing_fails(monkeypatch):
 
 
 def test_go_fails_with_the_first_split_it_cannot_make(monkeypatch):
-    monkeypatch.setattr(verifier, "_coprime_split_ok", lambda G, P, a_list: 0)
+    monkeypatch.setattr(verifier, "_split_failures", lambda G, members, a_list: np.ones(
+        (len(members), a_list.size), dtype=bool))
     assert _key_records(verifier.check_go(cons.alternating(4))) == [
         ("go", "FAIL", "no splitting", {"P": [0, 3, 8, 11], "a": 0}, 0, 0)]
 
@@ -856,6 +959,27 @@ def test_basic_fails_when_a_coprime_centralizer_image_is_too_small():
         ("basic", "FAIL", "coprime centralizer image too small",
          {"K": [0], "x": 1, "image": 1, "quotient_centralizer": 2}, 0, 0)]
     _assert_basic_witness_in_range(G, report)
+
+
+def test_cl2_fails_at_the_first_action_without_a_regular_orbit():
+    # frobenius(7,3): V = C7 = [0, 3, 6, ..., 18] and seven C3 subgroups A.
+    # In the commute matrix, 5 is made to fix 3, 6 and 9 and 10 to fix 12, 15
+    # and 18: A = [0, 5, 10] stays faithful, but every v then has |C_A(v)| = 2.
+    # Before it, V = 1 checks A = 1 and skips the 8 other A; V = C7 skips
+    # C7 itself (not coprime) up front, then checks 1, [0, 1, 2], [0, 4, 17]
+    G = cons.frobenius(7, 3)
+    assert _key_records(verifier.check_cl2(G)) == [
+        ("cl2", "PASS", "skipped tuples miss faithfulness or coprimality", {}, 9, 9)]
+    cm = G.commute_matrix.copy()
+    cm[5, [3, 6, 9]] = True
+    cm[10, [12, 15, 18]] = True
+    cm.setflags(write=False)
+    G.__dict__["commute_matrix"] = cm
+    [report] = verifier.check_cl2(G)
+    assert _key_records([report]) == [
+        ("cl2", "FAIL", "no regular orbit",
+         {"V": [0, 3, 6, 9, 12, 15, 18], "A": [0, 5, 10]}, 5, 9)]
+    assert all(0 <= x < G.n for key in ("V", "A") for x in report.witness[key])
 
 
 def test_ca_fails_at_the_first_broken_product_rule():
