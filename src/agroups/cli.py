@@ -28,10 +28,10 @@ from .verifier import FAIL, LEMMA_IDS, scan, verify_group
 from . import fileio
 
 
-def _env_int(name: str, default: int | None) -> int | None:
+def _env_int(name: str) -> int | None:
     raw = os.environ.get(name)
     if raw is None:
-        return default
+        return None
     try:
         return int(raw)
     except ValueError:
@@ -108,7 +108,7 @@ def cmd_info(args) -> int:
 def cmd_verify(args) -> int:
     G = fileio.load_group(args.source)
     if args.seed is None:
-        _env_int("AGROUPS_SEED", None)   # no effect, but must be an integer
+        _env_int("AGROUPS_SEED")   # no effect, but must be an integer
     lemmas = _lemma_list(args.lemma)
     if "bingo" in lemmas or "all" in lemmas:
         from .verifier import bingo_tuples, check_bingo_pair
@@ -131,7 +131,7 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.seed is None:
-        _env_int("AGROUPS_SEED", None)   # no effect, but must be an integer
+        _env_int("AGROUPS_SEED")   # no effect, but must be an integer
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     families = None
@@ -161,28 +161,20 @@ def cmd_construct(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     previous_cap = max_order_cap()
     try:
-        cap = args.cap if args.cap is not None else _env_int("AGROUPS_CAP", None)
+        cap = args.cap if args.cap is not None else _env_int("AGROUPS_CAP")
         if cap is not None:
             set_max_order_cap(cap)
-        if args.command == "info":
-            return cmd_info(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "construct":
-            return cmd_construct(args)
-        parser.error(f"unknown command {args.command}")
+        commands = {"info": cmd_info, "verify": cmd_verify, "scan": cmd_scan,
+                    "construct": cmd_construct}
+        return commands[args.command](args)
     except (InputError, PreconditionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         set_max_order_cap(previous_cap)
-    return 2
 
 
 if __name__ == "__main__":

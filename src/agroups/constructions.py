@@ -234,16 +234,15 @@ def semidirect_product(spec: ActionSpec, label: str | None = None) -> GroupTable
 
 @dataclass
 class NaturalSemidirect:
-    """H |x G/H for an abelian normal H of the base G."""
+    """H |x G/H for an abelian normal H of a group G."""
 
     group: GroupTable
-    base: GroupTable
     subgroup: SubgroupHandle
     quotient: QuotientMap
 
     def pairs(self, h, g) -> np.ndarray:
         """Indices in ``group`` of the elements (h, gH), for h in H and g in
-        the base.  The pair (h, gH) is pos(h) * |G/H| + coset(g), where pos(h)
+        G.  The pair (h, gH) is pos(h) * |G/H| + coset(g), where pos(h)
         is h's place among H's sorted members; the identity comes first, so
         (1, gH) has index coset(g) and ``quotient.projection`` embeds G/H."""
         h = np.asarray(h)
@@ -287,7 +286,7 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
         P = GroupTable(table, product_label(G, H))
         P._memo[("_product_tables",)] = products
         products[digest] = P
-    return NaturalSemidirect(products[digest], G, H, q)
+    return NaturalSemidirect(products[digest], H, q)
 
 
 def product_label(G: GroupTable, H: SubgroupHandle) -> str:

@@ -564,7 +564,6 @@ def coset_centralizer_orders(G: GroupTable, Ks: list[SubgroupHandle]) -> np.ndar
 class QuotientMap:
     """G -> G/N with a deterministic section (minimal coset representatives)."""
 
-    kernel: SubgroupHandle
     quotient: GroupTable
     projection: np.ndarray   # element of G  -> element of G/N
     section: np.ndarray      # element of G/N -> minimal representative in G
@@ -637,7 +636,7 @@ def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
         raise LemmaViolation("coset projection failed to be a homomorphism",
                              {"kernel": N.members.tolist()})
     quotient = GroupTable(qtable, label=f"{G.label}/N{N.order}", trusted=True)
-    return QuotientMap(N, quotient, projection, reps)
+    return QuotientMap(quotient, projection, reps)
 
 
 def _projects_homomorphically(G: GroupTable, projection: np.ndarray,
@@ -748,9 +747,6 @@ def commutator_with_element(G: GroupTable, H: SubgroupHandle, g: int) -> Subgrou
 # -- subgroup enumeration -------------------------------------------------------
 
 
-_JOIN_BLOCK = 1 << 21   # products one step of the join walk forms at once
-
-
 def _closed_joins(T: np.ndarray, gens: np.ndarray, atoms: list[np.ndarray],
                   compat: np.ndarray) -> list[np.ndarray]:
     """Every join of the atoms, each produced exactly once, as sorted members.
@@ -761,8 +757,9 @@ def _closed_joins(T: np.ndarray, gens: np.ndarray, atoms: list[np.ndarray],
     for closed itemsets): N, made by atom c, is extended by each allowed
     atom i > c it lacks, to the product of N and atom i (a subgroup, as the
     atom normalizes N), kept only when the first atom it adds is i.
-    Products are formed in blocks under ``_JOIN_BLOCK``, each padded to its
-    largest atom, so atoms sorted by size waste the least.
+    Products are formed in blocks under ``_PACKED_BLOCK`` bytes (each int32
+    product and its ``lacked`` lookup), each padded to its largest atom, so
+    atoms sorted by size waste the least.
     """
     n, k = len(T), len(gens)
     sizes = np.array([len(a) for a in atoms], dtype=np.int64)
@@ -780,7 +777,7 @@ def _closed_joins(T: np.ndarray, gens: np.ndarray, atoms: list[np.ndarray],
         allowed[:last + 1] = False
         cands = ids[allowed & ~mask[gens]]
         mem, lacked = elements[mask], np.where(mask, k, index)
-        step = max(1, _JOIN_BLOCK // (mem.size * width))
+        step = block_rows(8 * mem.size * width)
         for lo in range(0, cands.size, step):
             block = cands[lo:lo + step]
             rows = padded[block, None, :sizes[block].max()]
@@ -857,10 +854,10 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
     Hulpke's class-union construction: a normal subgroup is the join of the
     normal closures of its prime-power elements, and the closure of x depends
     only on the class of <x>; so the atoms are the distinct closures of the
-    least generators of the ``_cyclic_atoms``.  Since the product of two
-    normal subgroups is a subgroup, each step of the join walk,
-    ``_closed_joins``, is one set product with no closure loop; each normal
-    subgroup is produced once.
+    ``_cyclic_atoms``, one per class of conjugate cyclic subgroups.  Since
+    the product of two normal subgroups is a subgroup, each step of the join
+    walk, ``_closed_joins``, is one set product with no closure loop; each
+    normal subgroup is produced once.
     """
     if G.is_abelian():
         return subgroups_of(G)
@@ -870,8 +867,11 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
 @memoized
 def _normal_handles(G: GroupTable) -> list[SubgroupHandle]:
     rep, _ = _class_minima(G)
+    orders = G.element_orders
+    # conjugate cyclic subgroups share the least class minimum of their generators
+    keys = [rep[a[orders[a] == len(a)]].min() for a in _cyclic_atoms(G)[1]]
     closures: dict[bytes, tuple[int, np.ndarray]] = {}
-    for x in np.unique(rep[_cyclic_atoms(G)[0]]):
+    for x in np.unique(keys):
         mem = _close_members(G.table, np.append(G.conjugation_table[x], 0))
         closures.setdefault(mem.tobytes(), (int(x), mem))
     gens, atoms = zip(*sorted(closures.values(), key=lambda atom: len(atom[1])))

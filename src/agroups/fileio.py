@@ -250,23 +250,21 @@ def sniff_format(text: str) -> str:
     return "recipe"
 
 
-def load_group(source: str, fmt: str | None = None) -> GroupTable:
-    """Load from a path (cayley/perm/recipe file) or treat the string as a recipe."""
+def load_group(source: str) -> GroupTable:
+    """Load from a path, in the format ``sniff_format`` reads from the file's
+    first line (cayley, perm or a one-line recipe), or else treat the string
+    as a recipe."""
     path = Path(source)
     if path.exists() and path.is_file():
         text = path.read_text()
         if not text.strip():
             raise InputError(f"group file {source} is empty")
-        fmt = fmt or sniff_format(text)
+        fmt = sniff_format(text)
         if fmt == "cayley":
             return load_cayley(text, label=path.name)
         if fmt == "perm":
             return load_perm(text, label=path.name)
-        if fmt == "recipe":
-            return build_recipe(text.strip())
-        raise InputError(f"unknown format {fmt!r}")
-    if fmt not in (None, "recipe"):
-        raise InputError(f"no such file: {source}")
+        return build_recipe(text.strip())
     if not _NAME_RE.fullmatch(source.strip()):
         raise InputError(f"no such file, and not a recipe either: {source!r}")
     return build_recipe(source)

@@ -57,15 +57,12 @@ def index_set(G: GroupTable) -> IndexSet:
     return IndexSet(tuple(int(s) for s in np.unique(sizes)), G.n)
 
 
-def norms(N: IndexSet, primes=None) -> Norms:
-    """Per-prime maxima of p-parts over the index set, and their product.
-
-    The product runs over every prime dividing the group order, including
-    primes whose maximum p-part is 1.
-    """
-    if primes is None:
-        primes = prime_factors(N.group_order)
-    per_prime = {p: max(p_part(s, p) for s in N.sizes) for p in primes}
+def norms(N: IndexSet) -> Norms:
+    """Per-prime maxima of p-parts over the index set, and their product,
+    for every prime dividing the group order, including primes whose
+    maximum p-part is 1."""
+    per_prime = {p: max(p_part(s, p) for s in N.sizes)
+                 for p in prime_factors(N.group_order)}
     total = 1
     for v in per_prime.values():
         total *= v

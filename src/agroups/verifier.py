@@ -27,8 +27,9 @@ from .core import (
     centralizer_sizes,
     coset_centralizer_orders,
     derived_series,
-    normal_subgroups,
     member_counts,
+    memoized,
+    normal_subgroups,
     p_part,
     pack_rows,
     prime_factors,
@@ -268,6 +269,7 @@ def _coprime_split_ok(G: GroupTable, P: SubgroupHandle, a_list: np.ndarray):
     return int(np.argmax(bad)) if bad.any() else None
 
 
+@memoized
 def _abelian_p_classes(G: GroupTable):
     """The (p, H) of ``_normal_p_subgroups`` with H abelian, and their
     positions in that list grouped by (p, |H|), with each class's members
@@ -409,6 +411,7 @@ def check_size(G: GroupTable) -> list[VerificationReport]:
     return [_report(G, "size", PASS, note, None, int(kept.sum()), skipped)]
 
 
+@memoized
 def _normal_p_subgroups(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
     """(p, H) for every nontrivial normal p-subgroup H, in ``normal_subgroups`` order."""
     out = []
@@ -419,6 +422,7 @@ def _normal_p_subgroups(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
     return out
 
 
+@memoized
 def _abelian_sylow_primes(G: GroupTable) -> list[int]:
     """The primes of |G| with an abelian Sylow subgroup, in increasing order."""
     return [p for p in prime_factors(G.n) if sylow_subgroup(G, p).is_abelian]
@@ -840,36 +844,22 @@ class ScanResult:
     def fail_count(self) -> int:
         return sum(1 for r in self.reports if r.status == FAIL)
 
-    @property
-    def counts(self) -> dict[str, int]:
-        out = {PASS: 0, FAIL: 0, SKIP: 0}
-        for r in self.reports:
-            out[r.status] += 1
-        return out
 
-
-def _scan_one(G: GroupTable, *, lemmas, explore: bool):
-    reports = verify_group(G, lemmas, explore=explore)
-    cell = None
+def _tally(results, started: float) -> ScanResult:
+    """One ScanResult from the per-group report lists: reports sorted by
+    (order, group, lemma), the count of each theorem cell (A-group,
+    hypothesis, abelian) and the counterexample labels."""
+    reports = [r for group_reports in results for r in group_reports]
+    cells: dict[tuple[bool, bool, bool], int] = {}
+    counterexamples = []
     for r in reports:
         if r.lemma_id == "theorem":
             w = r.witness
             cell = (w["is_a_group"], w["satisfies"], w["abelian"])
-    return reports, cell
-
-
-def _tally(results, started: float) -> ScanResult:
-    """One ScanResult from per-group (reports, theorem cell) pairs: reports
-    sorted by (order, group, lemma), cell counts and counterexample labels."""
-    reports = [r for group_reports, _ in results for r in group_reports]
-    reports.sort(key=lambda r: (r.group_order, r.group_label, r.lemma_id))
-    cells: dict[tuple[bool, bool, bool], int] = {}
-    counterexamples = []
-    for group_reports, cell in results:
-        if cell is not None:
             cells[cell] = cells.get(cell, 0) + 1
             if cell == (True, True, False):
-                counterexamples.append(group_reports[0].group_label)
+                counterexamples.append(r.group_label)
+    reports.sort(key=lambda r: (r.group_order, r.group_label, r.lemma_id))
     return ScanResult(reports, len(results), cells, sorted(counterexamples),
                       time.perf_counter() - started)
 
@@ -881,11 +871,11 @@ _IN_FLIGHT_PER_JOB = 32
 
 
 def _scan_groups(groups, lemmas, jobs: int, explore: bool) -> ScanResult:
-    """Run ``_scan_one`` on each group of the stream: in this process at one
-    job, otherwise in ``jobs`` worker processes.  Results are collected in
-    stream order, so the result is the same at every job count."""
+    """Run ``verify_group`` on each group of the stream: in this process at
+    one job, otherwise in ``jobs`` worker processes.  Results are collected
+    in stream order, so the result is the same at every job count."""
     started = time.perf_counter()
-    one = functools.partial(_scan_one, lemmas=tuple(lemmas), explore=explore)
+    one = functools.partial(verify_group, lemmas=tuple(lemmas), explore=explore)
     if jobs == 1:
         return _tally([one(G) for G in groups], started)
     from concurrent.futures import ProcessPoolExecutor

@@ -572,10 +572,9 @@ def test_normal_subgroups_vs_oracle(small_pool):
 
 
 def test_normal_atoms_close_one_class_per_cyclic_generator_class(monkeypatch):
-    """The normal walk closes one class per G-class of the least generators
-    of the prime-power cyclic subgroups (24 here: conjugate subgroups may
-    have least generators in different classes), not one per nontrivial
-    conjugacy class (399 on this group)."""
+    """The normal walk closes one class per class of conjugate prime-power
+    cyclic subgroups (21 here), keyed on the least class minimum of their
+    generators, not one per nontrivial conjugacy class (399 on this group)."""
     G = build_recipe("dp(sym(4),cyclic(80))")
     calls = []
     real = core._close_mask
@@ -586,16 +585,17 @@ def test_normal_atoms_close_one_class_per_cyclic_generator_class(monkeypatch):
 
     monkeypatch.setattr(core, "_close_mask", counting)
     core.normal_subgroups(G)
-    rep = G.conjugation_table.min(axis=1)
-    least = set()
+    cyclic = set()
     for x in range(1, G.n):
-        powers = [x]                            # x^1, ..., x^(o-1)
+        powers = [0, x]                         # x^0, ..., x^(o-1)
         while (y := int(G.table[powers[-1], x])) != 0:
             powers.append(y)
-        primes = core.prime_factors(len(powers) + 1)
-        if len(primes) == 1:
-            least.add(int(rep[min(y for k, y in enumerate(powers, 1) if k % primes[0])]))
-    assert len(calls) == len(least) == 24
+        if len(core.prime_factors(len(powers))) == 1:
+            cyclic.add(tuple(sorted(powers)))
+    classes = {np.unique(np.sort(G.conjugation_table[list(C)].T, axis=1), axis=0).tobytes()
+               for C in cyclic}
+    assert len(calls) == len(classes) == 21
+    rep = G.conjugation_table.min(axis=1)
     assert len(np.unique(rep)) - 1 == 399
 
 

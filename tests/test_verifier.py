@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agroups import constructions as cons, core, fileio, structure, verifier
+from agroups.indices import HypothesisCheck
 from agroups.structure import complement_search, fitting_data, p_core
 
 from conftest import (
@@ -846,6 +848,42 @@ def test_key_fails_when_a_two_step_pairing_fails(monkeypatch):
         "two-step pairing failed: stub", {"H": [0, 15], "N": [0, 5, 10]}, 4, "pairing failed")
 
 
+def test_key_iff_fails_when_the_collapse_changes_abelianness(monkeypatch):
+    G = cons.symmetric(3)
+    F = fitting_data(G).fitting
+    product = cons.collapse(G, F).group              # memoized: check_key reads it
+    assert product is not G
+    monkeypatch.setattr(product, "is_abelian", lambda: True)
+    records = _key_records(verifier.check_key(G))
+    assert records == [
+        ("key", "PASS", "", {}, 2, 0),
+        ("key_iff", "FAIL", "abelianness changed under the collapse", {"F": [0, 3, 4]}, 1, 0)]
+    assert all(0 <= x < G.n for x in records[1][3]["F"])
+
+
+def test_cc_fails_when_no_member_of_f_realizes_a_p_part(monkeypatch):
+    G = cons.symmetric(3)                           # F = C3, |G/F|_2 = 2
+    monkeypatch.setattr(verifier, "centralizer_sizes", lambda T: np.full(T.n, T.n))
+    records = _key_records(verifier.check_cc(G))
+    assert records == [("cc", "FAIL", "no member of F realizes the p-part",
+                        {"F": [0, 3, 4], "p": 2, "target": 2}, 2, 0)]
+    witness = records[0][3]
+    assert all(0 <= x < G.n for x in witness["F"]) and G.n % witness["p"] == 0
+
+
+def test_theorem_fails_and_the_scan_names_the_counterexample(monkeypatch):
+    monkeypatch.setattr(verifier, "hypothesis_check",
+                        lambda T: HypothesisCheck(True, True, True))
+    G = cons.symmetric(3)
+    assert _key_records(verifier.check_theorem(G)) == [
+        ("theorem", "FAIL", "counterexample: hypothesis holds but the group is nonabelian",
+         {"is_a_group": True, "contains_all_prime_norms": True, "contains_total_norm": True,
+          "satisfies": True, "abelian": False}, 1, 0)]
+    result = verifier.theorem_scan([cons.cyclic(6), G])
+    assert result.fail_count == 1 and result.counterexamples == ["sym(3)"]
+    assert result.theorem_cells == {(True, True, True): 1, (True, True, False): 1}
+
+
 # The failure exits of the checks that walk the normal p-subgroups.
 
 
@@ -1114,3 +1152,41 @@ def test_key_iff_on_abelian():
     reports = verifier.check_key(cons.abelian_group((4, 3)))
     st = {r.lemma_id: r.status for r in reports}
     assert st == {"key": "PASS", "key_iff": "PASS"}
+
+
+# -- relabelling invariance ------------------------------------------------------------
+
+
+def _relabelled(G, sigma):
+    """G with element a renamed sigma[a]: T'[sigma a, sigma b] = sigma T[a, b]."""
+    table = np.empty_like(G.table)
+    table[np.ix_(sigma, sigma)] = sigma[G.table]
+    return core.GroupTable(table, G.label)
+
+
+def _records(G):
+    return [(r.lemma_id, r.status, r.checked, r.skipped, r.hypothesis_note)
+            for r in verifier.verify_group(G, ("all",), explore=True)]
+
+
+@pytest.fixture(scope="module")
+def relabelling_tables():
+    return [*cons.corpus(24), fileio.build_recipe("dp(sym(4),abelian(2,2))"),
+            cons.alternating(5)]
+
+
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_relabelling_keeps_every_record_and_subgroup_list(relabelling_tables, data):
+    """No result depends on element labels: a relabelling sigma that fixes
+    the identity maps the normal and abelian subgroup lists onto those of
+    the relabelled table, and every check gives the same record."""
+    for G in relabelling_tables:
+        # the simplest draw is the shift a -> a + 1 on 1..n-1, not the identity
+        shift = [*range(2, G.n), 1][:G.n - 1]
+        sigma = np.array([0, *data.draw(st.permutations(shift))])
+        H = _relabelled(G, sigma)
+        for query in (core.normal_subgroups, core.abelian_subgroups):
+            assert ({frozenset(sigma[K.members].tolist()) for K in query(G)}
+                    == {frozenset(K.members.tolist()) for K in query(H)}), G.label
+        assert _records(H) == _records(G), G.label
