@@ -21,11 +21,16 @@ read without a quotient: ``coset_centralizer_orders`` counts, for every x
 and every K of a list, the members of its class that lie in Kx, from the
 least member of each class (``_class_minima``, the one class reader).
 
-Questions about many subgroups at once go through one counting kernel,
-``member_counts``: |{y in H_i : B[y, x]}| for stacked subgroup masks and a
+A subgroup list is held as arrays, ``SubgroupArrays``: the packed masks,
+orders, flat members and ``is_abelian`` flags of every subgroup, in one
+canonical order.  The normal and the abelian lists come from one join walk,
+``_closed_joins``, which expands every join of one depth at once; handles
+are built from the arrays only where a caller needs an object.  Questions
+about many subgroups at once go through one counting kernel,
+``member_counts``: |{y in H_i : B[y, x]}| for packed subgroup masks and a
 boolean relation B, both packed into 64-bit words by one packer,
 ``pack_rows``, and counted with ``np.bitwise_count`` in blocks under one
-byte budget, ``_PACKED_BLOCK``.
+byte budget, ``_PACKED_BLOCK``, which also bounds each step of the walk.
 
 Every other derivation worth keeping -- subgroup lists, Sylow subgroups,
 p-cores, quotients, index sets, the derived series, the Fitting data,
@@ -302,6 +307,17 @@ class GroupTable:
 # -- subgroups ---------------------------------------------------------------
 
 
+def _require_subgroup_shape(n: int, members: np.ndarray) -> None:
+    """Raise PreconditionError unless the sorted members hold the identity
+    and their number divides n."""
+    if members.size == 0 or members[0] != 0:
+        raise PreconditionError("subgroup must contain the identity",
+                                {"members": members.tolist()})
+    if n % len(members) != 0:
+        raise PreconditionError(f"|H| = {len(members)} does not divide |G| = {n}",
+                                {"members": members.tolist()})
+
+
 class SubgroupHandle:
     """A subgroup as a sorted member list plus a boolean membership mask."""
 
@@ -323,14 +339,16 @@ class SubgroupHandle:
         self.mask = mask
         self._is_normal = is_normal
         self._is_abelian = is_abelian
-        if members.size == 0 or members[0] != 0:
-            raise PreconditionError("subgroup must contain the identity",
-                                    {"members": members.tolist()})
-        if parent.n % len(members) != 0:
-            raise PreconditionError(
-                f"|H| = {len(members)} does not divide |G| = {parent.n}",
-                {"members": members.tolist()},
-            )
+        _require_subgroup_shape(parent.n, members)
+
+    @classmethod
+    def _of(cls, parent: GroupTable, members: np.ndarray, mask: np.ndarray,
+            is_normal: bool | None, is_abelian: bool | None) -> "SubgroupHandle":
+        """A handle on read-only members and mask that ``_arrays`` already checked."""
+        H = object.__new__(cls)
+        H.parent, H.members, H.mask = parent, members, mask
+        H._is_normal, H._is_abelian = is_normal, is_abelian
+        return H
 
     @property
     def order(self) -> int:
@@ -473,7 +491,7 @@ def centralizer_sizes(G: GroupTable) -> np.ndarray:
     return G.commute_matrix.sum(axis=0)
 
 
-_PACKED_BLOCK = 1 << 20   # bytes one block of a packed-word or stacked-subgroup computation forms
+_PACKED_BLOCK = 1 << 20   # bytes one block of a packed-word or subgroup-walk computation forms
 
 
 def block_rows(row_bytes: int) -> int:
@@ -483,7 +501,8 @@ def block_rows(row_bytes: int) -> int:
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
     """Each row of a boolean matrix as zero-padded 64-bit words, one bit per
-    entry: the one packing behind ``product_rule_matrix`` and ``member_counts``."""
+    entry: the one packing behind ``product_rule_matrix``, ``member_counts``
+    and the subgroup lists."""
     count, width = rows.shape
     packed = np.zeros((count, 8 * -(-width // 64)), dtype=np.uint8)
     packed[:, :-(-width // 8)] = np.packbits(rows, axis=1)
@@ -504,19 +523,10 @@ def member_counts(words: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def stacked_masks(G: GroupTable, subgroups: list[SubgroupHandle]) -> np.ndarray:
-    """The membership masks of ``subgroups``, one row each (s x n)."""
-    return np.array([H.mask for H in subgroups], dtype=bool).reshape(len(subgroups), G.n)
-
-
-def subgroup_blocks(G: GroupTable, subgroups: list[SubgroupHandle]):
-    """Consecutive runs of ``subgroups``, each with its start and its stacked
-    masks, short enough that the run's packed words against n packed
-    columns form one ``member_counts`` block."""
-    step = block_rows(8 * -(-G.n // 64) * G.n)
-    for lo in range(0, len(subgroups), step):
-        run = subgroups[lo:lo + step]
-        yield lo, run, stacked_masks(G, run)
+def unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
+    """The boolean rows, ``width`` entries each, that ``pack_rows`` packed into ``words``."""
+    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=1,
+                         count=width).view(bool)
 
 
 @memoized
@@ -545,16 +555,22 @@ def _coset_columns(G: GroupTable) -> np.ndarray:
 
 
 def coset_centralizer_orders(G: GroupTable, Ks: list[SubgroupHandle]) -> np.ndarray:
-    """|K| |C_{G/K}(xK)| for every normal K in ``Ks`` (one row each) and
-    every x: the number of y with [x, y] in K.  Those y have x^y in Kx, and
-    there are |C_G(x)| |cl(x) n Kx| of them; |cl(x) n Kx| counts the k in K
-    whose kx has the class minimum of x, which ``member_counts`` reads for
-    all of ``Ks`` at once."""
+    """``coset_centralizer_rows`` for every normal K in ``Ks``, one row each."""
     for K in Ks:
         require_normal(K)
+    masks = np.array([K.mask for K in Ks], dtype=bool).reshape(len(Ks), G.n)
+    return coset_centralizer_rows(G, pack_rows(masks))
+
+
+def coset_centralizer_rows(G: GroupTable, words: np.ndarray) -> np.ndarray:
+    """|K| |C_{G/K}(xK)| for every x and every normal K whose mask
+    ``pack_rows`` packed into a row of ``words``: the number of y with
+    [x, y] in K.  Those y have x^y in Kx, and there are
+    |C_G(x)| |cl(x) n Kx| of them; |cl(x) n Kx| counts the k in K whose kx
+    has the class minimum of x, which ``member_counts`` reads for every row
+    at once.  The caller vouches that each K is normal."""
     _, class_centralizer = _class_minima(G)
-    return class_centralizer * member_counts(pack_rows(stacked_masks(G, Ks)),
-                                             _coset_columns(G))
+    return class_centralizer * member_counts(words, _coset_columns(G))
 
 
 # -- quotients ---------------------------------------------------------------
@@ -747,56 +763,102 @@ def commutator_with_element(G: GroupTable, H: SubgroupHandle, g: int) -> Subgrou
 # -- subgroup enumeration -------------------------------------------------------
 
 
-def _closed_joins(T: np.ndarray, gens: np.ndarray, atoms: list[np.ndarray],
-                  compat: np.ndarray) -> list[np.ndarray]:
-    """Every join of the atoms, each produced exactly once, as sorted members.
+def _closed_joins(T: np.ndarray, gens: np.ndarray, atoms: np.ndarray, sizes: np.ndarray,
+                  compat: np.ndarray) -> np.ndarray:
+    """Every join of the atoms, each produced exactly once, as its membership
+    mask packed by ``pack_rows``: the trivial subgroup, then the joins made
+    by one step, by two, and so on.
 
-    Atom i, the members ``atoms[i]``, is the smallest subgroup of its kind
-    holding ``gens[i]``; a join holding atom j may take atom i only if
+    Atom i is the smallest subgroup of its kind holding ``gens[i]``: row i
+    of ``atoms`` lists its ``sizes[i]`` members other than the identity
+    first, then only members of it (N itself lies in every product, so the
+    identity adds nothing).  A join holding atom j may take atom i only if
     ``compat[j, i]``.  Prefix-preserving closure extension (the LCM scheme
     for closed itemsets): N, made by atom c, is extended by each allowed
     atom i > c it lacks, to the product of N and atom i (a subgroup, as the
-    atom normalizes N), kept only when the first atom it adds is i.
-    Products are formed in blocks under ``_PACKED_BLOCK`` bytes (each int32
-    product and its ``lacked`` lookup), each padded to its largest atom, so
-    atoms sorted by size waste the least.
+    atom normalizes N), kept only when the first atom it adds is i.  The
+    children of a join depend only on its members and the atoms it may
+    still take, so ``_next_level`` extends every join of one depth at once.
     """
     n, k = len(T), len(gens)
-    sizes = np.array([len(a) for a in atoms], dtype=np.int64)
-    width = sizes.max(initial=1)
-    padded = np.zeros((k, width), dtype=np.int64)  # padded with the identity
-    for row, a in zip(padded, atoms):
-        row[:len(a)] = a
-    elements, ids = np.arange(n), np.arange(k)
+    ids = np.arange(k)
     index = np.full(n, k, dtype=_INDEX_DTYPE)
-    index[gens] = ids                               # the atom each element generates
-    found = [elements[:1]]
-    stack = [(elements == 0, -1, np.ones(k, dtype=bool))]  # members, last atom, allowed
-    while stack:
-        mask, last, allowed = stack.pop()
-        allowed[:last + 1] = False
-        cands = ids[allowed & ~mask[gens]]
-        mem, lacked = elements[mask], np.where(mask, k, index)
-        step = block_rows(8 * mem.size * width)
-        for lo in range(0, cands.size, step):
-            block = cands[lo:lo + step]
-            rows = padded[block, None, :sizes[block].max()]
-            prods = T[mem[:, None], rows].reshape(block.size, -1)
-            keep = lacked[prods].min(axis=1) == block
-            for row, i in zip(prods[keep], block[keep]):
-                child = np.zeros(n, dtype=bool)
-                child[row] = True
-                found.append(elements[child])
-                stack.append((child, i, allowed & compat[i]))
-    return found
+    index[gens] = ids                                 # the atom each element generates
+    later = pack_rows(compat & (ids > ids[:, None]))  # what a join made by atom i may take
+    root = np.zeros((1, n), dtype=bool)
+    root[0, 0] = True
+    level = (pack_rows(root), pack_rows(np.ones((1, k), dtype=bool)))  # joins, atoms allowed
+    found = [level[0]]
+    while len(level[0]):
+        level = _next_level(T.ravel(), gens, atoms, sizes, index, later, *level)
+        found.append(level[0])
+    return np.concatenate(found)
+
+
+def _next_level(products, gens, atoms, sizes, index, later, words, allowed):
+    """The children of every join of one depth, and the atoms each may take.
+
+    The joins are read in blocks of rows, and their (join, atom) pairs in
+    the blocks of ``_pair_blocks``: one gather from the flat product table
+    per block, each join padded with the identity and each atom with its own
+    members to the block's widest, then one minimum per row of the atoms the
+    products add (``lacked``), and the masks of the products kept, with
+    their join."""
+    n, k = len(index), len(gens)
+    out = []
+    step = block_rows(24 * n + 2 * k)           # mask, members and lacked atoms per join
+    for lo in range(0, len(words), step):
+        masks = unpack_rows(words[lo:lo + step], n)
+        nodes, adds = np.nonzero(unpack_rows(allowed[lo:lo + step], k) > masks[:, gens])
+        if not nodes.size:
+            continue
+        orders = masks.sum(axis=1)
+        # the members of each join last, ascending, after the identity padding,
+        # as rows of the flat product table
+        rows = np.sort(np.where(masks, np.arange(0, n * n, n), 0), axis=1)[:, n - orders.max():]
+        lacked = np.where(masks, k, index).ravel()
+        for u, i, m, a in _pair_blocks(nodes, adds, orders, sizes, n):
+            prods = products[rows[u, -m:, None] + atoms[i, None, :a]]
+            keep = lacked[(u * n)[:, None, None] + prods].min(axis=(1, 2)) == i
+            child = masks[u[keep]]
+            child.ravel()[(np.arange(len(child)) * n)[:, None, None] + prods[keep]] = True
+            out.append((pack_rows(child), allowed[lo + u[keep]] & later[i[keep]]))
+    if len(out) == 1:
+        return out[0]
+    if not out:
+        return words[:0], allowed[:0]
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _pair_blocks(nodes, adds, orders, sizes, fixed):
+    """The (join, atom) pairs in blocks (joins, atoms, widest join, widest
+    atom) that form within ``_PACKED_BLOCK`` bytes: 16 per product (int32,
+    its index and its lacked atom) and ``fixed`` per pair.  All pairs form
+    one block when they fit, padded to the widest join and atom; otherwise
+    each run of one join order and one atom size is cut into blocks of its
+    own."""
+    m, a = int(orders.max()), int(sizes.max())
+    if nodes.size * (16 * m * a + fixed) <= _PACKED_BLOCK:
+        yield nodes, adds, m, a
+        return
+    m, a = orders[nodes], sizes[adds]
+    by = np.lexsort((m, a))
+    nodes, adds, m, a = nodes[by], adds[by], m[by], a[by]
+    bounds = (np.flatnonzero((np.diff(m) != 0) | (np.diff(a) != 0)) + 1).tolist()
+    for lo, hi in zip([0, *bounds], [*bounds, len(m)]):
+        step = block_rows(16 * int(m[lo]) * int(a[lo]) + fixed)
+        for start in range(lo, hi, step):
+            end = min(start + step, hi)
+            yield nodes[start:end], adds[start:end], int(m[lo]), int(a[lo])
 
 
 @memoized
-def _cyclic_atoms(G: GroupTable) -> tuple[np.ndarray, list[np.ndarray]]:
+def _cyclic_atoms(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """The cyclic subgroups <x> of prime-power order (one prime of |G|
-    divides |x|), each at its least generator x: the generators, and the
-    members of each, read from one power table (x, x^2, ... up to the
-    largest prime-power order)."""
+    divides |x|), each at its least generator x: the generators, and one
+    power table, row x holding x, x^2, ... up to the largest prime-power
+    order, so that its first |x| - 1 entries are the members of <x> other
+    than the identity and the rest repeat <x>."""
     orders = G.element_orders
     primes = np.array(prime_factors(G.n), dtype=np.int64)
     xs = np.flatnonzero((orders[:, None] % primes == 0).sum(axis=1) == 1)
@@ -806,50 +868,87 @@ def _cyclic_atoms(G: GroupTable) -> tuple[np.ndarray, list[np.ndarray]]:
     powers = np.stack(powers, axis=1)
     least = np.where(orders[powers] == orders[xs][:, None], powers, G.n).min(axis=1)
     keep = least == xs
-    return xs[keep], [row[:orders[x]] for row, x in zip(powers[keep], xs[keep])]
+    return xs[keep], powers[keep]
 
 
-def _abelian_walk(G: GroupTable) -> list[np.ndarray]:
-    """Every abelian subgroup of G: the joins of the ``_cyclic_atoms``, an
-    atom that centralizes N giving the abelian N<x>."""
-    gens, atoms = _cyclic_atoms(G)
-    return _closed_joins(G.table, gens, atoms, G.commute_matrix[gens][:, gens])
+@dataclass(frozen=True)
+class SubgroupArrays:
+    """A subgroup list as arrays, one row or run per subgroup H_i, in the
+    canonical order of every subgroup query (see ``_arrays``)."""
+
+    words: np.ndarray     # the membership masks, packed by ``pack_rows``
+    orders: np.ndarray    # |H_i|
+    members: np.ndarray   # the sorted members of each H_i, one run after another
+    offsets: np.ndarray   # H_i's run is members[offsets[i]:offsets[i + 1]]
+    abelian: np.ndarray   # is H_i abelian
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+    def members_of(self, i: int) -> np.ndarray:
+        return self.members[self.offsets[i]:self.offsets[i + 1]]
+
+    def stacked(self, rows: np.ndarray) -> np.ndarray:
+        """The members of ``rows``, all of one order, one row each."""
+        return self.members[self.offsets[rows][:, None] + np.arange(self.orders[rows[0]])]
 
 
-def _handles(G: GroupTable, raw: list[np.ndarray], known=(),
-             **flags) -> list[SubgroupHandle]:
-    """Handles in the canonical order of every subgroup query: (order,
-    members), the members compared as big-endian bytes, which sort like the
-    integers.
+def _arrays(G: GroupTable, words: np.ndarray, abelian: bool) -> SubgroupArrays:
+    """The joins of a walk in the canonical order of every subgroup query:
+    (order, members), the members compared as integers.  For two masks of
+    one order that is descending order of their bits, element 0 first, so
+    one sort over the words, read big-endian, gives it.
 
-    A handle in ``known`` with the same members is reused rather than built
-    again, so a subgroup two queries return is held once.
-    """
-    reuse = {H.members.tobytes(): H for H in known}
-    raw.sort(key=lambda mem: (len(mem), mem.astype(">u4").tobytes()))
-    return [reuse.get(mem.tobytes()) or SubgroupHandle(G, mem, **flags) for mem in raw]
+    Each row must hold the identity and have an order dividing |G|, which a
+    walk over broken tables can miss: the first row in order that does not
+    raises the ``PreconditionError`` a ``SubgroupHandle`` raises.  The
+    ``abelian`` flags are all set for the walk over commuting atoms, and
+    otherwise read by ``_abelian_flags``."""
+    orders = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    by = np.lexsort((*(~words.view(">u8")).T[::-1], orders))
+    words, orders = words[by], orders[by]
+    step = block_rows(G.n)
+    members = np.concatenate([np.nonzero(unpack_rows(words[lo:lo + step], G.n))[1]
+                              for lo in range(0, len(words), step)])
+    offsets = np.concatenate(([0], np.cumsum(orders)))
+    bad = (members[offsets[:-1]] != 0) | (G.n % orders != 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _require_subgroup_shape(G.n, members[offsets[i]:offsets[i + 1]])
+    members.setflags(write=False)
+    flags = np.ones(len(orders), dtype=bool) if abelian else _abelian_flags(G, words, orders)
+    return SubgroupArrays(words, orders, members, offsets, flags)
 
 
-def subgroups_of(G: GroupTable) -> list[SubgroupHandle]:
-    """Every subgroup of an abelian G, deterministically ordered.
-
-    G must be abelian (``PreconditionError`` with a noncommuting pair
-    otherwise): ``_abelian_walk`` joins its prime-power cyclic subgroups,
-    each subgroup once.  The handles are memoized on the table; callers get
-    a fresh list of them.
-    """
-    return list(_subgroup_handles(G))
+def _abelian_flags(G: GroupTable, words: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """H_i is abelian iff each of its members commutes with all |H_i| of
+    them: ``member_counts`` against the commute matrix, a block of rows at
+    a time."""
+    columns = pack_rows(G.commute_matrix.T)
+    step = block_rows(8 * G.n)
+    flags = np.empty(len(words), dtype=bool)
+    for lo in range(0, len(words), step):
+        w, o = words[lo:lo + step], orders[lo:lo + step]
+        full = pack_rows(member_counts(w, columns) == o[:, None])
+        flags[lo:lo + step] = np.bitwise_count(full & w).sum(axis=1) == o
+    return flags
 
 
 @memoized
-def _subgroup_handles(G: GroupTable) -> list[SubgroupHandle]:
-    require_abelian(full_subgroup(G))
-    return _handles(G, _abelian_walk(G), is_abelian=True, is_normal=True)
+def abelian_arrays(G: GroupTable) -> SubgroupArrays:
+    """Every abelian subgroup of G (every subgroup, when G is abelian): the
+    joins of the ``_cyclic_atoms``, an atom that centralizes N giving the
+    abelian N<x>."""
+    gens, powers = _cyclic_atoms(G)
+    joins = _closed_joins(G.table, gens, powers, G.element_orders[gens] - 1,
+                          G.commute_matrix[gens][:, gens])
+    return _arrays(G, joins, abelian=True)
 
 
-def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
-    """Every normal subgroup, in the canonical order of ``_handles``; the one
-    list that every normal-subgroup question filters.
+@memoized
+def normal_arrays(G: GroupTable) -> SubgroupArrays:
+    """Every normal subgroup, the one list every normal-subgroup question
+    filters.
 
     Hulpke's class-union construction: a normal subgroup is the join of the
     normal closures of its prime-power elements, and the closure of x depends
@@ -860,31 +959,75 @@ def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
     normal subgroup is produced once.
     """
     if G.is_abelian():
+        return abelian_arrays(G)
+    rep, _ = _class_minima(G)
+    orders = G.element_orders
+    gens, powers = _cyclic_atoms(G)
+    # conjugate cyclic subgroups share the least class minimum of their generators
+    keys = np.where(orders[powers] == orders[gens][:, None], rep[powers], G.n).min(axis=1)
+    closures: dict[bytes, tuple[int, np.ndarray]] = {}
+    for x in np.unique(keys):
+        mem = _close_members(G.table, np.append(G.conjugation_table[x], 0))
+        closures.setdefault(mem.tobytes(), (int(x), mem))
+    gens, atoms = zip(*sorted(closures.values(), key=lambda atom: len(atom[1])))
+    sizes = np.array([len(a) - 1 for a in atoms], dtype=np.int64)
+    padded = np.zeros((len(atoms), sizes.max()), dtype=np.int64)    # with the identity
+    for row, a in zip(padded, atoms):
+        row[:len(a) - 1] = a[1:]
+    compat = np.ones((len(gens), len(gens)), dtype=bool)
+    joins = _closed_joins(G.table, np.array(gens), padded, sizes, compat)
+    return _arrays(G, joins, abelian=False)
+
+
+def _handles(G: GroupTable, arrays: SubgroupArrays, known=(),
+             is_normal: bool | None = None) -> list[SubgroupHandle]:
+    """One handle per subgroup of ``arrays``, in its order, with its
+    abelian flag; a handle in ``known`` with the same members is reused
+    rather than built again, so a subgroup two queries return is held once.
+    """
+    reuse = {H.members.tobytes(): H for H in known}
+    masks = unpack_rows(arrays.words, G.n)
+    masks.setflags(write=False)
+    out = []
+    bounds = arrays.offsets.tolist()
+    for i, flag in enumerate(arrays.abelian.tolist()):
+        mem = arrays.members[bounds[i]:bounds[i + 1]]
+        H = reuse.get(mem.tobytes()) if reuse else None
+        out.append(H or SubgroupHandle._of(G, mem, masks[i], is_normal, flag))
+    return out
+
+
+def subgroups_of(G: GroupTable) -> list[SubgroupHandle]:
+    """Every subgroup of an abelian G, in the canonical order of ``_arrays``.
+
+    G must be abelian (``PreconditionError`` with a noncommuting pair
+    otherwise): its subgroups are its ``abelian_arrays``.  The handles are
+    memoized on the table; callers get a fresh list of them.
+    """
+    return list(_subgroup_handles(G))
+
+
+@memoized
+def _subgroup_handles(G: GroupTable) -> list[SubgroupHandle]:
+    require_abelian(full_subgroup(G))
+    return _handles(G, abelian_arrays(G), is_normal=True)
+
+
+def normal_subgroups(G: GroupTable) -> list[SubgroupHandle]:
+    """Every normal subgroup, as handles on the rows of ``normal_arrays``."""
+    if G.is_abelian():
         return subgroups_of(G)
     return list(_normal_handles(G))
 
 
 @memoized
 def _normal_handles(G: GroupTable) -> list[SubgroupHandle]:
-    rep, _ = _class_minima(G)
-    orders = G.element_orders
-    # conjugate cyclic subgroups share the least class minimum of their generators
-    keys = [rep[a[orders[a] == len(a)]].min() for a in _cyclic_atoms(G)[1]]
-    closures: dict[bytes, tuple[int, np.ndarray]] = {}
-    for x in np.unique(keys):
-        mem = _close_members(G.table, np.append(G.conjugation_table[x], 0))
-        closures.setdefault(mem.tobytes(), (int(x), mem))
-    gens, atoms = zip(*sorted(closures.values(), key=lambda atom: len(atom[1])))
-    compat = np.ones((len(gens), len(gens)), dtype=bool)
-    return _handles(G, _closed_joins(G.table, np.array(gens), atoms, compat), is_normal=True)
+    return _handles(G, normal_arrays(G), is_normal=True)
 
 
 def abelian_subgroups(G: GroupTable) -> list[SubgroupHandle]:
-    """Every abelian subgroup, in the canonical order of ``_handles``.
-
-    The join walk of ``subgroups_of``, on a nonabelian G: a subgroup is only
-    extended by an atom that centralizes it, so every join is again abelian.
-    """
+    """Every abelian subgroup, as handles on the rows of ``abelian_arrays``;
+    an abelian normal subgroup is the handle ``normal_subgroups`` holds."""
     if G.is_abelian():
         return subgroups_of(G)
     return list(_abelian_handles(G))
@@ -893,4 +1036,4 @@ def abelian_subgroups(G: GroupTable) -> list[SubgroupHandle]:
 @memoized
 def _abelian_handles(G: GroupTable) -> list[SubgroupHandle]:
     normal = [H for H in normal_subgroups(G) if H.is_abelian]
-    return _handles(G, _abelian_walk(G), normal, is_abelian=True)
+    return _handles(G, abelian_arrays(G), normal)

@@ -22,23 +22,24 @@ from .core import (
     PreconditionError,
     SubgroupHandle,
     _close_members,
-    abelian_subgroups,
+    abelian_arrays,
     block_rows,
     centralizer_sizes,
     coset_centralizer_orders,
+    coset_centralizer_rows,
     derived_series,
     member_counts,
     memoized,
+    normal_arrays,
     normal_subgroups,
     p_part,
     pack_rows,
     prime_factors,
     product_rule_matrix,
     release_memo,
-    stacked_masks,
-    subgroup_blocks,
     subgroup_closure,
     trivial_subgroup,
+    unpack_rows,
 )
 from .indices import hypothesis_check, ind_rel, index_set, norms
 from .structure import (
@@ -102,9 +103,10 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
     centralizers of commuting coprime products, and centralizer images
     in quotients (with equality in the coprime case).
 
-    The normal subgroups K are read in runs (``subgroup_blocks``), each as
-    s x n arrays: |C_K(x)| from ``member_counts`` against the commute
-    matrix, |K| |C_{G/K}(xK)| from ``coset_centralizer_orders``.  The image
+    The normal subgroups K are read from ``normal_arrays`` a block of rows
+    at a time, each block as s x n arrays: |C_K(x)| from ``member_counts``
+    against the commute matrix, |K| |C_{G/K}(xK)| from
+    ``coset_centralizer_rows``.  The image
     of C_G(x) lies in C_{G/K}(xK) when every commuting u, x have [u, x] in
     K; the identity lies in every K, so only the commuting pairs whose
     commutator is not the identity, listed once in row-major order, are
@@ -120,16 +122,18 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
     nontrivial = cm & (comm != 0)
     comm_pairs, comm_values = np.argwhere(nontrivial), comm[nontrivial]
     cm_columns = pack_rows(cm.T)
-    normals = normal_subgroups(G)
-    for lo, Ks, masks in subgroup_blocks(G, normals):
-        k_orders = masks.sum(axis=1)[:, None]
-        cq = coset_centralizer_orders(G, Ks)            # |K| |C_{G/K}(xK)|
-        ck = member_counts(pack_rows(masks), cm_columns)  # |C_K(x)|
+    normals = normal_arrays(G)
+    step = block_rows(cm_columns.nbytes)
+    for lo in range(0, len(normals), step):
+        words = normals.words[lo:lo + step]
+        k_orders = normals.orders[lo:lo + step, None]
+        cq = coset_centralizer_rows(G, words)           # |K| |C_{G/K}(xK)|
+        ck = member_counts(words, cm_columns)           # |C_K(x)|
         ind_k = k_orders // ck
         ind_q = n // cq
         undivided = (ind_g % ind_k) + (ind_g % ind_q)
         # image of C_G(x) in G/K sits inside the centralizer of xK ...
-        escaped = ~masks[:, comm_values]
+        escaped = ~unpack_rows(words, n)[:, comm_values]
         # ... with equality when the element order is coprime to |K|
         coprime = np.gcd(orders, k_orders) == 1
         img_size = cg // ck
@@ -139,7 +143,7 @@ def check_basic(G: GroupTable) -> list[VerificationReport]:
         if not failed.any():
             continue
         r = int(np.argmax(failed))
-        K, checked = Ks[r].members.tolist(), lo + r
+        K, checked = normals.members_of(lo + r).tolist(), lo + r
         if undivided[r].any():
             x = int(np.argmax(undivided[r]))
             return [_report(G, "basic", FAIL, "orbit size fails to divide",
@@ -191,19 +195,17 @@ def check_cl2(G: GroupTable) -> list[VerificationReport]:
     unfaithful coprime A before it.
     """
     cm = G.commute_matrix
-    normals = [V for V in normal_subgroups(G) if V.is_abelian]
-    abelians = abelian_subgroups(G)
-    v_orders = np.array([V.order for V in normals], dtype=np.int64)
-    a_orders = np.array([A.order for A in abelians], dtype=np.int64)
-    v_words = pack_rows(stacked_masks(G, normals))
-    a_words = pack_rows(stacked_masks(G, abelians))
+    normals, abelians = normal_arrays(G), abelian_arrays(G)
+    v_rows = np.flatnonzero(normals.abelian)
+    v_orders, a_orders = normals.orders[v_rows], abelians.orders
+    v_words, a_words = normals.words[v_rows], abelians.words
     central = _rows_where(v_words, pack_rows(~cm), 0)   # [V, g]: g centralizes V
     lone = _rows_where(a_words, pack_rows(cm.T), 1)     # [A, v]: |C_A(v)| = 1
     sizes, counts = np.unique(a_orders, return_counts=True)
     noncoprime = ((np.gcd.outer(v_orders, sizes) > 1) * counts).sum(axis=1)
-    checked = np.zeros(len(normals), dtype=np.int64)
-    unfaithful = np.zeros(len(normals), dtype=np.int64)
-    first = np.full(len(normals), len(abelians))    # first A without a regular orbit
+    checked = np.zeros(v_rows.size, dtype=np.int64)
+    unfaithful = np.zeros(v_rows.size, dtype=np.int64)
+    first = np.full(v_rows.size, len(abelians))     # first A without a regular orbit
     for size in sizes:
         a_idx = np.flatnonzero(a_orders == size)
         v_idx = np.flatnonzero(np.gcd(v_orders, size) == 1)
@@ -225,7 +227,8 @@ def check_cl2(G: GroupTable) -> list[VerificationReport]:
         through = np.flatnonzero(np.gcd(a_orders[:a + 1], v_orders[v]) == 1)
         faithful = member_counts(central[v:v + 1], a_words[through])[0] == 1
         return [_report(G, "cl2", FAIL, "no regular orbit",
-                        {"V": normals[v].members.tolist(), "A": abelians[a].members.tolist()},
+                        {"V": normals.members_of(v_rows[v]).tolist(),
+                         "A": abelians.members_of(a).tolist()},
                         int(checked[:v].sum() + faithful.sum()),
                         int(skipped[:v].sum() + noncoprime[v] + (~faithful).sum()))]
     note = "skipped tuples miss faithfulness or coprimality" if skipped.any() else ""
@@ -271,15 +274,18 @@ def _coprime_split_ok(G: GroupTable, P: SubgroupHandle, a_list: np.ndarray):
 
 @memoized
 def _abelian_p_classes(G: GroupTable):
-    """The (p, H) of ``_normal_p_subgroups`` with H abelian, and their
-    positions in that list grouped by (p, |H|), with each class's members
-    stacked, so that a check reads one class in one array."""
-    tuples = [(p, H) for p, H in _normal_p_subgroups(G) if H.is_abelian]
+    """The rows of ``_normal_p_rows`` whose subgroup is abelian, with their
+    primes, and their positions in that list grouped by (p, |H|), with each
+    class's members stacked, so that a check reads one class in one array."""
+    normals = normal_arrays(G)
+    rows, primes = _normal_p_rows(G)
+    keep = normals.abelian[rows]
+    rows, primes = rows[keep], primes[keep]
     classes: dict[tuple[int, int], list[int]] = {}
-    for i, (p, H) in enumerate(tuples):
-        classes.setdefault((p, H.order), []).append(i)
-    return tuples, [(p, np.array(idx), np.array([tuples[i][1].members for i in idx]))
-                    for (p, _), idx in classes.items()]
+    for i, key in enumerate(zip(primes.tolist(), normals.orders[rows].tolist())):
+        classes.setdefault(key, []).append(i)
+    return rows, primes, [(p, np.array(idx), normals.stacked(rows[idx]))
+                          for (p, _), idx in classes.items()]
 
 
 def check_go(G: GroupTable) -> list[VerificationReport]:
@@ -290,8 +296,8 @@ def check_go(G: GroupTable) -> list[VerificationReport]:
     (``_split_failures``); the first P in list order that fails decides a
     FAIL, at its first failing a."""
     orders = G.element_orders
-    tuples, classes = _abelian_p_classes(G)
-    a_lists = {p: np.flatnonzero(orders % p != 0) for p in {p for p, _ in tuples}}
+    subgroup_rows, primes, classes = _abelian_p_classes(G)
+    a_lists = {p: np.flatnonzero(orders % p != 0) for p in set(primes.tolist())}
     first = None                                    # (position, a)
     for p, idx, members in classes:
         a_list = a_lists[p]
@@ -301,11 +307,12 @@ def check_go(G: GroupTable) -> list[VerificationReport]:
         rows = np.flatnonzero(bad.any(axis=1))
         if rows.size and (first is None or idx[rows[0]] < first[0]):
             first = (int(idx[rows[0]]), int(a_list[np.argmax(bad[rows[0]])]))
-    weights = [a_lists[p].size for p, _ in tuples]
+    weights = [a_lists[p].size for p in primes.tolist()]
     if first is not None:
         i, a = first
         return [_report(G, "go", FAIL, "no splitting",
-                        {"P": tuples[i][1].members.tolist(), "a": a}, sum(weights[:i]))]
+                        {"P": normal_arrays(G).members_of(subgroup_rows[i]).tolist(), "a": a},
+                        sum(weights[:i]))]
     return [_report(G, "go", PASS, "", None, sum(weights))]
 
 
@@ -332,25 +339,28 @@ def check_centre(G: GroupTable) -> list[VerificationReport]:
     """When the centralizer of g covers the coset centralizer of gH exactly,
     centralizers multiply: C(hg) = C(h) n C(g) for every h in H.
 
-    The abelian normal H are read in runs, each as s x n arrays from
-    ``member_counts``: g is central to H when no h fails to commute with
-    it, and the product rule breaks at g when some h has ~rule[h, g].  The
-    first H in list order that breaks decides a FAIL, at its first g."""
+    The abelian normal H are read from ``normal_arrays`` a block of rows at
+    a time, each block as s x n arrays from ``member_counts``: g is central
+    to H when no h fails to commute with it, and the product rule breaks at
+    g when some h has ~rule[h, g].  The first H in list order that breaks
+    decides a FAIL, at its first g."""
     cm, rule = G.commute_matrix, product_rule_matrix(G)
     cg = centralizer_sizes(G)
     moving, broken = pack_rows(~cm), pack_rows(~rule.T)
     checked = skipped = 0
-    abelian = [H for H in normal_subgroups(G) if H.is_abelian]
-    for lo, Hs, masks in subgroup_blocks(G, abelian):
-        words = pack_rows(masks)
+    normals = normal_arrays(G)
+    abelian = np.flatnonzero(normals.abelian)
+    step = block_rows(moving.nbytes)
+    for lo in range(0, abelian.size, step):
+        words = normals.words[abelian[lo:lo + step]]
         central = member_counts(words, moving) == 0     # g with H <= C_G(g)
-        cond = central & (cg == coset_centralizer_orders(G, Hs))
+        cond = central & (cg == coset_centralizer_rows(G, words))
         bad = cond & (member_counts(words, broken) > 0)
         failed = bad.any(axis=1)
         if failed.any():
             r = int(np.argmax(failed))
             g = int(np.argmax(bad[r]))
-            hs = Hs[r].members
+            hs = normals.members_of(abelian[lo + r])
             h = int(hs[int(np.argmax(~rule[hs, g]))])
             return [_report(G, "centre", FAIL, "centralizer product rule",
                             {"H": hs.tolist(), "g": g, "h": h},
@@ -375,9 +385,9 @@ def check_size(G: GroupTable) -> list[VerificationReport]:
     n, orders = G.n, G.element_orders
     cg = centralizer_sizes(G)
     cj = G.conjugation_table
-    tuples, classes = _abelian_p_classes(G)
-    kept = np.zeros(len(tuples), dtype=np.int64)
-    formed = np.zeros(len(tuples), dtype=np.int64)
+    subgroup_rows, _, classes = _abelian_p_classes(G)
+    kept = np.zeros(subgroup_rows.size, dtype=np.int64)
+    formed = np.zeros(subgroup_rows.size, dtype=np.int64)
     first = None                                    # (position, gs, keep, bad)
     for p, idx, members in classes:
         gs = np.flatnonzero(orders % p != 0)
@@ -400,7 +410,7 @@ def check_size(G: GroupTable) -> list[VerificationReport]:
     if first is not None:
         i, gs, keep, bad = first
         j = int(np.argmax(bad.any(axis=0)))
-        hs = tuples[i][1].members
+        hs = normal_arrays(G).members_of(subgroup_rows[i])
         through = keep[:, :j + 1]
         return [_report(G, "size", FAIL, "translate is not an H-conjugate",
                         {"H": hs.tolist(), "g": int(gs[j]), "h": int(hs[int(np.argmax(bad[:, j]))])},
@@ -412,14 +422,23 @@ def check_size(G: GroupTable) -> list[VerificationReport]:
 
 
 @memoized
+def _normal_p_rows(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``normal_arrays`` whose subgroup is a nontrivial p-group,
+    in order, and the prime p of each."""
+    sizes, at = np.unique(normal_arrays(G).orders, return_inverse=True)
+    prime_of = np.array([ps[0] if len(ps) == 1 else 0
+                         for ps in map(prime_factors, sizes.tolist())], dtype=np.int64)
+    primes = prime_of[at]
+    rows = np.flatnonzero(primes)
+    return rows, primes[rows]
+
+
+@memoized
 def _normal_p_subgroups(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
     """(p, H) for every nontrivial normal p-subgroup H, in ``normal_subgroups`` order."""
-    out = []
-    for H in normal_subgroups(G):
-        primes = prime_factors(H.order)
-        if len(primes) == 1:
-            out.append((primes[0], H))
-    return out
+    normals = normal_subgroups(G)
+    rows, primes = _normal_p_rows(G)
+    return [(p, normals[r]) for r, p in zip(rows.tolist(), primes.tolist())]
 
 
 @memoized
@@ -435,16 +454,23 @@ def check_l4(G: GroupTable) -> list[VerificationReport]:
     cg = centralizer_sizes(G)
     checked = trivial = 0
     normal_p = _normal_p_subgroups(G)
+    rows, primes = _normal_p_rows(G)
+    words = normal_arrays(G).words
+    step = block_rows(8 * words.shape[1] * G.n)
     for p in _abelian_sylow_primes(G):
         # an element order divides |G|, so it is a power of p iff it divides |G|_p
         p_elts = (orders > 1) & (p_part(G.n, p) % orders == 0)
         trivial += int(p_elts.sum())    # modulo H = 1 the coset centralizer is C(g)
-        for _, Hs, masks in subgroup_blocks(G, [H for q, H in normal_p if q == p]):
-            outside = p_elts & ~masks
+        at = np.flatnonzero(primes == p)
+        for lo in range(0, at.size, step):
+            block = at[lo:lo + step]
+            block_words = words[rows[block]]
+            outside = p_elts & ~unpack_rows(block_words, G.n)
             # the coset centralizer already equals C(g): trivially split
-            full = coset_centralizer_orders(G, Hs) == cg
+            full = coset_centralizer_rows(G, block_words) == cg
             trivial += int((outside & full).sum())
-            for H, strict in zip(Hs, outside & ~full):
+            for i, strict in zip(block.tolist(), outside & ~full):
+                H = normal_p[i][1]
                 for g in np.flatnonzero(strict):
                     checked += 1
                     try:

@@ -691,8 +691,8 @@ def test_abelian_walk_matches_lattice(monkeypatch):
     walks = []                                      # (atoms, joins) of each walk
     real = core._closed_joins
 
-    def recording(T, gens, atoms, compat):
-        walks.append((len(gens), real(T, gens, atoms, compat)))
+    def recording(T, gens, *atoms_and_compat):
+        walks.append((len(gens), real(T, gens, *atoms_and_compat)))
         return walks[-1][1]
 
     monkeypatch.setattr(core, "_closed_joins", recording)
@@ -714,8 +714,47 @@ def test_abelian_walk_matches_lattice(monkeypatch):
     assert walks[-1][0] == 0
     assert [H.order for H in core.subgroups_of(cons.cyclic(1999))] == [1, 1999]
     assert walks[-1][0] == 1
-    for _, joins in walks:
-        assert len({mem.tobytes() for mem in joins}) == len(joins)
+    for _, joins in walks:                          # one packed mask per join
+        assert len(np.unique(joins, axis=0)) == len(joins)
+
+
+def test_batched_abelian_flags_match_the_per_subgroup_gather():
+    # the flags of both lists, read from one member count per block, against
+    # the n x n commute-matrix gather of each subgroup
+    for G in cons.corpus(32):
+        cm = G.commute_matrix
+        for arrays in (core.normal_arrays(G), core.abelian_arrays(G)):
+            gathered = [bool(cm[np.ix_(m, m)].all())
+                        for m in map(arrays.members_of, range(len(arrays)))]
+            assert arrays.abelian.tolist() == gathered, G.label
+            assert core._abelian_flags(G, arrays.words, arrays.orders).tolist() == gathered
+        assert [H.is_abelian for H in core.normal_subgroups(G)] == (
+            core.normal_arrays(G).abelian.tolist())
+        core.release_memo(G)
+
+
+def test_subgroup_arrays_hold_the_members_of_their_masks():
+    for G in [*cons.corpus(24), cons.direct_product(cons.symmetric(4), cons.abelian_group((2, 2)))]:
+        for arrays in (core.normal_arrays(G), core.abelian_arrays(G)):
+            masks = core.unpack_rows(arrays.words, G.n)
+            assert np.array_equal(arrays.orders, masks.sum(axis=1))
+            assert np.array_equal(arrays.offsets, np.concatenate(([0], np.cumsum(arrays.orders))))
+            assert np.array_equal(arrays.members, np.nonzero(masks)[1])
+            assert not arrays.members.flags.writeable
+        core.release_memo(G)
+
+
+def test_subgroup_arrays_refuse_a_row_that_is_no_subgroup():
+    # the checks a handle makes, over the rows in canonical order
+    G = cons.symmetric(3)
+    masks = np.zeros((3, G.n), dtype=bool)
+    masks[0, 0] = masks[1, [0, 1]] = masks[2, [1, 2]] = True
+    with pytest.raises(core.PreconditionError, match="must contain the identity") as exc:
+        core._arrays(G, core.pack_rows(masks), abelian=True)
+    assert exc.value.witness == {"members": [1, 2]}
+    masks[2, :4] = True
+    with pytest.raises(core.PreconditionError, match=r"\|H\| = 4 does not divide \|G\| = 6"):
+        core._arrays(G, core.pack_rows(masks), abelian=True)
 
 
 def test_perm_group_helper_matches_sym3(s3, s3_perms):

@@ -388,6 +388,81 @@ def test_lattice_checks_on_c2_to_the_7_stay_in_bounded_memory():
     assert int(peak) < 73_000
 
 
+def _lists_and_lattice_records(G):
+    lists = [[H.members.tobytes() for H in query(G)]
+             for query in (core.normal_subgroups, core.abelian_subgroups)]
+    return lists, _lattice_records(G)
+
+
+def test_lattice_checks_and_lists_survive_tiny_blocks(monkeypatch):
+    # at a few hundred bytes a block, every walk level and every member count
+    # splits into many blocks; lists and records must not change
+    groups = [*cons.corpus(24), cons.abelian_group((2, 2, 2, 2, 3))]
+    want = []
+    for G in groups:
+        want.append(_lists_and_lattice_records(G))
+        core.release_memo(G)
+    blocks = []                                     # the pair blocks of each walk step
+    real = core._pair_blocks
+
+    def recording(*args):
+        blocks.append(list(real(*args)))
+        return blocks[-1]
+
+    monkeypatch.setattr(core, "_pair_blocks", recording)
+    monkeypatch.setattr(core, "_PACKED_BLOCK", 300)
+    for G, expected in zip(groups, want, strict=True):
+        assert _lists_and_lattice_records(G) == expected, G.label
+        core.release_memo(G)
+    assert max(map(len, blocks)) > 10
+
+
+def test_subgroups_of_c2_to_the_7_stays_in_bounded_memory():
+    # 29,212 subgroups, walked a level at a time in blocks: 53,668 KiB, and
+    # 57,936 KiB for the depth-first walk it replaced, and 224,396 KiB with
+    # each level formed in one block (Linux x86-64, numpy 2.4).  As
+    # above, the walk runs in a grandchild so that ru_maxrss (KiB) is its own.
+    run = ("import resource; from agroups import constructions as cons, core; "
+           "print(len(core.subgroups_of(cons.abelian_group((2,) * 7)))); "
+           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    env = {**os.environ, "PYTHONPATH": str(Path(verifier.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", run],
+                         capture_output=True, text=True, env=env, check=True)
+    count, peak = out.stdout.splitlines()
+    assert int(count) == 29212
+    assert int(peak) <= 150_000
+
+
+def test_a_scan_builds_no_abelian_handles(monkeypatch):
+    # the checks read the abelian list as arrays; its handles are for callers
+    built = []
+    monkeypatch.setattr(core, "_abelian_handles", lambda G: built.append(G.label))
+    result = verifier.scan(24)
+    assert built == [] and result.group_count > 40 and result.fail_count == 0
+
+
+@pytest.mark.parametrize("build,flips,message,members", [
+    # the join walk: a claimed commuting pair makes one product no subgroup
+    (lambda: cons.dihedral(3), [(1, 3), (3, 1)], "|H| = 4 does not divide |G| = 6",
+     [0, 1, 3, 4]),
+    # the Fitting centralizer of the key check, one entry flipped
+    (lambda: cons.abelian_group((2, 5)), [(1, 7)], "|H| = 9 does not divide |G| = 10",
+     [0, 2, 3, 4, 5, 6, 7, 8, 9]),
+])
+def test_a_broken_commute_matrix_is_refused_not_listed(build, flips, message, members):
+    base = build()
+    G = core.GroupTable(base.table, base.label, trusted=True)
+    cm = G.commute_matrix.copy()
+    for x, y in flips:
+        cm[x, y] = ~cm[x, y]
+    cm.setflags(write=False)
+    G.__dict__["commute_matrix"] = cm
+    with pytest.raises(core.PreconditionError) as exc:
+        verifier.verify_group(G, ("all",))
+    assert str(exc.value) == message and exc.value.witness == {"members": members}
+
+
 def test_basic_centre_and_l4_build_no_quotient_table(monkeypatch):
     built = []
     init = core.GroupTable.__init__
@@ -937,11 +1012,21 @@ def test_basic_fails_at_the_first_broken_coprime_product(monkeypatch):
     # C(xy) = C(x) n C(y) after the five coprime pairs (0, y) pass
     G = cons.cyclic(6)
     _flip_commute(G, 1, 5)
-    monkeypatch.setattr(verifier, "normal_subgroups", lambda G: [])
+    monkeypatch.setattr(verifier, "normal_arrays", lambda G: _rows_of(core.normal_arrays(G), []))
     assert _key_records(verifier.check_basic(G)) == [
         ("basic", "FAIL", "centralizer of commuting coprime product",
          {"x": 2, "y": 3}, 5, 0)]
     assert not verifier.replay_basic_pair(G, 2, 3)
+
+
+def _rows_of(arrays, rows):
+    """The subgroup arrays of the given rows of ``arrays``, in that order."""
+    rows = np.array(rows, dtype=np.int64)
+    runs = [arrays.members_of(i) for i in rows.tolist()]
+    return core.SubgroupArrays(arrays.words[rows], arrays.orders[rows],
+                               np.concatenate([np.zeros(0, dtype=np.int64), *runs]),
+                               np.concatenate(([0], np.cumsum(arrays.orders[rows]))),
+                               arrays.abelian[rows])
 
 
 def _set_commutator(G, x, y, value):
@@ -977,8 +1062,8 @@ def test_basic_fails_when_a_centralizer_image_escapes(monkeypatch):
     G = cons.cyclic(6)
     _set_commutator(G, 1, 4, 3)
     _set_commutator(G, 2, 3, 3)
-    real = verifier.normal_subgroups
-    monkeypatch.setattr(verifier, "normal_subgroups", lambda G: real(G)[1:])
+    monkeypatch.setattr(verifier, "normal_arrays",
+                        lambda G: _rows_of(core.normal_arrays(G), range(1, 4)))
     [report] = verifier.check_basic(G)
     assert _key_records([report]) == [
         ("basic", "FAIL", "centralizer image escapes",
