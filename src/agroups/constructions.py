@@ -31,6 +31,9 @@ from .core import (
     QuotientMap,
     SubgroupHandle,
     _as_table,
+    _quotient_rows,
+    block_rows,
+    take_rows,
     is_prime,
     prime_factors,
     quotient_group,
@@ -254,12 +257,74 @@ class NaturalSemidirect:
 
 
 def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
-    """The coset-conjugation product H |x G/H on pairs (h, gH).
+    """The coset-conjugation product H |x G/H on pairs (h, gH): the one-row
+    case of ``coset_action_products``, on the memoized ``quotient_group``.
 
     Needs H abelian and normal; the product is
     (h1, g1 H)(h2, g2 H) = (h1 * h2^(g1^-1), g1 g2 H), and abelianness makes
     the twist independent of the representative, which is asserted rather
-    than trusted.
+    than trusted.  The preconditions and the checks of ``_coset_action_rows``
+    run on every call; ``collapse`` is the memoized entry point.
+    """
+    require_abelian(H)
+    require_normal(H)
+    q = quotient_group(G, H)
+    (P,) = _coset_action_rows(G, H.members[None], q.projection[None], q.section[None],
+                              q.quotient.table[None])
+    return NaturalSemidirect(P, H, q)
+
+
+def product_label(G: GroupTable, order: int) -> str:
+    """The label of a new coset-action product H |x G/H with |H| = order."""
+    return f"nsd({G.label},H{order})"
+
+
+def coset_action_products(G: GroupTable, members: np.ndarray) -> list[GroupTable]:
+    """The table of H_i |x G/H_i for each row of ``members``, the sorted
+    members of abelian normal subgroups H_i of one order, which the caller
+    vouches for: what ``natural_semidirect(G, H_i).group`` returns.
+
+    The rows are read in blocks under ``_PACKED_BLOCK``, each with one
+    ``_quotient_rows`` and one ``_coset_action_rows`` call, and the blocks
+    share one map from the inputs of a product to its table.  A block in
+    which some row fails a check is read again one row at a time, so the
+    first failing row raises the exception ``natural_semidirect`` raises
+    for it.
+    """
+    n, m = G.n, members.shape[1]
+    step = block_rows(16 * n * (m + len(G.generators)) + 16 * (n // m) ** 2)
+    known: dict[bytes, GroupTable] = {}
+    out: list[GroupTable] = []
+    for lo in range(0, len(members), step):
+        out += _block_products(G, members[lo:lo + step], known)
+    return out
+
+
+def _block_products(G: GroupTable, members: np.ndarray,
+                    known: dict[bytes, GroupTable]) -> list[GroupTable]:
+    try:
+        return _coset_action_rows(G, members, *_quotient_rows(G, members), known)
+    except LemmaViolation:
+        if len(members) == 1:
+            raise
+    return [P for row in members for P in _block_products(G, row[None], known)]
+
+
+def _coset_action_rows(G: GroupTable, members: np.ndarray, projection: np.ndarray,
+                       section: np.ndarray, quotients: np.ndarray,
+                       known: dict[bytes, GroupTable] | None = None) -> list[GroupTable]:
+    """The table of H_i |x G/H_i for each row of ``members``, from the
+    projection, section and coset table of G/H_i (stacked as
+    ``_quotient_rows`` stacks them).
+
+    A product is a pure function of three inputs: H_i's table relabelled by
+    the ranks of its members, the coset table, and the twist, [c, j] = the
+    rank of h_j^(r_c^-1) for the representative r_c of coset c.  The twist
+    is read at every g of G and must not depend on the representative: a
+    row where it does raises ``LemmaViolation`` with the first such g.  The
+    rows are keyed on the bytes of their inputs, so that ``_pair_table``,
+    the range check of ``_as_table``, the cap check and the SHA-256 run
+    once per distinct key; ``known`` carries the keys across calls.
 
     Each distinct product table is built and axiom-checked once per
     verification.  G's memo maps the SHA-256 digest of G's bytes to G, and
@@ -271,68 +336,81 @@ def natural_semidirect(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
     checked when it was built (or is trusted by contract).  Two distinct
     tables share a digest only on a SHA-256 collision, with the bound given
     in ``corpus``'s docstring, so every product is either checked or
-    byte-identical to a table checked before.  The preconditions, the
-    representative check, the range check of ``_as_table`` and the cap check
-    run on every call; ``collapse`` is the memoized entry point.
+    byte-identical to a table checked before.
     """
-    require_abelian(H)
-    require_normal(H)
-    q = quotient_group(G, H)
-    table = _as_table(_coset_action_table(G, H, q))
-    _require_within_cap(len(table), "coset-action product")
+    s, m = members.shape
+    rows = np.arange(s)
+    pos = np.full((s, G.n), -1, dtype=np.int32)       # [i, x]: the rank of x in H_i
+    pos.ravel()[members + (rows * G.n)[:, None]] = np.arange(m)
+    moved = _conjugates_by_inverses(G)[:, members]     # [g, i, j] = h_ij^(g^-1)
+    # the conjugates by every g against those by its coset's representative
+    at_rep = moved[take_rows(section, projection).T, rows]
+    changed = (moved != at_rep).transpose(1, 0, 2)      # [i, g, j]
+    if changed.any():
+        # the twist holds their ranks, which agree where both leave H_i
+        changed &= (take_rows(pos, moved.transpose(1, 0, 2)) >= 0) | (
+            take_rows(pos, at_rep.transpose(1, 0, 2)) >= 0)
+        if changed.any():
+            i, g, _ = map(int, np.argwhere(changed)[0])
+            raise LemmaViolation(
+                "coset action depends on the representative despite abelian H",
+                {"element": g, "coset": int(projection[i, g])})
+    twist = take_rows(pos, moved[section.T, rows].transpose(1, 0, 2))  # [i, c, j]: at r_c
+    relabelled = take_rows(pos, G.table[members[:, :, None], members[:, None, :]])
+    quotients = quotients.astype(np.int32, copy=False)
+    known = {} if known is None else known
+    out = []
+    for i in range(s):
+        key = relabelled[i].tobytes() + quotients[i].tobytes() + twist[i].tobytes()
+        if key not in known:
+            table = _as_table(_pair_table(relabelled[i], quotients[i], twist[i]))
+            _require_within_cap(len(table), "coset-action product")
+            known[key] = _product_table(G, table, product_label(G, m))
+        out.append(known[key])
+    return out
+
+
+@memoized
+def _conjugates_by_inverses(G: GroupTable) -> np.ndarray:
+    """[g, h] = g h g^-1 = h^(g^-1): row g holds what the twist of a
+    coset-action product reads at g."""
+    return G.table[G.table, G.inverse_table[:, None]]
+
+
+def _product_table(G: GroupTable, table: np.ndarray, label: str) -> GroupTable:
+    """The one table of G's digest map with the bytes of ``table``, built
+    and axiom-checked under ``label`` when the map has none."""
     products = _product_tables(G)
     digest = hashlib.sha256(table.tobytes()).digest()
     if digest not in products:
-        P = GroupTable(table, product_label(G, H))
+        P = GroupTable(table, label)
         P._memo[("_product_tables",)] = products
         products[digest] = P
-    return NaturalSemidirect(products[digest], H, q)
-
-
-def product_label(G: GroupTable, H: SubgroupHandle) -> str:
-    """The label of a new coset-action product H |x G/H."""
-    return f"nsd({G.label},H{H.order})"
-
-
-def _coset_action_table(G: GroupTable, H: SubgroupHandle, q: QuotientMap) -> np.ndarray:
-    """The int32 table of H |x G/H, pairs flattened in (h, coset) order."""
-    pos = np.full(G.n, -1, dtype=np.int32)
-    pos[H.members] = np.arange(H.order)
-    cj = G.conjugation_table
-    inv = G.inverse_table
-    per_element = pos[cj[H.members[:, None], inv]].T    # [g, i] = pos of h_i^(g^-1)
-    twist = per_element[q.section]                      # [c, i]: the same at rep(c)
-    # representative independence check
-    if not np.array_equal(per_element, twist[q.projection]):
-        g = int(np.argmax((per_element != twist[q.projection]).any(axis=1)))
-        raise LemmaViolation(
-            "coset action depends on the representative despite abelian H",
-            {"element": g, "coset": int(q.projection[g])})
-    ht = pos[G.table[H.members[:, None], H.members]]
-    return _pair_table(ht, q.quotient.table, twist)
+    return products[digest]
 
 
 @memoized
 def _product_tables(G: GroupTable) -> dict[bytes, GroupTable]:
     """Digest -> the axiom-checked table of each distinct coset-action
-    product of G and of the products built on it; ``natural_semidirect``
-    fills it.  G enters first, under its own digest: it was checked when it
-    was built (or is trusted by contract), so a product byte-identical to G
-    is G itself."""
+    product of G and of the products built on it; ``_product_table`` fills
+    it.  G enters first, under its own digest: it was checked when it was
+    built (or is trusted by contract), so a product byte-identical to G is
+    G itself."""
     return {hashlib.sha256(G.key()).digest(): G}
 
 
 @memoized
 def collapse(G: GroupTable, H: SubgroupHandle) -> NaturalSemidirect:
-    """``natural_semidirect(G, H)``, memoized on G: the one way a check gets
-    a coset-action product.
+    """``natural_semidirect(G, H)``, memoized on G, with its quotient: the
+    way a check gets a coset-action product it reads beyond the table.
 
-    The bingo check asks for one product per normal p-subgroup, and the
-    key check for its single collapse, its iterated steps and the three
-    products of each two-step pairing; these overlap, with each other and
-    across the two checks.  Each (G, H) product is built once per
+    The key check asks for its single collapse, its iterated steps and the
+    three products of each two-step pairing; these overlap, with each
+    other and with the p-cores the bingo check builds through here.  The
+    bingo check reads its other products as tables alone, from
+    ``coset_action_products``.  Each (G, H) product is built once per
     verification, byte-identical products share one table (see
-    ``natural_semidirect``), and all are freed when G's memo is released.
+    ``_coset_action_rows``), and all are freed when G's memo is released.
     """
     return natural_semidirect(G, H)
 

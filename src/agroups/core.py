@@ -5,6 +5,10 @@ table over element indices 0..n-1, with the identity normalized to index 0.
 Desk-scale orders (a few hundred elements, hard cap 2000) keep the tables
 cache friendly, and every derived computation is a table lookup.
 
+Quotients are read for many normal subgroups of one order at once,
+``_quotient_rows``, one row per subgroup; ``quotient_group`` is its
+one-row case.
+
 Tables are immutable after construction and safe to share between workers.
 A table crosses to a worker process as its ``(table, label)`` pair alone:
 the copy is rebuilt without re-verifying the axioms, arrives read-only and
@@ -36,8 +40,8 @@ Every other derivation worth keeping -- subgroup lists, Sylow subgroups,
 p-cores, quotients, index sets, the derived series, the Fitting data,
 the product-rule matrix that the basic, centre and ca checks read, the
 automorphisms -- goes through one decorator, ``memoized``, into one dict
-on the table; so do the coset-action products, one per (G, H), which the
-bingo and key checks share, and the map from digest to each distinct
+on the table; so do the bingo comparisons, the coset-action products the
+key check reads, one per (G, H), and the map from digest to each distinct
 product table, which holds the table itself and which every product built
 from the table shares, so that each one is built and axiom-checked once
 per verification, and a product with the table's own bytes is the table.
@@ -614,7 +618,20 @@ def require_abelian(H: SubgroupHandle) -> None:
 @memoized
 def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
     """G -> G/N on the left cosets xN, numbered by their least members r_a,
-    with the coset table Q[a, b] = pi(r_a r_b).
+    with the coset table Q[a, b] = pi(r_a r_b): the one-row case of
+    ``_quotient_rows``, memoized, after N is checked to be normal."""
+    require_normal(N)
+    projection, section, tables = _quotient_rows(G, N.members[None])
+    quotient = GroupTable(tables[0], label=f"{G.label}/N{N.order}", trusted=True)
+    return QuotientMap(quotient, projection[0], section[0])
+
+
+def _quotient_rows(G: GroupTable, members: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                                   np.ndarray]:
+    """G -> G/N_i for the normal subgroups N_i of one order whose sorted
+    members are the rows of ``members``: the projections (one row of n
+    each), the sections (the representatives, ascending) and the coset
+    tables, stacked.
 
     The representatives are the x that are their own coset minimum, and
     pi(x) is the rank of x's minimum among them (a running count).  That
@@ -635,34 +652,59 @@ def quotient_group(G: GroupTable, N: SubgroupHandle) -> QuotientMap:
     the generator condition read at xy and then at r_pi(x) y; so P holds for
     every word in the generators, that is, for every y.  Then
     pi(xy) = pi(r_pi(x) y) = Q[pi(x), pi(y)].
+
+    A row that fails a check raises its ``LemmaViolation``, with the
+    witness ``quotient_group`` gives for that N alone, so that one row at
+    a time names the first failure in row order.  Several rows share one
+    coset count on a group; on a broken table whose rows differ in it, the
+    rows together raise ``LemmaViolation`` too.
     """
-    require_normal(N)
-    coset_min = G.table[:, N.members].min(axis=1)     # min of each left coset xN
-    stray = coset_min[coset_min] != coset_min
+    s = len(members)
+    coset_min = np.ascontiguousarray(G.table[:, members].min(axis=2).T)  # [i, x]: of x N_i
+    stray = take_rows(coset_min, coset_min) != coset_min
     if stray.any():
-        x = int(np.argmax(stray))
+        i, x = map(int, np.argwhere(stray)[0])
         raise LemmaViolation("a coset minimum is not the minimum of its own coset",
-                             {"kernel": N.members.tolist(), "x": x,
-                              "minimum": int(coset_min[x])})
+                             {"kernel": members[i].tolist(), "x": x,
+                              "minimum": int(coset_min[i, x])})
     is_rep = coset_min == np.arange(G.n)
-    reps = np.flatnonzero(is_rep)
-    projection = (np.cumsum(is_rep) - 1)[coset_min]
-    qtable = projection[G.table[reps[:, None], reps]]
-    if not _projects_homomorphically(G, projection, qtable):
+    if s > 1:
+        counts = is_rep.sum(axis=1)
+        if (counts != counts[0]).any():
+            raise LemmaViolation("the subgroups have different numbers of cosets",
+                                 {"counts": counts.tolist()})
+    section = np.nonzero(is_rep)[1].reshape(s, -1)
+    projection = take_rows(np.cumsum(is_rep, axis=1) - 1, coset_min)
+    tables = take_rows(projection, G.table.ravel()[section[:, :, None] * G.n + section[:, None, :]])
+    homomorphic = _projects_homomorphically(G, projection, tables)
+    if not homomorphic.all():
         raise LemmaViolation("coset projection failed to be a homomorphism",
-                             {"kernel": N.members.tolist()})
-    quotient = GroupTable(qtable, label=f"{G.label}/N{N.order}", trusted=True)
-    return QuotientMap(quotient, projection, reps)
+                             {"kernel": members[int(np.argmin(homomorphic))].tolist()})
+    return projection, section, tables
+
+
+def take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """[i, ...] = a[i, index[i, ...]] for a 2-D ``a`` and an index array with
+    one leading entry per row of ``a``: one gather from the flat array."""
+    if len(a) > 1:
+        index = index + (np.arange(len(a)) * a.shape[1]).reshape(-1, *[1] * (index.ndim - 1))
+    return np.ascontiguousarray(a).ravel()[index]
 
 
 def _projects_homomorphically(G: GroupTable, projection: np.ndarray,
-                              qtable: np.ndarray) -> bool:
+                              qtable: np.ndarray) -> np.ndarray:
     """pi(xg) = Q[pi(x), pi(g)] for every x and every generator g of G, which
-    ``quotient_group`` shows to be enough.  The generators are an int64 array,
-    empty for the trivial group."""
+    ``_quotient_rows`` shows to be enough; one flag per projection, for
+    projections (n entries each) and coset tables stacked along the same
+    leading axes.  The generators are an int64 array, empty for the trivial
+    group."""
     gens = np.array(G.generators, dtype=np.int64)
-    return np.array_equal(projection[G.table[:, gens]],
-                          qtable[projection[:, None], projection[gens]])
+    P = projection.reshape(-1, G.n)
+    r = qtable.shape[-1]
+    lhs = P[:, G.table[:, gens]]                                  # [i, x, g] = pi_i(xg)
+    rhs = take_rows(qtable.reshape(len(P), -1),                   # Q_i[pi_i(x), pi_i(g)]
+                    (P * r)[:, :, None] + P[:, gens][:, None, :])
+    return (lhs == rhs).all(axis=(1, 2)).reshape(projection.shape[:-1])
 
 
 # -- derived series and solvability -------------------------------------------
@@ -922,15 +964,16 @@ def _arrays(G: GroupTable, words: np.ndarray, abelian: bool) -> SubgroupArrays:
 
 def _abelian_flags(G: GroupTable, words: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """H_i is abelian iff each of its members commutes with all |H_i| of
-    them: ``member_counts`` against the commute matrix, a block of rows at
-    a time."""
-    columns = pack_rows(G.commute_matrix.T)
-    step = block_rows(8 * G.n)
+    them: for each member x, one popcount of H_i's mask against column x of
+    the commute matrix, over the flat members of a block of rows at a time."""
+    columns = pack_rows(G.commute_matrix.T)                # row x: column x
+    step = block_rows(24 * columns.shape[1] * int(orders.max(initial=1)))  # per row's members
     flags = np.empty(len(words), dtype=bool)
     for lo in range(0, len(words), step):
         w, o = words[lo:lo + step], orders[lo:lo + step]
-        full = pack_rows(member_counts(w, columns) == o[:, None])
-        flags[lo:lo + step] = np.bitwise_count(full & w).sum(axis=1) == o
+        owner, members = np.nonzero(unpack_rows(w, G.n))
+        full = np.bitwise_count(w[owner] & columns[members]).sum(axis=1) == o[owner]
+        flags[lo:lo + step] = np.logical_and.reduceat(full, np.cumsum(o) - o)
     return flags
 
 

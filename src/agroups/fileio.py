@@ -225,7 +225,7 @@ def build_recipe(expr: str) -> GroupTable:
         H = subgroup_closure(G, gens)
         # a product byte-identical to G is G itself; the recipe keeps its label
         product = cons.natural_semidirect(G, H).group
-        return GroupTable(product.table, cons.product_label(G, H), trusted=True)
+        return GroupTable(product.table, cons.product_label(G, H.order), trusted=True)
     raise InputError(f"unknown recipe constructor {name!r}")
 
 

@@ -37,6 +37,7 @@ from .core import (
     prime_factors,
     product_rule_matrix,
     release_memo,
+    require_abelian,
     subgroup_closure,
     trivial_subgroup,
     unpack_rows,
@@ -53,6 +54,7 @@ from .structure import (
 from .constructions import (
     collapse,
     corpus,
+    coset_action_products,
     natural_semidirect,
     two_step_collapse_witness,
 )
@@ -489,9 +491,10 @@ def check_l4(G: GroupTable) -> list[VerificationReport]:
 # -- index-set invariance under the coset-action product --------------------------
 
 
-def bingo_compare(G: GroupTable, H: SubgroupHandle,
+def bingo_compare(G: GroupTable, H: SubgroupHandle | None,
                   candidate: GroupTable) -> tuple[list[int], list[int]]:
-    """Index-set differences (missing_from_candidate, extra_in_candidate)."""
+    """Index-set differences (missing_from_candidate, extra_in_candidate);
+    H names the pair and is not read."""
     ng = index_set(G)
     nc = index_set(candidate)
     return ([s for s in ng if s not in nc], [s for s in nc if s not in ng])
@@ -509,6 +512,52 @@ def bingo_tuples(G: GroupTable) -> list[tuple[int, SubgroupHandle]]:
             *((p, H) for p in primes for q, H in normal_p if q == p)]
 
 
+@memoized
+def _bingo_results(G: GroupTable) -> dict[bytes, tuple[int, int, list[int], list[int]]]:
+    """(p, row of ``normal_arrays``, missing, extra) for every tuple of
+    ``bingo_tuples``, in its order, keyed by the subgroup's packed mask: the
+    one pass over the coset-action products that ``check_bingo``,
+    ``check_bingo_pair`` and the verify CLI read.
+
+    The trivial subgroup's product is G itself, byte for byte (its coset
+    minima are the elements and its twist is empty), so it is not formed.
+    At each admissible prime, the subgroups of one order are built in one
+    ``coset_action_products`` call and only their index sets are kept,
+    except the p-core, the last row at the prime, which goes through
+    ``collapse`` and stays in its memo for the key check."""
+    primes = _abelian_sylow_primes(G) if G.n > 1 else [2]
+    if not primes:
+        return {}
+    normals = normal_arrays(G)
+    rows, row_primes = _normal_p_rows(G)
+    out = {normals.words[0].tobytes(): (primes[0], 0, [], [])}
+    compared: dict[GroupTable, tuple[list[int], list[int]]] = {}
+    for p in primes:
+        at = rows[row_primes == p]
+        if not at.size:
+            continue
+        products, batched = [], at[:-1]
+        runs = np.flatnonzero(np.diff(normals.orders[batched])) + 1
+        for run in np.split(batched, runs) if batched.size else ():
+            abelian = normals.abelian[run]
+            if not abelian.all():       # no group has one: all lie in an abelian Sylow subgroup
+                require_abelian(_normal_handle(G, run[int(np.argmin(abelian))]))
+            products += coset_action_products(G, normals.stacked(run))
+        products.append(collapse(G, _normal_handle(G, at[-1])).group)
+        for row, P in zip(at.tolist(), products):
+            if P not in compared:               # the products share few tables
+                compared[P] = bingo_compare(G, None, P)
+            out[normals.words[row].tobytes()] = (p, row, *compared[P])
+    return out
+
+
+def _normal_handle(G: GroupTable, row: int) -> SubgroupHandle:
+    """A handle on row ``row`` of ``normal_arrays``."""
+    normals = normal_arrays(G)
+    return SubgroupHandle(G, normals.members_of(row), is_normal=True,
+                          is_abelian=bool(normals.abelian[row]))
+
+
 _BINGO_IDS = ("bingo1", "bingo2", "bingo")
 _BINGO_NOTES = ("class size of G missing from the product",
                 "product has a class size G lacks", "index sets differ")
@@ -523,7 +572,12 @@ def _bingo_reports(G: GroupTable, missing: dict | None, extra: dict | None,
 
 
 def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationReport]:
-    """Index-set comparison for one (G, H) pair, gated on its hypotheses."""
+    """Index-set comparison for one (G, H) pair, gated on its hypotheses.
+
+    A pair that passes the gate is a tuple of ``bingo_tuples``, and its
+    comparison is read from ``_bingo_results``, which builds the products
+    of every tuple once; a pair that is not one, which only a handle whose
+    normality flag is wrong gives, is built through ``collapse``."""
     gate = None
     if not H.is_normal:
         gate = "H is not normal"
@@ -538,7 +592,8 @@ def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationRepor
             gate = "no prime with an abelian Sylow subgroup"
     if gate is not None:
         return [_report(G, lemma, SKIP, gate, None, 0, 1) for lemma in _BINGO_IDS]
-    missing, extra = bingo_compare(G, H, collapse(G, H).group)
+    found = _bingo_results(G).get(pack_rows(H.mask[None]).tobytes())
+    missing, extra = found[2:] if found else bingo_compare(G, H, collapse(G, H).group)
     base = {"H": H.members.tolist()}
     return _bingo_reports(
         G, {**base, "missing": missing} if missing else None,
@@ -548,21 +603,20 @@ def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationRepor
 
 def check_bingo(G: GroupTable) -> list[VerificationReport]:
     """N(G) equals the index set of H |x G/H for every normal p-subgroup H
-    at a prime with abelian Sylow subgroup; both inclusions reported."""
-    tuples = bingo_tuples(G)
-    if not tuples:
+    at a prime with abelian Sylow subgroup; both inclusions reported.  The
+    comparisons come from ``_bingo_results``."""
+    results = _bingo_results(G)
+    if not results:
         note = "no prime with an abelian Sylow subgroup"
         return [_report(G, lemma, SKIP, note) for lemma in _BINGO_IDS]
+    normals = normal_arrays(G)
     missing_fail = extra_fail = None
-    checked = 0
-    for p, H in tuples:
-        missing, extra = bingo_compare(G, H, collapse(G, H).group)
-        checked += 1
+    for p, row, missing, extra in results.values():
         if missing and missing_fail is None:
-            missing_fail = {"p": p, "H": H.members.tolist(), "missing": missing}
+            missing_fail = {"p": p, "H": normals.members_of(row).tolist(), "missing": missing}
         if extra and extra_fail is None:
-            extra_fail = {"p": p, "H": H.members.tolist(), "extra": extra}
-    return _bingo_reports(G, missing_fail, extra_fail, missing_fail or extra_fail, checked)
+            extra_fail = {"p": p, "H": normals.members_of(row).tolist(), "extra": extra}
+    return _bingo_reports(G, missing_fail, extra_fail, missing_fail or extra_fail, len(results))
 
 
 def replay_bingo(G: GroupTable, H_members: list[int]) -> bool:

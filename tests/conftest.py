@@ -8,7 +8,7 @@ compared against at orders the plain oracles cannot reach; the two-step
 pairing, which takes the library's coset-action products and recomputes
 only the pairing over them; and the forms the library replaced, the n^2
 homomorphism sweep and the coset numbering of a quotient, the
-per-element Fitting splitting and
+per-subgroup coset-action product, the per-element Fitting splitting and
 the lattice checks with one loop pass per subgroup, over the library's
 cached tables.
 """
@@ -119,6 +119,13 @@ def oracle_subgroups(t: list[list[int]]) -> set[frozenset[int]]:
                     nxt.append(J)
         frontier = nxt
     return found
+
+
+def relabelled(G, sigma):
+    """G with element a renamed sigma[a]: T'[sigma a, sigma b] = sigma T[a, b]."""
+    table = np.empty_like(G.table)
+    table[np.ix_(sigma, sigma)] = sigma[G.table]
+    return core.GroupTable(table, G.label)
 
 
 def subgroup_table(G, H):
@@ -336,6 +343,25 @@ def oracle_quotient_parts(G, N):
     reps = np.unique(coset_min)
     projection = np.searchsorted(reps, coset_min)
     return reps, projection, projection[G.table[np.ix_(reps, reps)]]
+
+
+def oracle_coset_action_parts(G, H):
+    """(section, projection, coset table, product table) of H |x G/H in the
+    per-subgroup form the batched kernels replaced: ``oracle_quotient_parts``,
+    the rank in H of h^(g^-1) for every g, asserted to depend only on gH,
+    and the product (h1, c1)(h2, c2) = (h1 h2^(r_c1^-1), c1 c2) of the pairs
+    h * |G/H| + c, formed entry by entry from that definition."""
+    reps, projection, qtable = oracle_quotient_parts(G, H)
+    m, r = H.order, len(reps)
+    pos = np.full(G.n, -1, dtype=np.int64)
+    pos[H.members] = np.arange(m)
+    per_element = pos[G.conjugation_table[H.members[:, None], G.inverse_table]].T
+    twist = per_element[reps]                           # [c, j]: h_j^(r_c^-1)
+    assert np.array_equal(per_element, twist[projection])
+    ht = pos[G.table[np.ix_(H.members, H.members)]]
+    h1, c1, h2, c2 = np.ix_(range(m), range(r), range(m), range(r))
+    product = ht[h1, twist[c1, h2]] * r + qtable[c1, c2]
+    return reps, projection, qtable, product.reshape(m * r, m * r)
 
 
 def oracle_ca_split(G, F, T, g: int) -> tuple[int, int, int]:

@@ -18,7 +18,9 @@ from conftest import (
     cyclic_of_order,
     oracle_abelian_types,
     oracle_class_sizes,
+    oracle_coset_action_parts,
     oracle_two_step_mapping,
+    relabelled,
     subgroup_table,
     table_rows,
 )
@@ -213,14 +215,14 @@ def test_nsd_axiom_checks_a_product_unlike_every_cached_one(monkeypatch):
     normals = core.normal_subgroups(G)
     for H in normals:                   # every product passes, into the cache
         cons.natural_semidirect(G, H)
-    real = cons._coset_action_table
+    real = cons._pair_table
 
-    def swapped(G, H, q):               # rows stay permutations, columns do not
-        table = real(G, H, q)
+    def swapped(TA, TB, twisted):       # rows stay permutations, columns do not
+        table = real(TA, TB, twisted)
         table[1, [1, 2]] = table[1, [2, 1]]
         return table
 
-    monkeypatch.setattr(cons, "_coset_action_table", swapped)
+    monkeypatch.setattr(cons, "_pair_table", swapped)
     for H in normals:
         with pytest.raises(core.InputError):
             cons.natural_semidirect(G, H)
@@ -269,6 +271,105 @@ def test_nsd_order_preserved_and_matches_action_spec(small_pool, data):
     action = pos[G.conjugation_table[np.ix_(members, q.section)]]
     spec = cons.ActionSpec(acting=q.quotient, acted=sub, action=action)
     assert np.array_equal(cons.semidirect_product(spec).table, ns.group.table)
+
+
+# -- the batched coset-action kernels against the per-subgroup form ------------------
+
+
+def _order_classes(G):
+    """The abelian normal subgroups of G, one array of stacked members per
+    order, each row with its handle."""
+    normals = core.normal_arrays(G)
+    for order in np.unique(normals.orders):
+        rows = np.flatnonzero((normals.orders == order) & normals.abelian)
+        if rows.size:
+            yield normals.stacked(rows), [core.SubgroupHandle(G, normals.members_of(i))
+                                          for i in rows]
+
+
+def _assert_kernels_match_the_oracle(G):
+    for members, handles in _order_classes(G):
+        projection, section, tables = core._quotient_rows(G, members)
+        products = cons.coset_action_products(G, members)
+        for i, H in enumerate(handles):
+            reps, proj, qtable, product = oracle_coset_action_parts(G, H)
+            where = (G.label, H.members.tolist())
+            assert np.array_equal(section[i], reps), where
+            assert np.array_equal(projection[i], proj), where
+            assert np.array_equal(tables[i], qtable), where
+            assert products[i].table.tobytes() == product.astype(np.int32).tobytes(), where
+    core.release_memo(G)
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_coset_action_kernels_match_the_per_subgroup_form(block, monkeypatch):
+    # every abelian normal subgroup, its order class in one batch; at one
+    # byte a block every row is a block of its own
+    if block is not None:
+        monkeypatch.setattr(core, "_PACKED_BLOCK", block)
+    for G in [*cons.corpus(32), cons.abelian_group((2, 2, 4, 4)),
+              cli.fileio.build_recipe("dp(sym(3),abelian(2,2,2,2,2))")]:
+        _assert_kernels_match_the_oracle(G)
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_coset_action_kernels_match_on_relabelled_tables(data):
+    for G in cons.corpus(24):
+        shift = [*range(2, G.n), 1][:G.n - 1]
+        sigma = np.array([0, *data.draw(st.permutations(shift))])
+        _assert_kernels_match_the_oracle(relabelled(G, sigma))
+
+
+def test_the_trivial_subgroup_gives_the_group_itself():
+    # the bingo check takes G for this product without forming it
+    for G in cons.corpus(32):
+        *_, product = oracle_coset_action_parts(G, core.trivial_subgroup(G))
+        assert product.astype(np.int32).tobytes() == G.key(), G.label
+
+
+@pytest.mark.parametrize("recipe, swap, order, row, exc, message, witness", [
+    # (a, b, c): entries b and c of row a swapped in a trusted copy; the
+    # first subgroup of the order to fail is row ``row`` of the batch
+    ("abelian(2,4)", (2, 3, 4), 2, 1, core.LemmaViolation,
+     "a coset minimum is not the minimum of its own coset",
+     {"kernel": [0, 4], "x": 6, "minimum": 2}),
+    ("abelian(2,2)", (1, 2, 3), 2, 1, core.LemmaViolation,
+     "coset projection failed to be a homomorphism", {"kernel": [0, 2]}),
+    ("abelian(2,4)", (1, 4, 6), 4, 1, core.LemmaViolation,
+     "coset action depends on the representative despite abelian H",
+     {"element": 3, "coset": 1}),
+    # three cosets of {0, 1}, a product of order 6
+    ("abelian(2,2)", (1, 1, 2), 2, 0, core.InputError,
+     "closure violated at (3,3): entry -3 not in [0,6)", None),
+])
+@pytest.mark.parametrize("block", [None, 1])
+def test_a_tampered_table_raises_the_per_subgroup_exception(
+        recipe, swap, order, row, exc, message, witness, block, monkeypatch):
+    # every subgroup of the order in one batch, the first one that fails
+    # named as natural_semidirect names it alone
+    G = cli.fileio.build_recipe(recipe)
+    members = core.normal_arrays(G).stacked(np.flatnonzero(core.normal_arrays(G).orders == order))
+    a, b, c = swap
+    table = G.table.copy()
+    table[a, [b, c]] = table[a, [c, b]]
+    T = core.GroupTable(table, "tampered", trusted=True)
+    first = None
+    for i, mem in enumerate(members):
+        H = core.SubgroupHandle(T, mem, is_normal=True, is_abelian=True)
+        try:
+            cons.natural_semidirect(T, H)
+        except (core.LemmaViolation, core.InputError) as failure:
+            first = failure
+            break
+    assert (i, type(first), str(first)) == (row, exc, message)
+    assert getattr(first, "witness", None) == witness
+    core.release_memo(T)
+    if block is not None:
+        monkeypatch.setattr(core, "_PACKED_BLOCK", block)
+    with pytest.raises(exc) as raised:
+        cons.coset_action_products(T, members)
+    assert str(raised.value) == message and getattr(raised.value, "witness", None) == witness
 
 
 # -- the two-step collapse pairing ----------------------------------------------------

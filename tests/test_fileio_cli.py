@@ -306,14 +306,20 @@ def test_cli_verify_bingo_alt4(capsys):
 
 
 def test_cli_verify_builds_each_bingo_product_once(capsys, monkeypatch):
+    # every coset-action product is built by ``_coset_action_rows``, one row
+    # per subgroup; the trivial subgroup's product is G and is not built
     calls = []
-    real = cons.natural_semidirect
-    monkeypatch.setattr(cons, "natural_semidirect",
-                        lambda G, H: calls.append(H.key()) or real(G, H))
+    real = cons._coset_action_rows
+
+    def building(G, members, *args):
+        calls.extend(row.tobytes() for row in members)
+        return real(G, members, *args)
+
+    monkeypatch.setattr(cons, "_coset_action_rows", building)
     assert cli.main(["verify", "--lemma", "bingo", "abelian(2,2,2)"]) == 0
     h_lines = [ln for ln in capsys.readouterr().out.splitlines() if " H = " in ln]
     assert len(h_lines) == 16
-    assert len(calls) == len(set(calls)) == 16
+    assert len(calls) == len(set(calls)) == 15
 
 
 def test_cli_verify_failing_exit_code():

@@ -22,6 +22,7 @@ from conftest import (
     cyclic_of_order,
     lattice_subgroups,
     oracle_regular_orbit_exists,
+    relabelled,
     subgroup_table,
 )
 
@@ -434,6 +435,26 @@ def test_subgroups_of_c2_to_the_7_stays_in_bounded_memory():
     assert int(peak) <= 150_000
 
 
+def test_bingo_on_c2_to_the_7_stays_in_bounded_memory():
+    # 29,212 tuples, each product G's own table.  Built a block of subgroups
+    # at a time and kept as index-set differences, the check peaks at
+    # 49,064 KiB, against 167,324 KiB with one memoized product and quotient
+    # per subgroup (Linux x86-64, numpy 2.4); the bound is that peak plus
+    # 25 %.  As above, the check runs in a grandchild so that ru_maxrss
+    # (KiB) is its own.
+    run = ("import resource; from agroups import constructions as cons, verifier; "
+           "G = cons.abelian_group((2,) * 7); "
+           "print([(r.lemma_id, r.status, r.checked) for r in verifier.check_bingo(G)]); "
+           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    env = {**os.environ, "PYTHONPATH": str(Path(verifier.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", run],
+                         capture_output=True, text=True, env=env, check=True)
+    records, peak = out.stdout.splitlines()
+    assert records == str([(lemma, "PASS", 29212) for lemma in ("bingo1", "bingo2", "bingo")])
+    assert int(peak) < 61_500
+
+
 def test_a_scan_builds_no_abelian_handles(monkeypatch):
     # the checks read the abelian list as arrays; its handles are for callers
     built = []
@@ -733,66 +754,81 @@ def test_key_builds_each_coset_action_product_once(recipe, builds, monkeypatch):
     assert G._memo == {}
 
 
+def _record_rows(monkeypatch):
+    """Wrap ``_coset_action_rows``, which builds every coset-action product,
+    one row per subgroup; the list fills with (base table, members) per row."""
+    calls = []
+    real = cons._coset_action_rows
+
+    def building(G, members, *args):
+        calls.extend((G, row.tobytes()) for row in members)
+        return real(G, members, *args)
+
+    monkeypatch.setattr(cons, "_coset_action_rows", building)
+    return calls
+
+
 @pytest.mark.parametrize("recipe, pairs", [
-    ("dihedral(5)", 2),
-    ("dp(cyclic(5),sym(3))", 5),
-    ("dp(dp(cyclic(5),sym(3)),cyclic(7))", 8),
+    ("dihedral(5)", 1),
+    ("dp(cyclic(5),sym(3))", 4),
+    ("dp(dp(cyclic(5),sym(3)),cyclic(7))", 7),
 ])
 def test_bingo_and_key_build_each_coset_action_product_once(recipe, pairs, monkeypatch):
     G = fileio.build_recipe(recipe)
-    calls = []
-    real = cons.natural_semidirect
-    monkeypatch.setattr(cons, "natural_semidirect",
-                        lambda G, H: calls.append((G, H.key())) or real(G, H))
+    calls = _record_rows(monkeypatch)
     reports = verifier.verify_group(G, ("bingo", "key"))
     assert {r.status for r in reports} == {"PASS"}
-    # the key check reuses the bingo check's products of G
+    # the key check reuses the p-cores the bingo check built through collapse,
+    # and the trivial subgroup's product, G itself, is not built
     assert len(calls) == len({(id(T), mask) for T, mask in calls}) == pairs
 
 
-def test_bingo_products_share_one_table():
-    G = cons.abelian_group((2, 2, 2, 2, 2))
-    verifier.check_bingo(G)
-    kept = [v for v in G._memo.values() if isinstance(v, cons.NaturalSemidirect)]
-    assert len(kept) == 374
-    assert len({id(ns.group) for ns in kept}) == 1
-
-
 def _record_products(monkeypatch):
-    """Wrap ``natural_semidirect`` and ``verify_group_axioms``.  The first
-    returned list fills with (coset-action product, number of tables
-    axiom-checked before it was built, and after), the second with the
-    bytes of every table that passed the axiom check."""
+    """Wrap ``_coset_action_rows`` and ``verify_group_axioms``.  The first
+    returned list fills with one entry per call that builds products: (its
+    rows' products, the number of tables axiom-checked before the call, and
+    after), the second with the bytes of every table that passed the axiom
+    check."""
     built, verified = [], []
-    real_nsd, real_verify = cons.natural_semidirect, core.verify_group_axioms
+    real_rows, real_verify = cons._coset_action_rows, core.verify_group_axioms
 
     def verifying(table):
         gens = real_verify(table)
         verified.append(table.tobytes())
         return gens
 
-    def building(G, H):
+    def building(*args):
         before = len(verified)
-        ns = real_nsd(G, H)
-        built.append((ns, before, len(verified)))
-        return ns
+        products = real_rows(*args)
+        built.append((products, before, len(verified)))
+        return products
 
     monkeypatch.setattr(core, "verify_group_axioms", verifying)
-    monkeypatch.setattr(cons, "natural_semidirect", building)
-    monkeypatch.setattr(verifier, "natural_semidirect", building)
+    monkeypatch.setattr(cons, "_coset_action_rows", building)
     return built, verified
+
+
+def test_bingo_products_share_one_table(monkeypatch):
+    G = cons.abelian_group((2, 2, 2, 2, 2))
+    built, _ = _record_products(monkeypatch)
+    verifier.check_bingo(G)
+    # every nontrivial H: 373 rows, each product G's own table
+    products = [P for tables, _, _ in built for P in tables]
+    assert len(products) == 373 and {id(P) for P in products} == {id(G)}
+    # no product is kept per H, but the 2-core's, here G itself, for the key check
+    kept = [v for v in G._memo.values() if isinstance(v, cons.NaturalSemidirect)]
+    assert [ns.subgroup.order for ns in kept] == [32] and kept[0].group is G
 
 
 def test_bingo_axiom_checks_each_distinct_product_once(monkeypatch):
     G = cons.abelian_group((2, 2, 2, 2, 2))
     built, verified = _record_products(monkeypatch)
     verifier.check_bingo(G)
-    products = [ns.group.key() for ns, _, _ in built]
-    assert len(products) == 374
+    products = [P.key() for tables, _, _ in built for P in tables]
+    assert len(products) == 373
     # G's bytes count as checked before the verification: G was checked when
     # it was built, and here every product is byte-identical to it
-    assert sorted([G.key(), *verified]) == sorted(set(products) | {G.key()})
-    assert len(set(products)) < len(products)
+    assert verified == []
     assert set(products) == {G.key()}
 
 
@@ -802,23 +838,29 @@ def test_byte_identical_products_on_one_base_share_one_checked_table(monkeypatch
     for G in cons.corpus(32):
         del built[:], verified[:]
         verifier.verify_group(G, ("all",))
-        builds += len(built)
-        distinct += len({ns.group.key() for ns, _, _ in built})
-        # G's bytes count as checked before the verification
-        shared, tables = {G.key(): G}, {id(G)}
-        for ns, before, after in built:
-            P = ns.group
-            # one table per bytes, whatever the base table it was built on
-            assert shared.setdefault(P.key(), P) is P, G.label
-            if id(P) in tables:
-                assert after == before
-                continue
-            tables.add(id(P))
-            assert verified[before:after] == [P.key()]
-        checked += len(tables) - 1
+        builds += sum(len(tables) for tables, _, _ in built)
+        products = {P.key() for tables, _, _ in built for P in tables}
+        # the bingo check's trivial subgroup has G for its product, unbuilt
+        if verifier.bingo_tuples(G):
+            products.add(G.key())
+        core.release_memo(G)
+        distinct += len(products)
+        shared, tables_seen = {G.key(): G}, {id(G)}
+        for tables, before, after in built:
+            fresh = []
+            for P in tables:
+                # one table per bytes, whatever the base table it was built on
+                assert shared.setdefault(P.key(), P) is P, G.label
+                if id(P) not in tables_seen:
+                    tables_seen.add(id(P))
+                    fresh.append(P.key())
+            assert verified[before:after] == fresh, G.label
+        checked += len(tables_seen) - 1
     # products built on a product share the base's table map, so each
-    # distinct table is checked once per verification, and G not again
-    assert (builds, checked, distinct) == (1200, 224, 329)
+    # distinct table is checked once per verification, and G not again; the
+    # 104 trivial subgroups whose product is no longer built left 1,200 builds
+    # (cyclic(1)'s is still built, by the key check, as its Fitting subgroup)
+    assert (builds, checked, distinct) == (1096, 224, 329)
 
 
 def test_key_check_tables_are_freed_without_the_cyclic_collector(monkeypatch):
@@ -1242,13 +1284,6 @@ def test_key_iff_on_abelian():
 # -- relabelling invariance ------------------------------------------------------------
 
 
-def _relabelled(G, sigma):
-    """G with element a renamed sigma[a]: T'[sigma a, sigma b] = sigma T[a, b]."""
-    table = np.empty_like(G.table)
-    table[np.ix_(sigma, sigma)] = sigma[G.table]
-    return core.GroupTable(table, G.label)
-
-
 def _records(G):
     return [(r.lemma_id, r.status, r.checked, r.skipped, r.hypothesis_note)
             for r in verifier.verify_group(G, ("all",), explore=True)]
@@ -1270,7 +1305,7 @@ def test_relabelling_keeps_every_record_and_subgroup_list(relabelling_tables, da
         # the simplest draw is the shift a -> a + 1 on 1..n-1, not the identity
         shift = [*range(2, G.n), 1][:G.n - 1]
         sigma = np.array([0, *data.draw(st.permutations(shift))])
-        H = _relabelled(G, sigma)
+        H = relabelled(G, sigma)
         for query in (core.normal_subgroups, core.abelian_subgroups):
             assert ({frozenset(sigma[K.members].tolist()) for K in query(G)}
                     == {frozenset(K.members.tolist()) for K in query(H)}), G.label
