@@ -769,18 +769,21 @@ def _record_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("recipe, pairs", [
-    ("dihedral(5)", 1),
-    ("dp(cyclic(5),sym(3))", 4),
-    ("dp(dp(cyclic(5),sym(3)),cyclic(7))", 7),
+    ("dihedral(5)", 2),
+    ("dp(cyclic(5),sym(3))", 5),
+    ("dp(dp(cyclic(5),sym(3)),cyclic(7))", 8),
 ])
 def test_bingo_and_key_build_each_coset_action_product_once(recipe, pairs, monkeypatch):
+    # pairs: the (table, subgroup) pairs whose products the two checks read
     G = fileio.build_recipe(recipe)
     calls = _record_rows(monkeypatch)
     reports = verifier.verify_group(G, ("bingo", "key"))
     assert {r.status for r in reports} == {"PASS"}
     # the key check reuses the p-cores the bingo check built through collapse,
     # and the trivial subgroup's product, G itself, is not built
-    assert len(calls) == len({(id(T), mask) for T, mask in calls}) == pairs
+    assert len(calls) == len({(id(T), mask) for T, mask in calls}) == pairs - 1
+    trivial = verifier.trivial_subgroup(G).members.tobytes()
+    assert trivial not in {mask for T, mask in calls if T is G}
 
 
 def _record_products(monkeypatch):
