@@ -292,6 +292,8 @@ def coset_action_products(G: GroupTable, members: np.ndarray) -> list[GroupTable
     for it.
     """
     n, m = G.n, members.shape[1]
+    # per row: 16 bytes an entry of the rank table's gathers (n m), of the
+    # homomorphism test (n |gens|) and of the coset table
     step = block_rows(16 * n * (m + len(G.generators)) + 16 * (n // m) ** 2)
     known: dict[bytes, GroupTable] = {}
     out: list[GroupTable] = []
@@ -317,14 +319,19 @@ def _coset_action_rows(G: GroupTable, members: np.ndarray, projection: np.ndarra
     projection, section and coset table of G/H_i (stacked as
     ``_quotient_rows`` stacks them).
 
+    Every check reads one array, ranks[i, g, j]: the rank in H_i of
+    h_ij^(g^-1), or -1 outside H_i.  A row where ranks at some g differ from
+    ranks at the representative of g's coset raises ``LemmaViolation`` with
+    the first such g.  The twist, [c, j] = ranks at the representative r_c,
+    must stay in H_i: a -1 in it raises ``LemmaViolation`` with the coset
+    and the member.  The order of every product, |H_i| |G/H_i|, is held to
+    the cap before any pair table is formed.
+
     A product is a pure function of three inputs: H_i's table relabelled by
-    the ranks of its members, the coset table, and the twist, [c, j] = the
-    rank of h_j^(r_c^-1) for the representative r_c of coset c.  The twist
-    is read at every g of G and must not depend on the representative: a
-    row where it does raises ``LemmaViolation`` with the first such g.  The
-    rows are keyed on the bytes of their inputs, so that ``_pair_table``,
-    the range check of ``_as_table``, the cap check and the SHA-256 run
-    once per distinct key; ``known`` carries the keys across calls.
+    rank, the coset table and the twist.  The rows are keyed on the bytes
+    of their inputs, so that ``_pair_table``, the range check of
+    ``_as_table`` and the SHA-256 run once per distinct key; ``known``
+    carries the keys across calls.
 
     Each distinct product table is built and axiom-checked once per
     verification.  G's memo maps the SHA-256 digest of G's bytes to G, and
@@ -339,23 +346,22 @@ def _coset_action_rows(G: GroupTable, members: np.ndarray, projection: np.ndarra
     byte-identical to a table checked before.
     """
     s, m = members.shape
-    rows = np.arange(s)
+    _require_within_cap(m * section.shape[1], "coset-action product")
+    rows = np.arange(s)[:, None]
     pos = np.full((s, G.n), -1, dtype=np.int32)       # [i, x]: the rank of x in H_i
-    pos.ravel()[members + (rows * G.n)[:, None]] = np.arange(m)
-    moved = _conjugates_by_inverses(G)[:, members]     # [g, i, j] = h_ij^(g^-1)
-    # the conjugates by every g against those by its coset's representative
-    at_rep = moved[take_rows(section, projection).T, rows]
-    changed = (moved != at_rep).transpose(1, 0, 2)      # [i, g, j]
+    pos.ravel()[members + rows * G.n] = np.arange(m)
+    ranks = take_rows(pos, G.conjugation_table[members[:, None], G.inverse_table[:, None]])
+    changed = ranks != ranks[rows, take_rows(section, projection)]
     if changed.any():
-        # the twist holds their ranks, which agree where both leave H_i
-        changed &= (take_rows(pos, moved.transpose(1, 0, 2)) >= 0) | (
-            take_rows(pos, at_rep.transpose(1, 0, 2)) >= 0)
-        if changed.any():
-            i, g, _ = map(int, np.argwhere(changed)[0])
-            raise LemmaViolation(
-                "coset action depends on the representative despite abelian H",
-                {"element": g, "coset": int(projection[i, g])})
-    twist = take_rows(pos, moved[section.T, rows].transpose(1, 0, 2))  # [i, c, j]: at r_c
+        i, g, _ = map(int, np.argwhere(changed)[0])
+        raise LemmaViolation(
+            "coset action depends on the representative despite abelian H",
+            {"element": g, "coset": int(projection[i, g])})
+    twist = ranks[rows, section]                       # [i, c, j]
+    if (twist < 0).any():
+        i, c, j = map(int, np.argwhere(twist < 0)[0])
+        raise LemmaViolation("a coset representative conjugates a member out of H",
+                             {"coset": c, "member": int(members[i, j])})
     relabelled = take_rows(pos, G.table[members[:, :, None], members[:, None, :]])
     quotients = quotients.astype(np.int32, copy=False)
     known = {} if known is None else known
@@ -364,17 +370,9 @@ def _coset_action_rows(G: GroupTable, members: np.ndarray, projection: np.ndarra
         key = relabelled[i].tobytes() + quotients[i].tobytes() + twist[i].tobytes()
         if key not in known:
             table = _as_table(_pair_table(relabelled[i], quotients[i], twist[i]))
-            _require_within_cap(len(table), "coset-action product")
             known[key] = _product_table(G, table, product_label(G, m))
         out.append(known[key])
     return out
-
-
-@memoized
-def _conjugates_by_inverses(G: GroupTable) -> np.ndarray:
-    """[g, h] = g h g^-1 = h^(g^-1): row g holds what the twist of a
-    coset-action product reads at g."""
-    return G.table[G.table, G.inverse_table[:, None]]
 
 
 def _product_table(G: GroupTable, table: np.ndarray, label: str) -> GroupTable:

@@ -21,9 +21,9 @@ place, until the set stops growing.
 
 Per-element tables (inverses, orders, commuting, conjugation and commutator
 tables, a generating set) are cached properties.  Coset centralizers are
-read without a quotient: ``coset_centralizer_orders`` counts, for every x
-and every K of a list, the members of its class that lie in Kx, from the
-least member of each class (``_class_minima``, the one class reader).
+read without a quotient: ``coset_centralizer_rows`` counts, for every x
+and every packed normal K, the members of its class that lie in Kx, from
+the least member of each class (``_class_minima``, the one class reader).
 
 A subgroup list is held as arrays, ``SubgroupArrays``: the packed masks,
 orders, flat members and ``is_abelian`` flags of every subgroup, in one
@@ -556,14 +556,6 @@ def _coset_columns(G: GroupTable) -> np.ndarray:
     packed for ``member_counts``."""
     rep, _ = _class_minima(G)
     return pack_rows(rep[G.table.T] == rep[:, None])
-
-
-def coset_centralizer_orders(G: GroupTable, Ks: list[SubgroupHandle]) -> np.ndarray:
-    """``coset_centralizer_rows`` for every normal K in ``Ks``, one row each."""
-    for K in Ks:
-        require_normal(K)
-    masks = np.array([K.mask for K in Ks], dtype=bool).reshape(len(Ks), G.n)
-    return coset_centralizer_rows(G, pack_rows(masks))
 
 
 def coset_centralizer_rows(G: GroupTable, words: np.ndarray) -> np.ndarray:

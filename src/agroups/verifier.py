@@ -25,7 +25,6 @@ from .core import (
     abelian_arrays,
     block_rows,
     centralizer_sizes,
-    coset_centralizer_orders,
     coset_centralizer_rows,
     derived_series,
     member_counts,
@@ -491,10 +490,8 @@ def check_l4(G: GroupTable) -> list[VerificationReport]:
 # -- index-set invariance under the coset-action product --------------------------
 
 
-def bingo_compare(G: GroupTable, H: SubgroupHandle | None,
-                  candidate: GroupTable) -> tuple[list[int], list[int]]:
-    """Index-set differences (missing_from_candidate, extra_in_candidate);
-    H names the pair and is not read."""
+def bingo_compare(G: GroupTable, candidate: GroupTable) -> tuple[list[int], list[int]]:
+    """Index-set differences (missing_from_candidate, extra_in_candidate)."""
     ng = index_set(G)
     nc = index_set(candidate)
     return ([s for s in ng if s not in nc], [s for s in nc if s not in ng])
@@ -546,7 +543,7 @@ def _bingo_results(G: GroupTable) -> dict[bytes, tuple[int, int, list[int], list
         products.append(collapse(G, _normal_handle(G, at[-1])).group)
         for row, P in zip(at.tolist(), products):
             if P not in compared:               # the products share few tables
-                compared[P] = bingo_compare(G, None, P)
+                compared[P] = bingo_compare(G, P)
             out[normals.words[row].tobytes()] = (p, row, *compared[P])
     return out
 
@@ -593,7 +590,7 @@ def check_bingo_pair(G: GroupTable, H: SubgroupHandle) -> list[VerificationRepor
     if gate is not None:
         return [_report(G, lemma, SKIP, gate, None, 0, 1) for lemma in _BINGO_IDS]
     found = _bingo_results(G).get(pack_rows(H.mask[None]).tobytes())
-    missing, extra = found[2:] if found else bingo_compare(G, H, collapse(G, H).group)
+    missing, extra = found[2:] if found else bingo_compare(G, collapse(G, H).group)
     base = {"H": H.members.tolist()}
     return _bingo_reports(
         G, {**base, "missing": missing} if missing else None,
@@ -621,7 +618,7 @@ def check_bingo(G: GroupTable) -> list[VerificationReport]:
 
 def replay_bingo(G: GroupTable, H_members: list[int]) -> bool:
     H = _replayed_subgroup(G, H_members)
-    missing, extra = bingo_compare(G, H, natural_semidirect(G, H).group)
+    missing, extra = bingo_compare(G, natural_semidirect(G, H).group)
     return not missing and not extra
 
 
@@ -823,7 +820,7 @@ def explore_minimal_lemmas(G: GroupTable) -> list[VerificationReport]:
         return [_report(G, lemma, SKIP, f"exploratory; {gate}") for lemma in EXPLORE_IDS]
     F, F2 = fd.fitting, fd.second_fitting
     cg = centralizer_sizes(G)
-    cq = coset_centralizer_orders(G, [F])[0]           # |F| |C_{G/F}(gF)|
+    cq = coset_centralizer_rows(G, pack_rows(F.mask[None]))[0]   # |F| |C_{G/F}(gF)|
 
     evaluated = holds = 0
     for g in F2.members:

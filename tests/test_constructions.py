@@ -342,6 +342,9 @@ def test_the_trivial_subgroup_gives_the_group_itself():
     # three cosets of {0, 1}, a product of order 6
     ("abelian(2,2)", (1, 1, 2), 2, 0, core.InputError,
      "closure violated at (3,3): entry -3 not in [0,6)", None),
+    # 6^1 = 7 leaves {0, 6}, though row 5's product passes the axiom check
+    ("abelian(2,2,2)", (1, 6, 7), 2, 5, core.LemmaViolation,
+     "a coset representative conjugates a member out of H", {"coset": 1, "member": 6}),
 ])
 @pytest.mark.parametrize("block", [None, 1])
 def test_a_tampered_table_raises_the_per_subgroup_exception(
@@ -370,6 +373,27 @@ def test_a_tampered_table_raises_the_per_subgroup_exception(
     with pytest.raises(exc) as raised:
         cons.coset_action_products(T, members)
     assert str(raised.value) == message and getattr(raised.value, "witness", None) == witness
+
+
+def test_the_cap_refuses_a_coset_action_product_before_its_table(monkeypatch):
+    # every product of C2^4 over a subgroup of order 2 has order 16
+    G = cons.abelian_group((2, 2, 2, 2))
+    H = core.subgroup_closure(G, [1])
+    members = core.normal_arrays(G).stacked(np.flatnonzero(core.normal_arrays(G).orders == 2))
+    formed = []
+    real = cons._pair_table
+    monkeypatch.setattr(cons, "_pair_table", lambda *args: formed.append(args) or real(*args))
+    old = core.max_order_cap()
+    core.set_max_order_cap(8)
+    try:
+        for build in (lambda: cons.natural_semidirect(G, H),
+                      lambda: cons.coset_action_products(G, members)):
+            with pytest.raises(core.InputError,
+                               match="refusing coset-action product of order 16 beyond cap 8"):
+                build()
+            assert formed == []
+    finally:
+        core.set_max_order_cap(old)
 
 
 # -- the two-step collapse pairing ----------------------------------------------------

@@ -407,14 +407,10 @@ def test_generator_homomorphism_test_equals_the_full_sweep():
 # -- coset centralizers from the commutator table -----------------------------------
 
 
-@pytest.mark.parametrize("coset_read", [
-    lambda G, H: structure.coset_centralizer_preimage(G, H, 1),
-    pytest.param(lambda G, H: core.coset_centralizer_orders(G, [H]),
-                 id="coset_centralizer_orders")])
-def test_coset_reads_reject_a_non_normal_subgroup(s3, coset_read):
+def test_coset_reads_reject_a_non_normal_subgroup(s3):
     H = cyclic_of_order(s3, 2)
     with pytest.raises(core.PreconditionError, match="not normal") as exc:
-        coset_read(s3, H)
+        structure.coset_centralizer_preimage(s3, H, 1)
     w = exc.value.witness
     assert s3.conj(w["h"], w["g"]) == w["conjugate"] and w["conjugate"] not in H
 
@@ -434,18 +430,19 @@ def test_commutator_table_matches_the_oracle(small_pool):
 def test_coset_commute_matrix_matches_the_quotient():
     """[x, y] lies in K exactly when xK and yK commute in G/K, for every
     normal K; the column sums of that matrix, |K| |C_{G/K}(xK)|, are what
-    ``coset_centralizer_orders`` reads from the classes."""
+    ``coset_centralizer_rows`` reads from the classes."""
     groups = [*cons.corpus(48),
               cons.direct_product(cons.abelian_group((2, 2, 2)), cons.symmetric(3))]
     for G in groups:
-        for K in core.normal_subgroups(G):
+        rows = core.coset_centralizer_rows(G, core.normal_arrays(G).words)
+        for K, row in zip(core.normal_subgroups(G), rows, strict=True):
             q = core.quotient_group(G, K)
             rel = K.mask[G.commutator_table]
             pulled = q.quotient.commute_matrix[np.ix_(q.projection, q.projection)]
             assert np.array_equal(rel, pulled), (G.label, K.members.tolist())
             sums = K.order * core.centralizer_sizes(q.quotient)[q.projection]
             assert np.array_equal(rel.sum(axis=0), sums)
-            assert np.array_equal(core.coset_centralizer_orders(G, [K])[0], sums)
+            assert np.array_equal(row, sums)
         core.release_memo(G)
 
 
