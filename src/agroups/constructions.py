@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from itertools import permutations
 
 import numpy as np
 
@@ -482,16 +482,6 @@ def two_step_collapse_witness(G: GroupTable, H: SubgroupHandle,
 # -- automorphisms and action enumeration -------------------------------------
 
 
-def _hom_extension(G: GroupTable, gen_images: dict, mul, one) -> np.ndarray:
-    """Extend generator images to a full map via the BFS construction trace:
-    f(identity) = one and f(parent * g) = mul(f(parent), f(g))."""
-    out = np.empty((G.n, *one.shape), dtype=np.int64)
-    out[0] = one
-    for e, parent, g in _construction_trace(G):
-        out[e] = mul(out[parent], gen_images[g])
-    return out
-
-
 @memoized
 def _construction_trace(G: GroupTable) -> list[tuple[int, int, int]]:
     gens = G.generators
@@ -514,41 +504,61 @@ def _construction_trace(G: GroupTable) -> list[tuple[int, int, int]]:
 _HOM_CANDIDATE_CAP = 1_000_000
 
 
-def _homomorphisms(source: GroupTable, cands, mul, one, target: str):
-    """Yield every homomorphism from source into the target named ``target``
-    that sends the i-th generator of source into ``cands[i]``, in
-    generator-image order.
+def _homomorphisms(source: GroupTable, cands, mul, one, target: str) -> np.ndarray:
+    """Every homomorphism from source into the target named ``target`` that
+    sends the i-th generator of source into ``cands[i]``, stacked as one
+    (count, |source|, *one.shape) int64 array in generator-image order
+    (``itertools.product`` order: the last generator's image varies fastest).
 
     The target is given by its composition ``mul``, which broadcasts over
     leading axes, and its identity ``one``, an array (0-d when the target's
-    elements are indices).  Each choice of images is extended along the
-    construction trace and kept when f(x * g) = f(x) * f(g) for every x and
-    every generator g: with f(0) = one, induction on word length makes that
-    the homomorphism law.
+    elements are indices).  The candidates are numbered by their position in
+    that order and read in blocks under ``_PACKED_BLOCK``.  Each block is
+    extended along the construction trace with one ``mul`` per step, f(0) =
+    one and f(parent * g) = f(parent) * f(g), and a candidate is kept when
+    f(x * g) = f(x) * f(g) for every x and every generator g: by induction on
+    word length, that is the homomorphism law.  The survivors of a block are
+    copied out, so no block outlives its turn.
     """
     gens = source.generators
-    total = math.prod(len(c) for c in cands)
+    sizes = tuple(len(c) for c in cands)
+    total = math.prod(sizes)
     if total > _HOM_CANDIDATE_CAP:
         raise InputError(f"homomorphism search space {total} from {source.label} "
                          f"to {target} is too large")
+    cands = [np.asarray(c, dtype=np.int64) for c in cands]
+    trace = _construction_trace(source)
     steps = source.table[:, gens]             # [x, i] -> x * gens[i]
-    for images in iproduct(*cands):
-        f = _hom_extension(source, dict(zip(gens, images)), mul, one)
-        if (f[steps] == mul(f[:, None], f[gens][None])).all():
-            yield f
+    n, width = source.n, one.size
+    # per row: f, and the law test's two (n, |gens|) sides
+    step = block_rows(8 * n * width * (1 + 2 * len(gens)))
+    kept = [np.empty((0, n, *one.shape), dtype=np.int64)]
+    for lo in range(0, total, step):
+        which = np.unravel_index(np.arange(lo, min(lo + step, total)), sizes) if sizes else ()
+        images = dict(zip(gens, (c[i] for c, i in zip(cands, which))))
+        f = np.empty((min(step, total - lo), n, *one.shape), dtype=np.int64)
+        f[:, 0] = one
+        for e, parent, g in trace:
+            f[:, e] = mul(f[:, parent], images[g])
+        law = f[:, steps] == mul(f[:, :, None], f[:, None, gens])
+        kept.append(f[law.reshape(len(f), -1).all(axis=1)])
+    return np.concatenate(kept)
 
 
 @memoized
-def automorphisms(G: GroupTable) -> list[np.ndarray]:
-    """All automorphisms as permutation arrays, lexicographically sorted:
-    the homomorphisms G -> G with trivial kernel."""
+def automorphisms(G: GroupTable) -> np.ndarray:
+    """All automorphisms of G as one (|Aut(G)|, n) int64 array of
+    permutations, rows in increasing lexicographic order (the identity
+    first): the homomorphisms G -> G with trivial kernel, each generator
+    sent to an element of its own order."""
     orders = G.element_orders
-    cands = [np.flatnonzero(orders == orders[g]).tolist() for g in G.generators]
+    cands = [np.flatnonzero(orders == orders[g]) for g in G.generators]
     T = G.table
     homs = _homomorphisms(G, cands, lambda a, b: T[a, b], np.int64(0), G.label)
-    out = [f for f in homs if np.count_nonzero(f == 0) == 1]
-    out.sort(key=lambda m: m.tolist())
-    return out
+    homs = homs[np.count_nonzero(homs == 0, axis=1) == 1]
+    homs = homs[np.lexsort(homs.T[::-1])]
+    homs.setflags(write=False)
+    return homs
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -565,27 +575,28 @@ def _powers_are_identity(perms: np.ndarray, k: int) -> np.ndarray:
     return (power == np.arange(perms.shape[1])).all(axis=1)
 
 
-def action_homs(acted: GroupTable, acting: GroupTable) -> list[np.ndarray]:
-    """Every right action of `acting` on `acted`, in generator-image order.
+def action_homs(acted: GroupTable, acting: GroupTable) -> np.ndarray:
+    """Every right action of `acting` on `acted`, in generator-image order,
+    as one (count, |acted|, |acting|) int64 array: [k, a, b] is the image of
+    a under b in the k-th action.
 
     The actions are the homomorphisms acting -> Aut(acted), each generator
-    sent to an automorphism whose order divides its own.  Index k of the
-    returned list is the recipe-level action selector: homs are ordered
-    lexicographically by the images chosen for the minimal generating
-    sequence of the acting group, so index 0 is the trivial action (direct
-    product).
+    sent to an automorphism whose order divides its own.  Index k is the
+    recipe-level action selector: the actions are ordered lexicographically
+    by the images chosen for the minimal generating sequence of the acting
+    group, so index 0 is the trivial action (direct product).
 
-    Aut(acted) is never a table: its elements are the rows of the stacked,
-    sorted ``automorphisms``, composed by indexing, and an automorphism's
+    Aut(acted) is never a table: its elements are the rows of
+    ``automorphisms(acted)``, composed by indexing, and an automorphism's
     order is read from its powers.  So no cap applies to |Aut(acted)|; the
     search's candidate cap does.
     """
-    auts = np.stack(automorphisms(acted))
+    auts = automorphisms(acted)
     cands = [auts[_powers_are_identity(auts, acting.order_of(g))]
              for g in acting.generators]
     homs = _homomorphisms(acting, cands, _compose, np.arange(acted.n),
                           f"aut({acted.label})")
-    return [f.T for f in homs]                # [a, b] = image of a under b
+    return homs.transpose(0, 2, 1)            # [k, a, b] = image of a under b
 
 
 def semidirect_from_selector(acted: GroupTable, acting: GroupTable, k: int) -> GroupTable:
@@ -661,7 +672,7 @@ def _orbit_representatives(acted: GroupTable, acting: GroupTable):
     """
     homs = action_homs(acted, acting)
     dtype = np.min_scalar_type(acted.n - 1)
-    alphas = np.stack(automorphisms(acted)).astype(dtype)
+    alphas = automorphisms(acted).astype(dtype)
     inverses = np.argsort(alphas, axis=1).astype(dtype)
     rows = np.arange(len(alphas))[:, None, None]
     index = {h.astype(dtype).tobytes(): k for k, h in enumerate(homs)}

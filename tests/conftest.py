@@ -8,14 +8,14 @@ compared against at orders the plain oracles cannot reach; the two-step
 pairing, which takes the library's coset-action products and recomputes
 only the pairing over them; and the forms the library replaced, the n^2
 homomorphism sweep and the coset numbering of a quotient, the
-per-subgroup coset-action product, the per-element Fitting splitting and
-the lattice checks with one loop pass per subgroup, over the library's
-cached tables.
+per-subgroup coset-action product, the per-element Fitting splitting, the
+lattice checks with one loop pass per subgroup and the homomorphism search
+one candidate at a time, over the library's cached tables.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -362,6 +362,37 @@ def oracle_coset_action_parts(G, H):
     h1, c1, h2, c2 = np.ix_(range(m), range(r), range(m), range(r))
     product = ht[h1, twist[c1, h2]] * r + qtable[c1, c2]
     return reps, projection, qtable, product.reshape(m * r, m * r)
+
+
+def oracle_homomorphisms(source, cands, mul, one) -> list[np.ndarray]:
+    """Every homomorphism from source sending its i-th generator into
+    ``cands[i]``, in the per-candidate form ``constructions._homomorphisms``
+    replaced: one candidate at a time in ``itertools.product`` order, its
+    images extended along a breadth-first spanning tree from the identity by
+    ``mul`` and kept when f(x g) = f(x) f(g) for every x and generator g."""
+    t = table_rows(source)
+    gens = [int(g) for g in source.generators]
+    tree, reached, frontier = [], {0}, [0]
+    while frontier:
+        nxt = []
+        for parent in frontier:
+            for g in gens:
+                e = t[parent][g]
+                if e not in reached:
+                    reached.add(e)
+                    tree.append((e, parent, g))
+                    nxt.append(e)
+        frontier = nxt
+    out = []
+    for images in product(*cands):
+        image = dict(zip(gens, images))
+        f = {0: one}
+        for e, parent, g in tree:
+            f[e] = mul(f[parent], image[g])
+        if all(np.array_equal(f[t[x][g]], mul(f[x], image[g]))
+               for x in range(len(t)) for g in gens):
+            out.append(np.stack([f[x] for x in range(len(t))]).astype(np.int64))
+    return out
 
 
 def oracle_ca_split(G, F, T, g: int) -> tuple[int, int, int]:

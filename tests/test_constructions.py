@@ -2,9 +2,12 @@
 
 import gc
 import hashlib
+import os
+import subprocess
 import sys
 import weakref
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from conftest import (
     oracle_abelian_types,
     oracle_class_sizes,
     oracle_coset_action_parts,
+    oracle_homomorphisms,
     oracle_two_step_mapping,
     relabelled,
     subgroup_table,
@@ -119,18 +123,11 @@ def _find_isomorphism(A: core.GroupTable, B: core.GroupTable):
     """Brute-force isomorphism search by generator images (tiny orders)."""
     if A.n != B.n:
         return None
-    gens = A.generators
-    from itertools import product
-
     cands = [
-        [y for y in range(B.n) if B.order_of(y) == A.order_of(g)] for g in gens
+        [y for y in range(B.n) if B.order_of(y) == A.order_of(g)] for g in A.generators
     ]
-    for images in product(*cands):
-        mapping = cons._hom_extension(A, dict(zip(gens, images)),
-                                      lambda a, b: B.table[a, b], np.int64(0))
-        if len(set(mapping.tolist())) != A.n:
-            continue
-        if np.array_equal(mapping[A.table], B.table[np.ix_(mapping, mapping)]):
+    for mapping in oracle_homomorphisms(A, cands, lambda a, b: B.table[a, b], np.int64(0)):
+        if len(set(mapping.tolist())) == A.n:
             return mapping
     return None
 
@@ -562,6 +559,74 @@ def test_action_search_refuses_an_oversized_candidate_space():
     with pytest.raises(core.InputError, match="search space 113379904"):
         cons.semidirect_from_selector(acted, acting, 1)
     assert cli.main(["info", "sd(abelian(2,2,2),abelian(2,2,2,2,2,2),1)"]) == 2
+
+
+def _plain_order(perm: list[int]) -> int:
+    power, k = perm, 1
+    while power != list(range(len(perm))):
+        power, k = [perm[x] for x in power], k + 1
+    return k
+
+
+@pytest.mark.parametrize("one_per_block", [False, True], ids=["blocks", "one-per-block"])
+def test_homomorphism_kernel_matches_the_per_candidate_search(monkeypatch, one_per_block):
+    # the stacked kernel against the per-candidate search it replaced: the same
+    # rows in the same order, with the block size as is and at one candidate
+    if one_per_block:
+        monkeypatch.setattr(core, "_PACKED_BLOCK", 1)
+    acted = [t for t in cons._SD_CATALOGUE_ACTED if np.prod(t) <= 27]
+    for G in (cons.quaternion8(), cons.symmetric(3), cons.dihedral(4),
+              *map(cons.abelian_group, acted)):
+        cands = [[x for x in range(G.n) if G.order_of(x) == G.order_of(g)]
+                 for g in G.generators]
+        mul = lambda a, b, T=G.table: T[a, b]
+        homs = oracle_homomorphisms(G, cands, mul, np.int64(0))
+        got = cons._homomorphisms(G, cands, mul, np.int64(0), G.label)
+        assert got.dtype == np.int64 and got.tolist() == [f.tolist() for f in homs], G.label
+        want = sorted(f.tolist() for f in homs if f.tolist().count(0) == 1)
+        assert cons.automorphisms(G).tolist() == want, G.label
+    pairs = 0
+    for acted_type in cons._SD_CATALOGUE_ACTED:
+        for acting_type in cons._SD_CATALOGUE_ACTING:
+            if np.prod(acted_type) * np.prod(acting_type) > 60:
+                continue
+            A, B = cons.abelian_group(acted_type), cons.abelian_group(acting_type)
+            auts = cons.automorphisms(A).tolist()
+            cands = [[np.array(a) for a in auts if B.order_of(g) % _plain_order(a) == 0]
+                     for g in B.generators]
+            homs = oracle_homomorphisms(B, cands, lambda a, b: b[a], np.arange(A.n))
+            got = cons.action_homs(A, B)
+            assert got.dtype == np.int64, (A.label, B.label)
+            assert got.tolist() == [f.T.tolist() for f in homs], (A.label, B.label)
+            pairs += 1
+    assert pairs == 151
+
+
+def test_automorphisms_of_cyclic_997_are_the_unit_multiples():
+    # 996 candidates at n = 997: the blocked kernel near the order cap
+    auts = cons.automorphisms(cons.cyclic(997))
+    assert auts.shape == (996, 997) and auts.dtype == np.int64
+    assert np.array_equal(auts, np.arange(1, 997)[:, None] * np.arange(997) % 997)
+
+
+def test_a_wide_action_search_stays_in_bounded_memory():
+    # 22^4 = 234,256 candidate images of the generators of C2^4 in GL(3, 2),
+    # read in about 2,000 blocks with the survivors of each copied out: the
+    # search peaks at 41,168 KiB, against 37,428 KiB one candidate at a time
+    # (Linux x86-64, numpy 2.4); survivors kept as views would hold on to
+    # their blocks.  As in the other memory tests, the search runs in a
+    # grandchild so that ru_maxrss (KiB) is its own.
+    run = ("import resource; from agroups import constructions as cons; "
+           "print(len(cons.action_homs(cons.abelian_group((2, 2, 2)), "
+           "cons.abelian_group((2, 2, 2, 2))))); "
+           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cons.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", run],
+                         capture_output=True, text=True, env=env, check=True)
+    count, peak = out.stdout.splitlines()
+    assert int(count) == 3256
+    assert int(peak) < 60_000
 
 
 def test_corpus_searches_each_automorphism_group_once(monkeypatch):
