@@ -534,9 +534,10 @@ def _homomorphisms(source: GroupTable, cands, mul, one, target: str) -> np.ndarr
     step = block_rows(8 * n * width * (1 + 2 * len(gens)))
     kept = [np.empty((0, n, *one.shape), dtype=np.int64)]
     for lo in range(0, total, step):
-        which = np.unravel_index(np.arange(lo, min(lo + step, total)), sizes) if sizes else ()
+        flat = np.arange(lo, min(lo + step, total))
+        which = np.unravel_index(flat, sizes) if sizes else ()
         images = dict(zip(gens, (c[i] for c, i in zip(cands, which))))
-        f = np.empty((min(step, total - lo), n, *one.shape), dtype=np.int64)
+        f = np.empty((len(flat), n, *one.shape), dtype=np.int64)
         f[:, 0] = one
         for e, parent, g in trace:
             f[:, e] = mul(f[:, parent], images[g])
