@@ -10,9 +10,10 @@ Quotients are read for many normal subgroups of one order at once,
 one-row case.
 
 Tables are immutable after construction and safe to share between workers.
-A table crosses to a worker process as its ``(table, label)`` pair alone:
-the copy is rebuilt without re-verifying the axioms, arrives read-only and
-carries none of the original's caches.
+A table crosses to a worker process as its ``(table, label)`` pair plus
+whichever of its generating set and element orders the sender already
+holds: the copy is rebuilt without re-verifying the axioms, arrives
+read-only and carries no memo and no n x n derived table.
 
 Every closure -- subgroup generation, the greedy generating set of the
 axiom check, capped complement candidates -- runs one kernel, ``_close_mask``:
@@ -256,14 +257,22 @@ class GroupTable:
 
     @functools.cached_property
     def element_orders(self) -> np.ndarray:
+        """Each element's order: the elements of unknown order are stepped
+        x^k -> x^(k+1) together, one flat gather a round, and leave the
+        round in which they reach the identity."""
         n = self.n
-        orders = np.zeros(n, dtype=np.int64)
-        cur = np.arange(n)
+        flat = self.table.ravel()
+        orders = np.ones(n, dtype=np.int64)
+        todo = np.arange(1, n)
+        power = todo
         k = 1
-        while np.any(orders == 0):
-            orders[(cur == 0) & (orders == 0)] = k
-            cur = self.table[cur, np.arange(n)]
+        while todo.size:
             k += 1
+            power = flat[power * n + todo]
+            done = power == 0
+            if done.any():
+                orders[todo[done]] = k
+                todo, power = todo[~done], power[~done]
         orders.setflags(write=False)
         return orders
 
@@ -302,10 +311,27 @@ class GroupTable:
         return self.table.tobytes()
 
     def __reduce__(self):
-        return functools.partial(GroupTable, trusted=True), (self.table, self.label)
+        held = {name: vars(self)[name] for name in _SHIPPED if name in vars(self)}
+        return _received, (self.table, self.label, held)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.label!r}, order={self.n})"
+
+
+# The cached properties a pickled table carries when the sender holds them:
+# each is O(n), and a scan worker would otherwise compute it again.
+_SHIPPED = ("generators", "element_orders")
+
+
+def _received(table: np.ndarray, label: str, held: dict) -> GroupTable:
+    """A pickled table rebuilt without re-verifying the axioms, with the
+    shipped cached properties set read-only."""
+    G = GroupTable(table, label, trusted=True)
+    for name, value in held.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        vars(G)[name] = value
+    return G
 
 
 # -- subgroups ---------------------------------------------------------------

@@ -12,6 +12,7 @@ commuting (Fitting part, complement part) pair (ca_decompose).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,15 @@ def is_nilpotent(G: GroupTable) -> bool:
 class FittingData:
     fitting: SubgroupHandle
     p_cores: dict[int, SubgroupHandle]
-    second_fitting: SubgroupHandle
+
+    @functools.cached_property
+    def second_fitting(self) -> SubgroupHandle:
+        """F2, the preimage of F(G/F), built on first use from the memoized
+        quotient G/F that ``collapse(G, F)`` also reads."""
+        G = self.fitting.parent
+        q = quotient_group(G, self.fitting)
+        fq = fitting_subgroup(q.quotient)
+        return SubgroupHandle(G, q.preimage(fq.members), is_normal=True)
 
 
 def fitting_subgroup(G: GroupTable) -> SubgroupHandle:
@@ -111,7 +120,7 @@ def fitting_subgroup(G: GroupTable) -> SubgroupHandle:
 
 @memoized
 def fitting_data(G: GroupTable) -> FittingData:
-    """Fitting subgroup, p-cores and second Fitting subgroup.
+    """Fitting subgroup and p-cores; the second Fitting subgroup on demand.
 
     Memoized: the key, ca and cc checks each ask for it on the same table.
     """
@@ -123,10 +132,7 @@ def fitting_data(G: GroupTable) -> FittingData:
             raise LemmaViolation(
                 "centralizer of the Fitting subgroup escapes it in a solvable group",
                 {"F": F.members.tolist()})
-    q = quotient_group(G, F)
-    fq = fitting_subgroup(q.quotient)
-    F2 = SubgroupHandle(G, q.preimage(fq.members), is_normal=True)
-    return FittingData(F, cores, F2)
+    return FittingData(F, cores)
 
 
 def complement_search(G: GroupTable, F: SubgroupHandle) -> SubgroupHandle | None:

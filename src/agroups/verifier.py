@@ -941,29 +941,57 @@ def _tally(results, started: float) -> ScanResult:
                       time.perf_counter() - started)
 
 
-# Groups in flight per worker.  A group is submitted only when fewer than
-# this many per worker are pending, so the parent never holds the whole
-# stream; a deeper queue keeps workers busy past a slow group at the head.
+# Tables in flight per worker.  A chunk is submitted only when it fits beside
+# the tables already pending, so the parent never holds the whole stream; a
+# deeper queue keeps workers busy past a slow group at the head.
 _IN_FLIGHT_PER_JOB = 32
+# Consecutive tables go to a worker as one task while their orders sum to
+# at most this, so small tables share the cost of a round trip and a
+# table of this order or more goes alone.
+_CHUNK_ORDER_SUM = 128
+
+
+def _chunks(groups):
+    """The stream cut into runs of consecutive tables whose orders sum to at
+    most ``_CHUNK_ORDER_SUM``, or into a single table past it."""
+    chunk, total = [], 0
+    for G in groups:
+        if chunk and total + G.n > _CHUNK_ORDER_SUM:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(G)
+        total += G.n
+    if chunk:
+        yield chunk
+
+
+def _verify_each(one, chunk) -> list[list[VerificationReport]]:
+    return [one(G) for G in chunk]
 
 
 def _scan_groups(groups, lemmas, jobs: int, explore: bool) -> ScanResult:
     """Run ``verify_group`` on each group of the stream: in this process at
-    one job, otherwise in ``jobs`` worker processes.  Results are collected
-    in stream order, so the result is the same at every job count."""
+    one job, otherwise in ``jobs`` worker processes, one chunk of tables a
+    task.  Results are collected in stream order, so the result is the same
+    at every job count."""
     started = time.perf_counter()
     one = functools.partial(verify_group, lemmas=tuple(lemmas), explore=explore)
     if jobs == 1:
         return _tally([one(G) for G in groups], started)
     from concurrent.futures import ProcessPoolExecutor
 
-    results, pending = [], deque()
+    window = _IN_FLIGHT_PER_JOB * jobs
+    results, pending, in_flight = [], deque(), 0
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for G in groups:
-            if len(pending) == _IN_FLIGHT_PER_JOB * jobs:
-                results.append(pending.popleft().result())
-            pending.append(pool.submit(one, G))
-        results.extend(future.result() for future in pending)
+        for chunk in _chunks(groups):
+            while pending and in_flight + len(chunk) > window:
+                size, future = pending.popleft()
+                results.extend(future.result())
+                in_flight -= size
+            pending.append((len(chunk), pool.submit(_verify_each, one, chunk)))
+            in_flight += len(chunk)
+        for _, future in pending:
+            results.extend(future.result())
     return _tally(results, started)
 
 

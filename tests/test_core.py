@@ -120,14 +120,29 @@ def test_cap_enforced():
         core.set_max_order_cap(old)
 
 
-def test_pickle_sends_table_and_label_only():
-    G = cons.symmetric(4)
-    core.normal_subgroups(G)
-    G.commute_matrix
+def test_pickle_sends_the_table_label_and_held_element_data():
+    G = cons.symmetric(4)                      # built verified: holds its generators
+    G.commute_matrix, G.conjugation_table
+    assert "element_orders" not in vars(G)
     sent = pickle.loads(pickle.dumps(G))
     assert sent.table.tobytes() == G.table.tobytes() and sent.label == G.label
     assert not sent.table.flags.writeable
-    assert sent._memo == {} and "commute_matrix" not in vars(sent)
+    assert vars(sent)["generators"] == G.generators
+    assert "element_orders" not in vars(sent)
+    assert "commute_matrix" not in vars(sent) and "conjugation_table" not in vars(sent)
+
+    core.normal_subgroups(G)                   # fills the memo and the element orders
+    sent = pickle.loads(pickle.dumps(G))
+    assert G._memo and sent._memo == {}
+    assert "commute_matrix" not in vars(sent) and "conjugation_table" not in vars(sent)
+    orders = vars(sent)["element_orders"]
+    assert np.array_equal(orders, G.element_orders) and orders.dtype == np.int64
+    assert not orders.flags.writeable
+
+    T = core.GroupTable(G.table, "trusted", trusted=True)   # holds neither
+    sent = pickle.loads(pickle.dumps(T))
+    assert "generators" not in vars(sent) and "element_orders" not in vars(sent)
+    assert sent.generators == G.generators
 
 
 def test_cap_checked_before_allocating():
@@ -512,6 +527,16 @@ def test_commutator_preconditions(a4, s3):
 
 
 # -- derived data vs oracles -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source", ["corpus(32)", "sym(5)", "cyclic(997)"])
+def test_element_orders_match_the_oracle(source):
+    groups = cons.corpus(32) if source == "corpus(32)" else [build_recipe(source)]
+    for G in groups:
+        t = table_rows(G)
+        orders = G.element_orders
+        assert orders.dtype == np.int64 and not orders.flags.writeable
+        assert orders.tolist() == [oracle_order(t, x) for x in range(G.n)], G.label
 
 
 def test_inverse_and_orders_vs_oracle(small_pool):

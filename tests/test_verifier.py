@@ -608,12 +608,37 @@ def test_scan_reports_sorted_and_serializable():
     assert all(r.millis > 0 for r in result.reports)
 
 
+def test_chunks_keep_the_stream_order_and_the_order_budget():
+    budget = verifier._CHUNK_ORDER_SUM
+    groups = [*cons.corpus(60), cons.cyclic(budget), cons.cyclic(3),
+              cons.dihedral(100), cons.dihedral(40), cons.cyclic(65), cons.cyclic(65)]
+    chunks = list(verifier._chunks(iter(groups)))
+    assert [G for chunk in chunks for G in chunk] == groups
+    for chunk in chunks:
+        assert sum(G.n for G in chunk) <= budget or len(chunk) == 1
+        assert len(chunk) == 1 or all(G.n < budget for G in chunk)
+        assert sum(G.n > budget // 2 for G in chunk) <= 1
+    assert [len(chunk) for chunk in chunks[-5:]] == [1, 1, 1, 1, 1]
+    assert list(verifier._chunks(iter(()))) == []
+
+
+def _chunks_in_first_window(groups, jobs: int) -> int:
+    """How many chunks the scan submits before it first waits for a result."""
+    window, tables = verifier._IN_FLIGHT_PER_JOB * jobs, 0
+    for count, chunk in enumerate(verifier._chunks(groups)):
+        tables += len(chunk)
+        if tables > window:
+            return count
+    return count + 1
+
+
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_scan_parallel_matches_serial(jobs):
-    # 141 groups, more than the scan keeps in flight at either job count
+    # more chunks than fit in the window at either job count, so the scan waits
     serial = verifier.scan(32, lemmas=("bingo", "theorem"), seed=7, jobs=1)
     parallel = verifier.scan(32, lemmas=("bingo", "theorem"), seed=7, jobs=jobs)
-    assert serial.group_count > verifier._IN_FLIGHT_PER_JOB * jobs
+    chunks = len(list(verifier._chunks(cons.corpus(32))))
+    assert chunks > _chunks_in_first_window(cons.corpus(32), jobs)
     assert [r.record() for r in serial.reports] == [r.record() for r in parallel.reports]
 
 
@@ -719,8 +744,9 @@ def test_fitting_data_and_derived_series_run_once_per_verification(monkeypatch):
                         lambda T, H: commutators.append(T) or real_commutator(T, H))
     reports = verifier.verify_group(G, ("key", "ca", "cc"))
     assert {r.status for r in reports} == {"PASS"}
-    # one fitting_data body (F of G, then of G/F) and one derived series (G > C15 > 1)
-    assert len(fitting) == 2 and fitting[0] is G
+    # one fitting_data body (F of G alone: no check reads F2) and one
+    # derived series (G > C15 > 1)
+    assert fitting == [G]
     assert len(commutators) == 2 and all(T is G for T in commutators)
     assert G._memo == {}
 
